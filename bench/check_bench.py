@@ -15,7 +15,9 @@ things against the committed bench/baseline.json:
 
 Modes:
   compare (default)  exit 1 on any regression; writes --out JSON either way
-  --update           re-measure and rewrite the baseline file
+  --update           re-measure, print every bench whose hash moved against
+                     the old baseline (its changed rows and its time), then
+                     rewrite the baseline file
 
 The NBOS_BENCH_INJECT_SLOWDOWN_PCT env hook in bench_common.hpp slows
 every run_policies/run_specs_or_exit scope proportionally, so the gate's
@@ -103,8 +105,8 @@ def deterministic_hash(stdout: str) -> str:
 def run_bench(build_dir: str, name: str) -> dict:
     env = dict(os.environ)
     env["NBOS_BENCH_SMOKE"] = "1"
-    # The gate measures the deterministic single-seed, monolithic,
-    # statically routed tier.
+    # The gate measures the deterministic single-seed tier, each bench at
+    # its own shard count, routing policy and workload profile.
     env.pop("NBOS_BENCH_SEEDS", None)
     env.pop("NBOS_BENCH_POLICIES", None)
     env.pop("NBOS_BENCH_SHARDS", None)
@@ -127,6 +129,51 @@ def run_bench(build_dir: str, name: str) -> dict:
     }
 
 
+def changed_rows(base: dict, got: dict) -> list[str]:
+    """Labels of the parsed rows that differ between two measurements."""
+    old = base.get("metrics", {})
+    new = got.get("metrics", {})
+    return [
+        label
+        for label in sorted(old.keys() | new.keys())
+        if old.get(label) != new.get(label)
+    ]
+
+
+def report_moves(baseline: dict, measured: dict) -> None:
+    """Print each bench whose hash moved against @p baseline, with its
+    changed rows (old -> new values) and its old and new time."""
+    moved = 0
+    for name, got in sorted(measured.items()):
+        base = baseline["benches"].get(name)
+        if base is None:
+            print(f"new {name}: {got['seconds']:.3f}s")
+            continue
+        if got["stdout_sha256"] == base["stdout_sha256"]:
+            continue
+        moved += 1
+        print(
+            f"moved {name}: sha {base['stdout_sha256'][:12]} -> "
+            f"{got['stdout_sha256'][:12]}, {base['seconds']:.3f}s -> "
+            f"{got['seconds']:.3f}s"
+        )
+        rows = changed_rows(base, got)
+        if not rows:
+            print("  (no parsed row changed)")
+        for label in rows:
+            old = base.get("metrics", {}).get(label, {})
+            new = got["metrics"].get(label, {})
+            changes = ", ".join(
+                f"{key} {old.get(key)} -> {new.get(key)}"
+                for key in sorted(old.keys() | new.keys())
+                if old.get(key) != new.get(key)
+            )
+            print(f"  {label}: {changes}")
+    for name in sorted(baseline["benches"].keys() - measured.keys()):
+        print(f"dropped {name}")
+    print(f"{moved} bench hash(es) moved against the old baseline")
+
+
 def compare(
     baseline: dict, measured: dict, tolerance: float, abs_guard: float
 ) -> list[str]:
@@ -137,11 +184,7 @@ def compare(
             failures.append(f"{name}: bench missing from this build")
             continue
         if got["stdout_sha256"] != base["stdout_sha256"]:
-            diffs = []
-            for label, row in base.get("metrics", {}).items():
-                new_row = got["metrics"].get(label)
-                if new_row != row:
-                    diffs.append(label)
+            diffs = changed_rows(base, got)
             detail = f" (changed rows: {', '.join(diffs)})" if diffs else ""
             failures.append(
                 f"{name}: deterministic output drifted from baseline"
@@ -199,17 +242,18 @@ def main() -> int:
         print(f"wrote {args.out}")
 
     if args.update:
-        # Preserve a previously configured tolerance band; only the
-        # measurements are re-pinned.
+        # Show what the re-pin changes, then preserve a previously
+        # configured tolerance band; only the measurements are re-pinned.
         tolerance = 0.15
         if os.path.exists(args.baseline):
             try:
                 with open(args.baseline, encoding="utf-8") as handle:
-                    tolerance = json.load(handle).get(
-                        "time_tolerance", tolerance
-                    )
+                    old = json.load(handle)
             except (OSError, ValueError):
-                pass
+                old = None
+            if old is not None:
+                report_moves(old, measured)
+                tolerance = old.get("time_tolerance", tolerance)
         payload = {"time_tolerance": tolerance, "benches": measured}
         with open(args.baseline, "w", encoding="utf-8") as out:
             json.dump(payload, out, indent=1, sort_keys=True)

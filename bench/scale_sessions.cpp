@@ -1,7 +1,7 @@
 /**
  * @file
  * scale_sessions: million-session scale tier for the sharded fast
- * analytic engine (core::ShardedFastSim) at shards ∈ {1, 2, 4, 8}.
+ * analytic engine (core::run, notebookos-fast) at shards ∈ {1, 2, 4, 8}.
  *
  * A synthetic 24-hour trace of short-lived notebook sessions (15-minute
  * lifetime, 3 cells each, arrival times hashed from the session id so
@@ -10,7 +10,9 @@
  * shard slice commits its kernels outright and the merged totals are
  * identical at every shard count — the table doubles as a determinism
  * check for the sharded merge. The timed phase is the whole run
- * (partition + per-shard analytic pass + merge).
+ * (admission + per-shard analytic pass + merge). Session start times are
+ * hashed, so the trace is stored out of start-time order and the run
+ * exercises TraceSessionSource's ordering too.
  *
  * Full tier: 1,000,000 sessions (3M cells) — the ROADMAP open-item-1
  * scale bar. Smoke tier (NBOS_BENCH_SMOKE=1, what `ctest -L scale` and
@@ -33,7 +35,7 @@
 #include <utility>
 
 #include "bench_common.hpp"
-#include "core/sharded_fastsim.hpp"
+#include "core/engine_api.hpp"
 
 namespace {
 
@@ -119,10 +121,12 @@ struct ScaleRunResult
 ScaleRunResult
 run_at(const workload::Trace& trace, std::int32_t shards)
 {
-    core::PlatformConfig config = core::PlatformConfig::prototype_defaults();
-    config.policy = core::Policy::kNotebookOS;
-    config.fast_mode = true;
-    config.seed = bench::kSeed;
+    core::RunRequest request;
+    request.engine = core::kEngineFast;
+    request.trace = &trace;
+    request.seed = bench::kSeed;
+    core::PlatformConfig& config = request.config;
+    config = core::PlatformConfig::prototype_defaults();
     // Fixed, ample fleet (2 sessions per GPU-hour of headroom at the
     // full tier): the bench measures engine throughput, not autoscaler
     // policy, and a capacity-unconstrained fleet is what makes the
@@ -137,11 +141,11 @@ run_at(const workload::Trace& trace, std::int32_t shards)
     config.scheduler.shard_parallel = true;
 
     const auto wall_start = std::chrono::steady_clock::now();
-    core::ShardedFastSim sim(trace, config);
-    ScaleRunResult run;
-    run.results = sim.run();
+    core::RunResponse response = core::run(request);
     const auto wall_end = std::chrono::steady_clock::now();
-    run.sim_events = sim.events_executed();
+    ScaleRunResult run;
+    run.results = std::move(response.results);
+    run.sim_events = response.events_executed;
     run.seconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
     return run;
@@ -186,7 +190,7 @@ main()
         }
         // Wall-clock/memory lines: stripped from the CI gate's hash.
         // imbalance is max/mean of per-shard events (routing telemetry;
-        // 0.0 for the monolithic shards=1 run, which has no shard view).
+        // 0.0 for the shards=1 run, which has no shard view).
         std::printf("# TIMING shards=%d seconds=%.4f events_per_sec=%.0f "
                     "sessions_per_sec=%.0f speedup_vs_1=%.2f "
                     "peak_rss_mb=%.1f imbalance=%.3f\n",

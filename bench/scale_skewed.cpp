@@ -1,7 +1,7 @@
 /**
  * @file
  * scale_skewed: routing-policy comparison of the sharded fast analytic
- * engine (core::ShardedFastSim) on a hot-tenant skewed trace, at
+ * engine (core::run, notebookos-fast) on a hot-tenant skewed trace, at
  * shards ∈ {1, 2, 4, 8} × routing ∈ {static_hash, least_loaded,
  * rebalance}.
  *
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/sharded_fastsim.hpp"
+#include "core/engine_api.hpp"
 #include "sched/routing.hpp"
 #include "sched/shard_router.hpp"
 
@@ -162,10 +162,12 @@ SkewRunResult
 run_at(const workload::Trace& trace, std::int32_t shards,
        sched::RoutingPolicyKind routing)
 {
-    core::PlatformConfig config = core::PlatformConfig::prototype_defaults();
-    config.policy = core::Policy::kNotebookOS;
-    config.fast_mode = true;
-    config.seed = bench::kSeed;
+    core::RunRequest request;
+    request.engine = core::kEngineFast;
+    request.trace = &trace;
+    request.seed = bench::kSeed;
+    core::PlatformConfig& config = request.config;
+    config = core::PlatformConfig::prototype_defaults();
     // Fixed ample fleet, autoscaler off — as in scale_sessions, the
     // bench measures routing, not capacity policy.
     const std::int64_t sessions =
@@ -182,18 +184,18 @@ run_at(const workload::Trace& trace, std::int32_t shards,
     config.scheduler.routing = routing;
 
     const auto wall_start = std::chrono::steady_clock::now();
-    core::ShardedFastSim sim(trace, config);
-    SkewRunResult run;
-    run.results = sim.run();
+    core::RunResponse response = core::run(request);
     const auto wall_end = std::chrono::steady_clock::now();
-    run.sim_events = sim.events_executed();
-    run.rebalanced = sim.sessions_rebalanced();
+    SkewRunResult run;
+    run.results = std::move(response.results);
+    run.sim_events = response.events_executed;
+    run.rebalanced = response.sessions_rebalanced;
     run.wall_seconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
-    const std::vector<double>& busy = sim.shard_busy_seconds();
+    const std::vector<double>& busy = response.shard_busy_seconds;
     run.critical_seconds =
-        busy.empty() ? run.wall_seconds
-                     : *std::max_element(busy.begin(), busy.end());
+        shards == 1 ? run.wall_seconds
+                    : *std::max_element(busy.begin(), busy.end());
     return run;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Platform-facing chaos configuration: RECORD / REPLAY plumbing and the
+ * Run-level chaos configuration: RECORD / REPLAY plumbing and the
  * knobs a `SchedulerConfig` carries to turn fault injection on for a run.
  */
 #ifndef NBOS_CHAOS_CONFIG_HPP
@@ -19,7 +19,7 @@ namespace nbos::chaos {
  * RECORD-mode destination. Each scheduler shard deposits the plan it
  * actually injected (with resolved fire times); the merged `ScheduleFile`
  * can be serialized, saved, and replayed byte-identically. Thread-safe:
- * sharded runs record from one thread per shard.
+ * sharded runs record from each shard's own thread.
  */
 class RecordSink
 {

@@ -3,9 +3,8 @@
 #include <utility>
 
 #include "core/baselines.hpp"
-#include "core/fastsim.hpp"
+#include "core/engine_api.hpp"
 #include "core/platform.hpp"
-#include "core/protosim.hpp"
 
 namespace nbos::core {
 namespace {
@@ -46,6 +45,21 @@ function_factory(const char* name, Policy policy, FunctionEngine::RunFn fn)
     };
 }
 
+/** A NotebookOS engine resolved through the registry runs the same
+ *  windowed driver core::run uses for it. */
+FunctionEngine::RunFn
+through_core_run(const char* name)
+{
+    return [name](const workload::Trace& trace,
+                  const PlatformConfig& config) {
+        RunRequest request;
+        request.engine = name;
+        request.config = config;
+        request.trace = &trace;
+        return core::run(request).results;
+    };
+}
+
 /** Register the five built-in engines of §5.1.1. */
 void
 register_builtins(EngineRegistry& registry)
@@ -77,11 +91,11 @@ register_builtins(EngineRegistry& registry)
     registry.register_engine(
         kEnginePrototype,
         function_factory(kEnginePrototype, Policy::kNotebookOS,
-                         run_prototype_notebookos));
+                         through_core_run(kEnginePrototype)));
     registry.register_engine(
         kEngineFast,
         function_factory(kEngineFast, Policy::kNotebookOS,
-                         run_fast_notebookos));
+                         through_core_run(kEngineFast)));
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
  * §5.1.1 baselines and both NotebookOS engines — implements PolicyEngine
  * and is resolved by name through the process-wide EngineRegistry, so new
  * engines can be added (and swept by the ExperimentRunner) without
- * touching core::Platform or the bench binaries.
+ * touching core::run or the bench binaries.
  */
 #ifndef NBOS_CORE_ENGINE_HPP
 #define NBOS_CORE_ENGINE_HPP
@@ -89,7 +89,7 @@ inline constexpr const char* kEngineFast = "notebookos-fast";
 /** Registry name of the built-in engine for (policy, fast_mode). */
 const char* engine_name(Policy policy, bool fast_mode = false);
 
-/** Validate @p config for Platform::run.
+/** Validate @p config for core::run.
  *  @return an empty string when valid, else a human-readable error
  *          (e.g. fast_mode combined with a baseline policy). */
 std::string validate_config(const PlatformConfig& config);

@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "core/engine.hpp"
-#include "core/protosim.hpp"
-#include "core/sharded_fastsim.hpp"
+#include "core/window_driver.hpp"
 
 namespace nbos::core {
 namespace {
 
-/** Throw the exact message Platform::run has always thrown. */
 void
 validate_or_throw(const PlatformConfig& config)
 {
@@ -45,27 +43,12 @@ run(const RunRequest& request)
         config.scheduler.chaos = *request.chaos;
     }
 
-    RunMode mode = request.mode;
-    if (mode == RunMode::kAuto) {
-        mode = request.source != nullptr ? RunMode::kStreamed
-                                         : RunMode::kMaterialized;
-    }
-    if (mode == RunMode::kStreamed && request.source == nullptr) {
-        throw std::invalid_argument(
-            "RunRequest: streamed mode requires a SessionSource");
-    }
-    if (mode == RunMode::kMaterialized && request.trace == nullptr) {
-        throw std::invalid_argument(
-            "RunRequest: materialized mode requires a trace");
-    }
-
-    // Resolve the engine. An empty name reproduces Platform::run exactly:
-    // validate the caller's (policy, fast_mode) pair as-is — so an
-    // inconsistent pair still surfaces as "PlatformConfig: fast_mode is
-    // only supported..." — then derive the built-in name from it. A named
-    // engine reproduces the ExperimentRunner: resolve first (unknown name
-    // beats config problems), then force policy/fast_mode from the engine
-    // before validating.
+    // Resolve the engine. An empty name validates the caller's (policy,
+    // fast_mode) pair as-is — so an inconsistent pair surfaces as
+    // "PlatformConfig: fast_mode is only supported..." — then derives the
+    // built-in name from it. A named engine resolves first (an unknown
+    // name beats config problems), then forces policy/fast_mode from the
+    // engine before validating.
     std::string name = request.engine;
     std::unique_ptr<PolicyEngine> engine;
     if (name.empty()) {
@@ -82,28 +65,20 @@ run(const RunRequest& request)
         validate_or_throw(config);
     }
 
-    RunResponse response;
-    if (mode == RunMode::kStreamed) {
-        // Only the two NotebookOS engines have windowed streamed drivers.
-        if (name == kEngineFast) {
-            StreamedFastRun streamed =
-                run_fast_streamed(*request.source, config);
-            response.results = std::move(streamed.results);
-            response.events_executed = streamed.events_executed;
-            response.shard_events = std::move(streamed.shard_events);
-            response.shard_busy_seconds =
-                std::move(streamed.shard_busy_seconds);
-            response.sessions_rebalanced = streamed.sessions_rebalanced;
-        } else if (name == kEnginePrototype) {
-            response.results =
-                run_prototype_streamed(*request.source, config);
-        } else {
-            throw std::invalid_argument("engine '" + name +
-                                        "' has no streamed driver");
+    // The NotebookOS engines have one driver each, fed by a source.
+    if (name == kEngineFast || name == kEnginePrototype) {
+        const auto drive = name == kEngineFast ? drive_fast : drive_prototype;
+        if (request.source != nullptr) {
+            return drive(*request.source, config);
         }
-        return response;
+        workload::TraceSessionSource source(*request.trace);
+        return drive(source, config);
     }
-
+    if (request.source != nullptr) {
+        throw std::invalid_argument("engine '" + name +
+                                    "' has no streamed driver");
+    }
+    RunResponse response;
     response.results = engine->run(*request.trace, config);
     return response;
 }

@@ -1,32 +1,25 @@
 /**
  * @file
- * The unified engine-run API: one request struct and one function in
- * front of every way this codebase can execute a workload.
+ * The engine-run API: one request struct and one function, the only
+ * public way to execute a workload on any engine.
  *
- * Four entry points grew up side by side — core::Platform (policy facade),
- * the ExperimentRunner's per-spec path (registry engines by name),
- * run_prototype_streamed, and run_fast_streamed — each with its own
- * argument conventions for seeds, routing, sharding, and chaos. RunRequest
- * subsumes all four: name an engine (or let the config's policy pick one),
- * hand it a materialized trace or a streamed SessionSource, and core::run
- * dispatches to the right driver. The legacy entry points remain as thin
- * adapters over this function (byte-identical results, pinned by
- * determinism_test), so existing call sites keep working unchanged.
+ * Name an engine (or let the config's (policy, fast_mode) pair pick a
+ * built-in one), hand it a materialized trace or a streamed SessionSource,
+ * and core::run executes it. The two NotebookOS engines run through their
+ * windowed drivers either way (a trace is streamed through a
+ * workload::TraceSessionSource); the baseline engines take a trace.
  *
- * Example — the four legacy shapes, unified:
+ * Example:
  *
  *   core::RunRequest request;
- *   request.config = config;
- *   request.trace = &trace;                 // Platform(config).run(trace)
+ *   request.engine = core::kEngineFast;     // or leave empty: derive it
+ *   request.config = config;                //   from config.policy and
+ *   request.trace = &trace;                 //   config.fast_mode
+ *   request.seed = 42;                      // optional overrides
+ *   request.shards = 4;
  *
- *   request.engine = core::kEngineFast;     // ExperimentSpec{engine, ...}
- *   request.seed = 42;
- *
- *   request.trace = nullptr;                // run_fast_streamed(src, cfg)
+ *   request.trace = nullptr;                // or stream the sessions
  *   request.source = &source;
- *
- *   request.engine.clear();                 // run_prototype_streamed(...)
- *   request.config.fast_mode = false;
  *
  *   core::RunResponse response = core::run(request);
  */
@@ -48,18 +41,6 @@
 
 namespace nbos::core {
 
-/** How core::run drives the engine. */
-enum class RunMode
-{
-    /** Streamed when a SessionSource is given, else materialized. */
-    kAuto,
-    /** Materialize the whole trace up front (registry engine path). */
-    kMaterialized,
-    /** Windowed streamed injection; requires @ref RunRequest::source and
-     *  a NotebookOS engine (prototype or fast). */
-    kStreamed,
-};
-
 /**
  * Everything one engine run needs. Exactly one of @ref trace / @ref source
  * must be set; neither is owned and both must outlive the run() call.
@@ -72,20 +53,18 @@ struct RunRequest
 {
     /** EngineRegistry name ("reservation", "notebookos-fast", ...).
      *  Empty derives the built-in engine from the config's
-     *  (policy, fast_mode) pair, exactly like core::Platform. */
+     *  (policy, fast_mode) pair. */
     std::string engine;
 
     /** Engine knobs. When @ref engine is named, its policy/fast_mode are
      *  overridden from the engine, exactly like the ExperimentRunner. */
     PlatformConfig config{};
 
-    /** Materialized input (RunMode::kMaterialized / kAuto). */
+    /** Materialized input. */
     const workload::Trace* trace = nullptr;
 
-    /** Streamed input (RunMode::kStreamed / kAuto). */
+    /** Streamed input (NotebookOS engines only). */
     workload::SessionSource* source = nullptr;
-
-    RunMode mode = RunMode::kAuto;
 
     /** @name Per-run config overrides (applied first when set) */
     ///@{
@@ -97,18 +76,18 @@ struct RunRequest
 };
 
 /**
- * Results of one core::run. The telemetry block mirrors StreamedFastRun
- * and is populated only by the streamed fast engine; other drivers leave
- * it zero/empty.
+ * Results of one core::run. Both NotebookOS engines fill the telemetry
+ * block; the baseline engines leave it zero/empty.
  */
 struct RunResponse
 {
     ExperimentResults results;
-    /** Simulation events executed across every shard (streamed fast). */
+    /** Simulation events executed across every shard. */
     std::uint64_t events_executed = 0;
-    /** Per-shard simulation events, in shard order (streamed fast). */
+    /** Per-shard simulation events, in shard order. */
     std::vector<std::uint64_t> shard_events;
-    /** Wall seconds advancing each shard's loop (streamed fast). */
+    /** Wall seconds advancing each shard's loop, in shard order. Serial
+     *  runs time each shard alone, so the maximum is the critical path. */
     std::vector<double> shard_busy_seconds;
     /** Whole sessions moved across shards (`rebalance` only). */
     std::uint64_t sessions_rebalanced = 0;
@@ -117,15 +96,15 @@ struct RunResponse
 /**
  * Execute @p request and return the full metric set.
  *
- * Deterministic for a fixed request (same bits as the legacy entry point
- * it dispatches to). Thread-safe in the ExperimentRunner sense: every run
- * builds its own engine world.
+ * Deterministic for a fixed request; a trace and a TraceSessionSource over
+ * it give the same results. Thread-safe in the ExperimentRunner sense:
+ * every run builds its own engine world.
  *
  * @throws std::invalid_argument when the request is inconsistent: both or
- *         neither of trace/source set, a mode without its input kind, an
- *         unknown engine name, a non-NotebookOS engine in streamed mode,
- *         or a config rejected by validate_config ("PlatformConfig: ..."),
- *         matching Platform::run's message byte for byte.
+ *         neither of trace/source set, an unknown engine name, a source
+ *         for an engine without a windowed driver, a config rejected by
+ *         validate_config ("PlatformConfig: ..."), or a source that breaks
+ *         its (start_time, id) order or repeats a session id.
  */
 RunResponse run(const RunRequest& request);
 

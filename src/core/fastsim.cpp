@@ -10,18 +10,14 @@
  * consensus protocol instead of exchanging per-message Raft traffic, so a
  * 90-day trace runs in seconds.
  *
- * The engine body lives in FastEngineShard (fastsim_engine.hpp): one
- * shard over the full trace is the historical monolithic engine, and
- * ShardedFastSim (sharded_fastsim.cpp) scales the same model across
- * cores by partitioning sessions over several shards.
+ * The engine body lives in FastEngineShard (fastsim_engine.hpp); the fast
+ * driver (fastsim_driver.cpp) runs one or more shards through the shared
+ * windowed driver loop and merges their results.
  */
-#include "core/fastsim.hpp"
-
 #include <algorithm>
 #include <memory>
 
 #include "core/fastsim_engine.hpp"
-#include "core/sharded_fastsim.hpp"
 #include "sched/autoscaler.hpp"
 
 namespace nbos::core {
@@ -39,11 +35,10 @@ FastEngineShard::FastEngineShard(FastShardPlan plan,
              sim::Rng(plan_.seed ^ 0x2545f491)),
       cluster_(config.scheduler.server_shape),
       placement_(config.scheduler.sr_watermark),
-      prewarm_(config.scheduler.prewarm_per_server)
+      prewarm_(config.scheduler.prewarm_per_server),
+      track_window_load_(config.scheduler.routing ==
+                         sched::RoutingPolicyKind::kRebalance)
 {
-    results_.policy = Policy::kNotebookOS;
-    results_.trace_name = plan_.trace_name;
-    results_.makespan = plan_.makespan;
 }
 
 void
@@ -52,10 +47,32 @@ FastEngineShard::start()
     for (std::int32_t i = 0; i < plan_.initial_servers; ++i) {
         add_server();
     }
-    if (!plan_.windowed) {
-        schedule_workload();
-    }
     schedule_tick();
+}
+
+void
+FastEngineShard::advance(sim::Time stop)
+{
+    const sim::Time window = config_.scheduler.autoscale_interval;
+    while (next_window_ <= stop) {
+        if (queued_.empty() || queued_.front().time > stop) {
+            simulation_.run_until(stop);
+            next_window_ = stop + window;
+            return;
+        }
+        // Windows with nothing to inject run as one stretch, up to the
+        // start of the window that covers the next queued event.
+        const sim::Time due =
+            std::max(next_window_,
+                     (queued_.front().time + window - 1) / window * window);
+        simulation_.run_until(due - window);
+        while (!queued_.empty() && queued_.front().time <= due) {
+            inject(queued_.front());
+            queued_.pop_front();
+        }
+        simulation_.run_until(due);
+        next_window_ = due + window;
+    }
 }
 
 void
@@ -67,16 +84,10 @@ FastEngineShard::run_until(sim::Time t)
 ExperimentResults
 FastEngineShard::finish()
 {
-    finalize();
+    results_.read_ms = store_.read_latencies();
+    results_.write_ms = store_.write_latencies();
+    results_.store_bytes_written = store_.bytes_written();
     return std::move(results_);
-}
-
-ExperimentResults
-FastEngineShard::run()
-{
-    start();
-    run_until(plan_.makespan + 12 * sim::kHour);
-    return finish();
 }
 
 std::uint64_t
@@ -103,16 +114,10 @@ FastEngineShard::add_server()
 void
 FastEngineShard::record_fleet_size()
 {
+    // (time, change) deltas: summing them across shards rebuilds the
+    // fleet-wide step function deterministically.
     const double total = static_cast<double>(cluster_.total_gpus());
-    if (plan_.record_timeline) {
-        results_.provisioned_gpus.record(simulation_.now(), total);
-    } else {
-        // Sharded mode: feed the driver-side merged fleet series as
-        // (time, change) deltas; summing deltas across shards rebuilds
-        // the fleet-wide step function deterministically.
-        gpu_deltas_.emplace_back(simulation_.now(),
-                                 total - last_total_gpus_);
-    }
+    gpu_deltas_.emplace_back(simulation_.now(), total - last_total_gpus_);
     last_total_gpus_ = total;
 }
 
@@ -142,25 +147,6 @@ void
 FastEngineShard::record_event(sched::SchedulerEvent::Kind kind)
 {
     results_.events.push_back(sched::SchedulerEvent{kind, simulation_.now()});
-}
-
-void
-FastEngineShard::schedule_workload()
-{
-    for (const workload::SessionSpec* sp : plan_.sessions) {
-        simulation_.schedule_at(sp->start_time,
-                                [this, sp] { start_session(*sp); });
-        if (sp->end_time < plan_.makespan) {
-            simulation_.schedule_at(sp->end_time,
-                                    [this, sp] { end_session(*sp); });
-        }
-        for (const workload::CellTask& task : sp->tasks) {
-            const workload::CellTask* tp = &task;
-            simulation_.schedule_at(task.submit_time, [this, sp, tp] {
-                run_task(*sp, *tp);
-            });
-        }
-    }
 }
 
 void
@@ -254,7 +240,7 @@ FastEngineShard::run_task(const workload::SessionSpec& session,
     new_outcome(session, task);
     const std::size_t index = results_.tasks.size() - 1;
     FastKernel& kernel = kernel_at(session.id);
-    if (plan_.windowed) {
+    if (track_window_load_) {
         if (kernel.window_tasks == 0) {
             window_active_.push_back(session.id);
         }
@@ -537,42 +523,37 @@ FastEngineShard::tick()
         }
     }
     place_pending_kernels();
-    // Timeline samples. Sharded mode records the raw fleet signals
-    // instead: every shard ticks on the same (autoscale_interval,
+    // Raw fleet signals: every shard ticks on the same (autoscale_interval,
     // makespan) grid, so the driver merges samples positionally into the
     // fleet-wide subscription ratio.
-    if (plan_.record_timeline) {
-        results_.subscription_ratio.record(
-            simulation_.now(),
-            cluster_.cluster_subscription_ratio(
-                config_.scheduler.kernel.replica_count));
-    } else {
-        tick_samples_.push_back(FastTickSample{
-            simulation_.now(), cluster_.total_subscribed_gpus(),
-            cluster_.total_gpus()});
+    tick_samples_.push_back(FastTickSample{simulation_.now(),
+                                           cluster_.total_subscribed_gpus(),
+                                           cluster_.total_gpus()});
+}
+
+void
+FastEngineShard::inject(const Injection& event)
+{
+    const workload::SessionSpec* session = event.session;
+    switch (event.kind) {
+        case Injection::kStart:
+            simulation_.schedule_at(event.time, [this, session] {
+                start_session(*session);
+            });
+            break;
+        case Injection::kEnd:
+            simulation_.schedule_at(event.time, [this, session] {
+                end_session(*session);
+            });
+            break;
+        case Injection::kTask: {
+            const workload::CellTask* task = event.task;
+            simulation_.schedule_at(event.time, [this, session, task] {
+                run_task(*session, *task);
+            });
+            break;
+        }
     }
-}
-
-void
-FastEngineShard::inject_session_start(const workload::SessionSpec* sp)
-{
-    simulation_.schedule_at(sp->start_time,
-                            [this, sp] { start_session(*sp); });
-}
-
-void
-FastEngineShard::inject_session_end(const workload::SessionSpec* sp)
-{
-    simulation_.schedule_at(sp->end_time,
-                            [this, sp] { end_session(*sp); });
-}
-
-void
-FastEngineShard::inject_task(const workload::SessionSpec* sp,
-                             const workload::CellTask* tp)
-{
-    simulation_.schedule_at(tp->submit_time,
-                            [this, sp, tp] { run_task(*sp, *tp); });
 }
 
 bool
@@ -653,34 +634,6 @@ FastEngineShard::harvest_window_load(sched::ShardLoad& load,
         kernel.window_tasks = 0;
     }
     window_active_.clear();
-}
-
-void
-FastEngineShard::finalize()
-{
-    std::vector<std::pair<sim::Time, double>> committed;
-    for (TaskOutcome& task : results_.tasks) {
-        if (task.reply == 0) {
-            task.aborted = true;
-        }
-        if (task.is_gpu && !task.aborted) {
-            committed.emplace_back(task.exec_start,
-                                   static_cast<double>(task.gpus));
-            committed.emplace_back(task.exec_end,
-                                   -static_cast<double>(task.gpus));
-        }
-    }
-    results_.committed_gpus = series_from_deltas(std::move(committed));
-    results_.read_ms = store_.read_latencies();
-    results_.write_ms = store_.write_latencies();
-    results_.store_bytes_written = store_.bytes_written();
-}
-
-ExperimentResults
-run_fast_notebookos(const workload::Trace& trace,
-                    const PlatformConfig& config)
-{
-    return ShardedFastSim(trace, config).run();
 }
 
 }  // namespace nbos::core

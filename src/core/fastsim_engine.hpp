@@ -2,30 +2,26 @@
  * @file
  * Internal shard unit of the fast analytic NotebookOS engine.
  *
- * FastEngineShard is the former monolithic fast engine generalized over a
- * session subset: a ShardedFastSim driver (sharded_fastsim.cpp) hands each
- * shard its slice of the trace, its share of the initial fleet, and a
- * per-shard seed, then merges the per-shard aggregates deterministically.
- * With the whole trace, the full fleet, the caller's seed, and timeline
- * recording on, one shard IS the pre-sharding monolithic engine — shards=1
- * results stay byte-identical by construction.
+ * FastEngineShard runs the analytic model over the sessions the fast
+ * driver (fastsim_driver.cpp) routes to it, on its own event loop, with
+ * its share of the initial fleet and a per-shard seed. The driver merges
+ * the per-shard aggregates deterministically in shard order.
  *
- * This header is internal to nbos_core (fastsim.cpp / sharded_fastsim.cpp
- * and the scale bench); the public entry point is run_fast_notebookos().
+ * This header is internal to nbos_core; callers use core::run.
  */
 #ifndef NBOS_CORE_FASTSIM_ENGINE_HPP
 #define NBOS_CORE_FASTSIM_ENGINE_HPP
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "core/platform.hpp"
 #include "core/results.hpp"
+#include "core/window_driver.hpp"
 #include "sched/placement.hpp"
 #include "sched/routing.hpp"
 #include "sched/session_table.hpp"
@@ -39,29 +35,11 @@ namespace nbos::core {
 /** Everything one fast shard needs to know about its slice of the run. */
 struct FastShardPlan
 {
-    /** This shard's sessions, in trace order (monolithic: all of them). */
-    std::vector<const workload::SessionSpec*> sessions;
-    std::string trace_name;
     sim::Time makespan = 0;
     /** This shard's share of SchedulerConfig::initial_servers. */
     std::int32_t initial_servers = 0;
     /** Per-shard seed (sched::shard_seed; shard 0 = the caller's seed). */
     std::uint64_t seed = 1;
-    /**
-     * Monolithic mode: record provisioned_gpus / subscription_ratio
-     * straight into the results, exactly as the pre-sharding engine did.
-     * Sharded mode turns this off and the driver instead merges the
-     * gpu_deltas() / tick_samples() feeds across shards.
-     */
-    bool record_timeline = true;
-    /**
-     * Windowed (rebalance) mode: the driver injects trace events window
-     * by window (inject_session_start / inject_task / ...) instead of
-     * start() pre-scheduling the whole slice, because a session's owner
-     * can change at any window boundary. `sessions` is unused; the tick
-     * grid is unchanged.
-     */
-    bool windowed = false;
 };
 
 /** One fleet-wide autoscaler-signal sample taken at a tick. Tick times are
@@ -78,12 +56,13 @@ struct FastTickSample
  * One shard of the fast analytic engine: the §5.5 companion-simulator
  * model (replicated kernels under the SR cap, dynamic GPU binding,
  * migration on placement failure, pre-warmed containers, §3.4.2
- * auto-scaler) over the plan's session subset, with consensus latency
+ * auto-scaler) over the sessions routed to it, with consensus latency
  * sampled instead of simulated per-message.
  *
- * Lifecycle: start(), then run_until() to any horizon(s), then finish()
- * exactly once. run() bundles the three for the monolithic path. Shards
- * share nothing, so a driver may run siblings on concurrent threads.
+ * Lifecycle: start(), then enqueue() / advance() window by window, then
+ * run_until() to the drain horizon, then finish() exactly once. Shards
+ * share nothing, so the driver may advance siblings on concurrent
+ * threads; every other call happens on the driving thread between stops.
  */
 class FastEngineShard
 {
@@ -93,42 +72,50 @@ class FastEngineShard
     FastEngineShard(const FastEngineShard&) = delete;
     FastEngineShard& operator=(const FastEngineShard&) = delete;
 
-    /** Provision the initial fleet and schedule the workload + ticks. */
+    /** Provision the initial fleet and start the autoscaler ticks. */
     void start();
 
-    /** Advance this shard's event loop to @p t. */
+    /** Queue one of this shard's trace events; advance() schedules it
+     *  just before running to the end of the event's window. */
+    void enqueue(const Injection& event) { queued_.push_back(event); }
+
+    /** Run up to @p stop on the autoscale_interval grid, scheduling each
+     *  window's queued events right before running to the window's end —
+     *  the same schedule calls, in the same order, as a driver that
+     *  stopped at every window. Windows with nothing to schedule run as
+     *  one stretch. */
+    void advance(sim::Time stop);
+
+    /** Run the event loop to @p t without injecting (the drain). */
     void run_until(sim::Time t);
 
     /** Finalize and move out this shard's results (call once, last). */
     ExperimentResults finish();
 
-    /** start() + run to the drain horizon + finish(): the monolithic
-     *  fast path, byte-identical to the pre-sharding engine. */
-    ExperimentResults run();
-
     /** Simulation events executed so far (throughput accounting). */
     std::uint64_t events_executed() const;
 
     /** Fleet-size changes as (time, ±gpus) deltas, for the driver-side
-     *  merged provisioned_gpus series (sharded mode). */
+     *  merged provisioned_gpus series. */
     const std::vector<std::pair<sim::Time, double>>& gpu_deltas() const
     {
         return gpu_deltas_;
     }
 
     /** Per-tick autoscaler-signal samples, for the driver-side merged
-     *  subscription_ratio series (sharded mode). */
+     *  subscription_ratio series. */
     const std::vector<FastTickSample>& tick_samples() const
     {
         return tick_samples_;
     }
 
-    /** @name Windowed mode (routing layer)
+    /** Sessions started and not yet ended or extracted here. */
+    std::int64_t live_sessions() const { return live_sessions_; }
+
+    /** @name Rebalancing (routing layer, `rebalance` policy only)
      *
-     * Used only by the ShardedFastSim rebalance driver: trace events are
-     * injected into the *current* owner shard one lockstep window at a
-     * time, and whole sessions move between shards at window boundaries.
-     * All calls happen on the driving thread between windows.
+     * Whole sessions move between shards at window boundaries, on the
+     * driving thread.
      */
     ///@{
     /** A whole analytic session packed for a cross-shard move. The
@@ -142,21 +129,10 @@ class FastEngineShard
         std::uint64_t executions = 0;
     };
 
-    /** Schedule @p sp's start on this shard's event loop. */
-    void inject_session_start(const workload::SessionSpec* sp);
-    /** Schedule @p sp's end (caller gates on end_time < makespan,
-     *  exactly like schedule_workload). */
-    void inject_session_end(const workload::SessionSpec* sp);
-    /** Schedule one cell of @p sp on this shard's event loop. */
-    void inject_task(const workload::SessionSpec* sp,
-                     const workload::CellTask* tp);
-
-    /** True when @p id can migrate right now: placed, alive, and no
-     *  analytic execution (or migration chain) in flight. */
-    bool session_movable(workload::SessionId id) const;
-
     /** Pack @p id for a cross-shard move: unsubscribe its replicas and
-     *  drop the binding. @return false (no change) if not movable. */
+     *  drop the binding. @return false (no change) if it is not placed
+     *  and alive, or has an analytic execution (or migration chain) in
+     *  flight. */
     bool extract_session(workload::SessionId id, FastSessionExtract& out);
 
     /** Adopt an extracted session: rebind and re-place it here (pending
@@ -169,9 +145,6 @@ class FastEngineShard
      *  ShardLoad::events is the caller's delta. */
     void harvest_window_load(sched::ShardLoad& load,
                              std::vector<sched::SessionLoad>& sessions);
-
-    /** Sessions started and not yet ended or extracted here. */
-    std::int64_t live_sessions() const { return live_sessions_; }
     ///@}
 
   private:
@@ -186,8 +159,8 @@ class FastEngineShard
         /** Outstanding GPU executions / migration chains; a session is
          *  only movable at 0 (its completion closures index kernels_). */
         std::uint64_t inflight = 0;
-        /** Analytic tasks submitted in the open window (windowed mode;
-         *  harvested and reset at each boundary). */
+        /** Analytic tasks submitted in the open window (`rebalance`
+         *  only; harvested and reset at each boundary). */
         std::uint64_t window_tasks = 0;
         /** kernels_created already counted for this session (set at the
          *  first successful placement; carried across adoptions so the
@@ -200,7 +173,8 @@ class FastEngineShard
     sim::Time sample(sim::Time lo, sim::Time hi);
     void record_event(sched::SchedulerEvent::Kind kind);
     void record_fleet_size();
-    void schedule_workload();
+    void inject(const Injection& event);
+    bool session_movable(workload::SessionId id) const;
     void start_session(const workload::SessionSpec& session);
     void place_kernel(workload::SessionId id);
     void place_pending_kernels();
@@ -241,9 +215,15 @@ class FastEngineShard
      *  insert/erase — look up again after any call that may mutate. */
     sched::SessionTable<FastKernel> kernels_;
     std::set<workload::SessionId> pending_kernels_;
-    /** Sessions with window_tasks > 0 (windowed mode; pushed on the
-     *  0 -> 1 transition, sorted + cleared by harvest_window_load). */
+    /** Window load is only kept when it will be harvested. */
+    bool track_window_load_;
+    /** Sessions with window_tasks > 0 (pushed on the 0 -> 1 transition,
+     *  sorted + cleared by harvest_window_load). */
     std::vector<workload::SessionId> window_active_;
+    /** Routed events not yet scheduled, in injection order. */
+    std::deque<Injection> queued_;
+    /** End of the next window advance() runs to. */
+    sim::Time next_window_ = 0;
     std::int64_t live_sessions_ = 0;
     std::int32_t provisioning_ = 0;
     /** Previous cluster_.total_gpus(), for delta-form fleet recording. */

@@ -1,7 +1,5 @@
 #include "core/platform.hpp"
 
-#include "core/engine_api.hpp"
-
 namespace nbos::core {
 
 PlatformConfig
@@ -15,23 +13,6 @@ PlatformConfig::prototype_defaults()
     config.scheduler.kernel.proposal_retry = 200 * sim::kMillisecond;
     config.scheduler.initial_servers = 4;
     return config;
-}
-
-Platform::Platform(PlatformConfig config) : config_(std::move(config))
-{
-}
-
-ExperimentResults
-Platform::run(const workload::Trace& trace)
-{
-    // Thin adapter over the unified run API: an empty engine name makes
-    // core::run derive the built-in engine from (policy, fast_mode) and
-    // validate first, which is this facade's historical contract.
-    RunRequest request;
-    request.config = config_;
-    request.trace = &trace;
-    request.mode = RunMode::kMaterialized;
-    return core::run(request).results;
 }
 
 }  // namespace nbos::core

@@ -1,7 +1,7 @@
 /**
  * @file
- * The NotebookOS platform facade: run a workload trace under any of the
- * §5.1.1 policies and collect the paper's metrics.
+ * The configuration of one run of a workload trace under any of the
+ * §5.1.1 policies (see core::run in core/engine_api.hpp).
  *
  * Two NotebookOS engines are provided, mirroring the paper's methodology:
  *  - the *prototype* engine drives the full stack (Raft-replicated
@@ -21,7 +21,7 @@
 
 namespace nbos::core {
 
-/** Platform-level configuration. */
+/** Engine choice and knobs for one run. */
 struct PlatformConfig
 {
     Policy policy = Policy::kNotebookOS;
@@ -39,30 +39,6 @@ struct PlatformConfig
      *  a 17.5-hour cluster-scale run stays tractable; commit latency is
      *  unaffected because replication is proposal-driven). */
     static PlatformConfig prototype_defaults();
-};
-
-/**
- * Backward-compatible facade over the EngineRegistry: maps the
- * configured (policy, fast_mode) pair to a registered PolicyEngine and
- * runs it. New code — and anything sweeping several engines, traces, or
- * seeds — should prefer the ExperimentRunner (core/runner.hpp), which
- * executes registry engines concurrently.
- */
-class Platform
-{
-  public:
-    explicit Platform(PlatformConfig config);
-
-    /** Execute @p trace under the configured policy.
-     *  @throws std::invalid_argument when the config is inconsistent
-     *          (see validate_config in core/engine.hpp), e.g. fast_mode
-     *          requested for a baseline policy that has no fast engine. */
-    ExperimentResults run(const workload::Trace& trace);
-
-    const PlatformConfig& config() const { return config_; }
-
-  private:
-    PlatformConfig config_;
 };
 
 }  // namespace nbos::core

@@ -1,869 +1,183 @@
-#include "core/protosim.hpp"
-
-#include <algorithm>
+/**
+ * @file
+ * The discrete-event prototype NotebookOS engine (§5.2): Raft-replicated
+ * kernels, executor elections, and the Global/Local schedulers, run over
+ * sched::ShardedGlobalScheduler shards by the shared windowed driver.
+ *
+ * Windows follow the PlatformConfig::sample_interval grid. At each
+ * boundary the fleet-wide provisioned GPUs and subscription ratio are
+ * sampled, then the routing policy refreshes its loads and, under
+ * `rebalance`, moves whole sessions between shards. Sessions are admitted
+ * through the policy when their start event is injected, so a session's
+ * events always go to the shard that owns it for the whole window.
+ *
+ * Determinism: admission and the rebalance plan are pure functions of
+ * shard-order-merged loads, events are injected in the feed's canonical
+ * order, and every cross-shard merge walks shards in index order, so
+ * parallel windows are bit-identical to serial ones.
+ */
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <iterator>
-#include <limits>
-#include <map>
 #include <memory>
-#include <queue>
-#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "core/platform.hpp"
-#include "sched/global_scheduler.hpp"
+#include "core/window_driver.hpp"
 #include "sched/sharded_scheduler.hpp"
-#include "sim/simulation.hpp"
 
 namespace nbos::core {
-
 namespace {
 
-/** Shared tail of both engine variants: tasks that never saw a reply are
- *  aborted, and the committed-GPU step series is rebuilt from the
- *  completed GPU tasks' execution intervals. */
-void
-finalize_committed_series(ExperimentResults& results)
+class PrototypeRun
 {
-    std::vector<std::pair<sim::Time, double>> committed;
-    for (TaskOutcome& task : results.tasks) {
-        if (task.reply == 0) {
-            task.aborted = true;
-        }
-        if (task.is_gpu && !task.aborted) {
-            committed.emplace_back(task.exec_start,
-                                   static_cast<double>(task.gpus));
-            committed.emplace_back(task.exec_end,
-                                   -static_cast<double>(task.gpus));
-        }
-    }
-    results.committed_gpus = series_from_deltas(std::move(committed));
-}
-
-/** The pre-sharding single-event-loop engine: one GlobalScheduler on one
- *  simulation. Kept verbatim so SchedulerConfig::shards == 1 stays
- *  byte-identical to the historical prototype results. */
-ExperimentResults
-run_prototype_monolithic(const workload::Trace& trace,
-                         const PlatformConfig& config)
-{
-    sim::Simulation simulation;
-    sched::GlobalScheduler scheduler(simulation, config.scheduler,
-                                     config.seed);
-    scheduler.start();
-
-    ExperimentResults results;
-    results.policy = Policy::kNotebookOS;
-    results.trace_name = trace.name;
-    results.makespan = trace.makespan;
-    // One outcome per cell task; reserving up front keeps the submit path
-    // free of reallocation (closures hold indices, not pointers, so growth
-    // is safe either way — this is purely an allocation-churn trim).
-    std::size_t total_tasks = 0;
-    for (const workload::SessionSpec& session : trace.sessions) {
-        total_tasks += session.tasks.size();
-    }
-    results.tasks.reserve(total_tasks);
-
-    struct SessionState
+  public:
+    PrototypeRun(const PlatformConfig& config, const SessionFeed& feed)
+        : scheduler_(config.scheduler, config.seed)
     {
-        cluster::KernelId kernel = cluster::kNoKernel;
-        bool ready = false;
-        bool ended = false;
-        std::deque<const workload::CellTask*> buffered;
-    };
-    std::map<workload::SessionId, SessionState> sessions;
+        scheduler_.start();
+        results_.policy = Policy::kNotebookOS;
+        results_.trace_name = feed.trace_name();
+        results_.makespan = feed.makespan();
+    }
 
-    auto submit_task = [&](const workload::SessionSpec& session,
-                           const workload::CellTask& task) {
-        results.tasks.push_back(TaskOutcome{});
-        const std::size_t index = results.tasks.size() - 1;
-        TaskOutcome& outcome = results.tasks[index];
-        outcome.session = session.id;
-        outcome.seq = task.seq;
-        outcome.is_gpu = task.is_gpu;
-        outcome.gpus = session.resources.gpus;
-        outcome.submit = simulation.now();
-        scheduler.submit_execute(
-            sessions[session.id].kernel, task.code, task.is_gpu,
-            simulation.now(),
-            [&results, index](const kernel::ExecutionResult& result,
+    void admit(const workload::SessionSpec&) {}
+
+    void inject(const Injection& event)
+    {
+        const workload::SessionSpec* session = event.session;
+        const std::size_t owner = event.kind == Injection::kStart
+                                      ? scheduler_.admit_session(session->id)
+                                      : scheduler_.shard_of(session->id);
+        sched::SchedulerShard* shard = &scheduler_.shard(owner);
+        sim::Simulation* simulation = &scheduler_.simulation(owner);
+        switch (event.kind) {
+            case Injection::kStart:
+                simulation->schedule_at(event.time, [shard, session] {
+                    shard->begin_session(session->id, session->resources);
+                });
+                break;
+            case Injection::kEnd:
+                simulation->schedule_at(event.time, [shard, session] {
+                    shard->end_session(session->id);
+                });
+                break;
+            case Injection::kTask:
+                submit(shard, simulation, event);
+                break;
+        }
+    }
+
+    void advance(sim::Time stop) { scheduler_.run_until(stop); }
+
+    void close_window(sim::Time stop, bool last)
+    {
+        results_.provisioned_gpus.record(
+            stop, static_cast<double>(scheduler_.total_gpus()));
+        results_.subscription_ratio.record(stop, scheduler_.cluster_sr());
+        if (!last) {
+            scheduler_.rebalance_window();
+        }
+    }
+
+    void drain(sim::Time horizon) { scheduler_.run_until(horizon); }
+
+    RunResponse finish()
+    {
+        // Drop the cells no shard accepted (submitted after their
+        // session ended). Slots were created in injection order, which is
+        // already (submit, session, seq) order.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < results_.tasks.size(); ++i) {
+            if (!submitted_[i]) {
+                continue;
+            }
+            if (kept != i) {
+                results_.tasks[kept] = std::move(results_.tasks[i]);
+            }
+            ++kept;
+        }
+        results_.tasks.resize(kept);
+        sort_tasks(results_.tasks);
+
+        results_.events = scheduler_.events();
+        results_.sched_stats = scheduler_.stats();
+        results_.net_stats = scheduler_.network_stats();
+        results_.sync_ms = scheduler_.sync_latencies_ms();
+        results_.read_ms = scheduler_.store_read_ms();
+        results_.write_ms = scheduler_.store_write_ms();
+        results_.store_bytes_written = scheduler_.store_bytes_written();
+        finalize_tasks(results_);
+
+        RunResponse response;
+        response.results = std::move(results_);
+        for (std::size_t i = 0;
+             i < static_cast<std::size_t>(scheduler_.shard_count()); ++i) {
+            response.shard_events.push_back(
+                scheduler_.simulation(i).events_executed());
+            response.events_executed += response.shard_events.back();
+        }
+        response.shard_busy_seconds = scheduler_.shard_busy_seconds();
+        response.sessions_rebalanced = scheduler_.sessions_rebalanced();
+        return response;
+    }
+
+  private:
+    /** Schedule one cell on its owner. The outcome slot is appended now,
+     *  on the driving thread; the closures hold an index, so later growth
+     *  of the vector between windows is safe. */
+    void submit(sched::SchedulerShard* shard, sim::Simulation* simulation,
+                const Injection& event)
+    {
+        const workload::SessionSpec* session = event.session;
+        const workload::CellTask* task = event.task;
+        TaskOutcome& outcome = results_.tasks.emplace_back();
+        outcome.session = session->id;
+        outcome.seq = task->seq;
+        outcome.is_gpu = task->is_gpu;
+        outcome.gpus = session->resources.gpus;
+        submitted_.push_back(0);
+        const std::size_t index = results_.tasks.size() - 1;
+        simulation->schedule_at(event.time, [this, shard, simulation,
+                                             session, task, index] {
+            results_.tasks[index].submit = simulation->now();
+            const bool accepted = shard->submit_session(
+                session->id, task->code, task->is_gpu, simulation->now(),
+                [this, index](const kernel::ExecutionResult& result,
                               const sched::RequestTrace& request_trace) {
-                TaskOutcome& done = results.tasks[index];
-                done.trace = request_trace;
-                done.exec_start = request_trace.execution_started;
-                done.exec_end = request_trace.execution_finished;
-                done.reply = request_trace.client_replied;
-                done.migrated = request_trace.migrated;
-                done.aborted =
-                    request_trace.aborted ||
-                    result.status == kernel::ExecutionStatus::kError;
-                if (done.aborted) {
-                    done.error = result.error;
-                }
-            });
-    };
-
-    for (const workload::SessionSpec& session : trace.sessions) {
-        // Capture stable pointers into the trace (loop variables die at
-        // iteration end; the closures outlive them).
-        const workload::SessionSpec* sp = &session;
-        simulation.schedule_at(session.start_time, [&sessions, &scheduler,
-                                                    &submit_task, sp] {
-            scheduler.start_kernel(
-                sp->resources,
-                [&sessions, &scheduler, &submit_task,
-                 sp](cluster::KernelId kernel_id, bool ok) {
-                    SessionState& st = sessions[sp->id];
-                    st.kernel = kernel_id;
-                    st.ready = ok;
-                    if (st.ended) {
-                        scheduler.stop_kernel(kernel_id);
-                        return;
-                    }
-                    while (ok && !st.buffered.empty()) {
-                        const workload::CellTask* task =
-                            st.buffered.front();
-                        st.buffered.pop_front();
-                        submit_task(*sp, *task);
+                    TaskOutcome& done = results_.tasks[index];
+                    done.trace = request_trace;
+                    done.exec_start = request_trace.execution_started;
+                    done.exec_end = request_trace.execution_finished;
+                    done.reply = request_trace.client_replied;
+                    done.migrated = request_trace.migrated;
+                    done.aborted =
+                        request_trace.aborted ||
+                        result.status == kernel::ExecutionStatus::kError;
+                    if (done.aborted) {
+                        done.error = result.error;
                     }
                 });
+            if (accepted) {
+                submitted_[index] = 1;
+            }
         });
-        if (session.end_time < trace.makespan) {
-            simulation.schedule_at(session.end_time,
-                                   [&sessions, &scheduler, sp] {
-                                       SessionState& state = sessions[sp->id];
-                                       state.ended = true;
-                                       if (state.ready) {
-                                           scheduler.stop_kernel(
-                                               state.kernel);
-                                       }
-                                   });
-        }
-        for (const workload::CellTask& task : session.tasks) {
-            const workload::CellTask* tp = &task;
-            simulation.schedule_at(task.submit_time,
-                                   [&sessions, &submit_task, sp, tp] {
-                                       SessionState& state = sessions[sp->id];
-                                       if (state.ended) {
-                                           return;
-                                       }
-                                       if (state.ready) {
-                                           submit_task(*sp, *tp);
-                                       } else {
-                                           state.buffered.push_back(tp);
-                                       }
-                                   });
-        }
     }
 
-    // Timeline sampler for provisioned GPUs and the subscription ratio.
-    // Weak self-capture: the pending sample event owns the function, so
-    // the sampler frees itself once the makespan is reached.
-    auto sampler = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak_sampler = sampler;
-    *sampler = [&results, &scheduler, &simulation, &config, weak_sampler,
-                &trace] {
-        results.provisioned_gpus.record(
-            simulation.now(),
-            static_cast<double>(scheduler.cluster().total_gpus()));
-        results.subscription_ratio.record(simulation.now(),
-                                          scheduler.cluster_sr());
-        if (simulation.now() < trace.makespan) {
-            if (auto self = weak_sampler.lock()) {
-                simulation.schedule_after(config.sample_interval,
-                                          [self] { (*self)(); });
-            }
-        }
-    };
-    simulation.schedule_at(0, [sampler] { (*sampler)(); });
-
-    // Run the trace plus a drain window for in-flight cells.
-    simulation.run_until(trace.makespan + 12 * sim::kHour);
-
-    // Collect platform-side metrics.
-    results.events = scheduler.events();
-    results.sched_stats = scheduler.stats();
-    results.net_stats = scheduler.network_stats();
-    results.sync_ms = scheduler.sync_latencies_ms();
-    results.read_ms = scheduler.store().read_latencies();
-    results.write_ms = scheduler.store().write_latencies();
-    results.store_bytes_written = scheduler.store().bytes_written();
-    finalize_committed_series(results);
-    return results;
-}
-
-/**
- * The sharded engine: sessions are partitioned across
- * SchedulerConfig::shards independent scheduler shards by the stable
- * ShardRouter hash, each shard advances on its own event loop, and the
- * driver steps all shards in lockstep sample_interval windows so the
- * merged autoscaler signals (provisioned GPUs, subscription ratio) are
- * sampled fleet-wide at the same grid a monolithic run uses.
- *
- * All cross-shard merges are deterministic (shard-index order; tasks are
- * canonically ordered by (submit, session, seq)), and the lockstep
- * windows may run shard threads in parallel with bit-identical results —
- * see DeterminismTest.ShardedPrototypeParallelBitIdenticalToSerial.
- */
-ExperimentResults
-run_prototype_sharded(const workload::Trace& trace,
-                      const PlatformConfig& config)
-{
-    sched::ShardedGlobalScheduler scheduler(config.scheduler, config.seed);
-    scheduler.start();
-
-    ExperimentResults results;
-    results.policy = Policy::kNotebookOS;
-    results.trace_name = trace.name;
-    results.makespan = trace.makespan;
-
-    struct SessionState
-    {
-        cluster::KernelId kernel = cluster::kNoKernel;
-        bool ready = false;
-        bool ended = false;
-        std::deque<const workload::CellTask*> buffered;
-    };
-
-    /** Everything one shard's closures touch: its own outcome vector and
-     *  session table. Shard event loops run on parallel threads, so a
-     *  driver must only ever be used from its shard's simulation. */
-    struct ShardDriver
-    {
-        std::vector<TaskOutcome> tasks;
-        std::map<workload::SessionId, SessionState> sessions;
-    };
-    std::vector<ShardDriver> drivers(
-        static_cast<std::size_t>(scheduler.shard_count()));
-
-    // Stateless helper shared by the per-shard closures: every call
-    // touches only the passed driver and that driver's shard.
-    auto submit_task = [&scheduler](ShardDriver& driver,
-                                    sim::Simulation& simulation,
-                                    const workload::SessionSpec& session,
-                                    const workload::CellTask& task) {
-        driver.tasks.push_back(TaskOutcome{});
-        const std::size_t index = driver.tasks.size() - 1;
-        TaskOutcome& outcome = driver.tasks[index];
-        outcome.session = session.id;
-        outcome.seq = task.seq;
-        outcome.is_gpu = task.is_gpu;
-        outcome.gpus = session.resources.gpus;
-        outcome.submit = simulation.now();
-        scheduler.submit_execute(
-            driver.sessions[session.id].kernel, task.code, task.is_gpu,
-            simulation.now(),
-            [&driver, index](const kernel::ExecutionResult& result,
-                             const sched::RequestTrace& request_trace) {
-                TaskOutcome& done = driver.tasks[index];
-                done.trace = request_trace;
-                done.exec_start = request_trace.execution_started;
-                done.exec_end = request_trace.execution_finished;
-                done.reply = request_trace.client_replied;
-                done.migrated = request_trace.migrated;
-                done.aborted =
-                    request_trace.aborted ||
-                    result.status == kernel::ExecutionStatus::kError;
-                if (done.aborted) {
-                    done.error = result.error;
-                }
-            });
-    };
-
-    std::size_t total_tasks = 0;
-    for (const workload::SessionSpec& session : trace.sessions) {
-        total_tasks += session.tasks.size();
-        const std::size_t shard = scheduler.shard_of(session.id);
-        ShardDriver& driver = drivers[shard];
-        sim::Simulation& simulation = scheduler.simulation(shard);
-        const workload::SessionSpec* sp = &session;
-        simulation.schedule_at(
-            session.start_time,
-            [&scheduler, &driver, &submit_task, sp] {
-                scheduler.start_kernel(
-                    sp->id, sp->resources,
-                    [&scheduler, &driver, &submit_task,
-                     sp](cluster::KernelId kernel_id, bool ok) {
-                        SessionState& st = driver.sessions[sp->id];
-                        st.kernel = kernel_id;
-                        st.ready = ok;
-                        if (st.ended) {
-                            scheduler.stop_kernel(kernel_id);
-                            return;
-                        }
-                        while (ok && !st.buffered.empty()) {
-                            const workload::CellTask* task =
-                                st.buffered.front();
-                            st.buffered.pop_front();
-                            submit_task(driver,
-                                        scheduler.simulation(
-                                            scheduler.shard_of(sp->id)),
-                                        *sp, *task);
-                        }
-                    });
-            });
-        if (session.end_time < trace.makespan) {
-            simulation.schedule_at(session.end_time,
-                                   [&scheduler, &driver, sp] {
-                                       SessionState& state =
-                                           driver.sessions[sp->id];
-                                       state.ended = true;
-                                       if (state.ready) {
-                                           scheduler.stop_kernel(
-                                               state.kernel);
-                                       }
-                                   });
-        }
-        for (const workload::CellTask& task : session.tasks) {
-            const workload::CellTask* tp = &task;
-            simulation.schedule_at(
-                task.submit_time,
-                [&scheduler, &driver, &submit_task, sp, tp] {
-                    SessionState& state = driver.sessions[sp->id];
-                    if (state.ended) {
-                        return;
-                    }
-                    if (state.ready) {
-                        submit_task(driver,
-                                    scheduler.simulation(
-                                        scheduler.shard_of(sp->id)),
-                                    *sp, *tp);
-                    } else {
-                        state.buffered.push_back(tp);
-                    }
-                });
-        }
-    }
-
-    // Lockstep windows on the sampling grid: advance every shard to t
-    // (in parallel when configured), then sample the merged fleet-wide
-    // autoscaler signals — the same 0, i, 2i, ... grid the monolithic
-    // engine's sampler event produces.
-    for (sim::Time t = 0;; t += config.sample_interval) {
-        scheduler.run_until(t);
-        results.provisioned_gpus.record(
-            t, static_cast<double>(scheduler.total_gpus()));
-        results.subscription_ratio.record(t, scheduler.cluster_sr());
-        if (t >= trace.makespan) {
-            break;
-        }
-    }
-    // Drain window for in-flight cells.
-    scheduler.run_until(trace.makespan + 12 * sim::kHour);
-
-    // Deterministic cross-shard merge: concatenate in shard order, then
-    // canonicalize to (submit, session, seq) — a total order because a
-    // session's (session, seq) pairs are unique.
-    results.tasks.reserve(total_tasks);
-    for (ShardDriver& driver : drivers) {
-        std::move(driver.tasks.begin(), driver.tasks.end(),
-                  std::back_inserter(results.tasks));
-    }
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
-
-    results.events = scheduler.events();
-    results.sched_stats = scheduler.stats();
-    results.net_stats = scheduler.network_stats();
-    results.sync_ms = scheduler.sync_latencies_ms();
-    results.read_ms = scheduler.store_read_ms();
-    results.write_ms = scheduler.store_write_ms();
-    results.store_bytes_written = scheduler.store_bytes_written();
-    finalize_committed_series(results);
-    return results;
-}
-
-/**
- * The routed sharded engine (`least_loaded` / `rebalance` policies):
- * sessions are admitted through the routing policy instead of the static
- * hash, shards own the session -> kernel bindings, and — under
- * `rebalance` — whole sessions migrate between shards at window
- * boundaries.
- *
- * Because a session's owner can change between windows, trace events are
- * not pre-scheduled into shard simulations up front. Instead the driver
- * keeps one globally sorted injection list and, at each window boundary,
- * injects the next window's events into the *current* owner's simulation
- * before advancing the lockstep clock. Migrations only happen on the
- * driving thread between windows, so every injected closure addresses a
- * shard that owns the session for that whole window.
- *
- * Determinism matches the static driver's: admission and the rebalance
- * plan are pure functions of shard-order-merged loads, injections are
- * processed in (time, session, kind) order, and the final task merge is
- * canonical — so parallel windows stay bit-identical to serial ones.
- */
-ExperimentResults
-run_prototype_routed(const workload::Trace& trace,
-                     const PlatformConfig& config)
-{
-    sched::ShardedGlobalScheduler scheduler(config.scheduler, config.seed);
-    scheduler.start();
-
-    ExperimentResults results;
-    results.policy = Policy::kNotebookOS;
-    results.trace_name = trace.name;
-    results.makespan = trace.makespan;
-
-    // Pre-allocate one outcome slot per trace cell. Slots are written by
-    // whichever shard owns the session at completion time (carried work
-    // keeps its callback across migrations), so the vector must never
-    // reallocate while windows run; cells the shards drop (submitted
-    // after session end) leave their slot unsubmitted and are compacted
-    // away below, mirroring the legacy drivers where such cells never
-    // produce an outcome.
-    std::size_t total_tasks = 0;
-    for (const workload::SessionSpec& session : trace.sessions) {
-        total_tasks += session.tasks.size();
-    }
-    results.tasks.resize(total_tasks);
-    std::vector<char> submitted(total_tasks, 0);
-
-    // One globally sorted injection list. Kind order at equal times
-    // mirrors the static driver's per-session scheduling order (start,
-    // end, then tasks), so a cell submitted exactly at its session's end
-    // time is dropped in both engines.
-    enum Kind : std::int32_t
-    {
-        kStart = 0,
-        kEnd = 1,
-        kTask = 2,
-    };
-    struct Injection
-    {
-        sim::Time time;
-        const workload::SessionSpec* sp;
-        std::int32_t kind;
-        const workload::CellTask* task;
-        std::size_t outcome;
-    };
-    std::vector<Injection> injections;
-    injections.reserve(trace.sessions.size() * 2 + total_tasks);
-    std::size_t outcome_index = 0;
-    for (const workload::SessionSpec& session : trace.sessions) {
-        const workload::SessionSpec* sp = &session;
-        injections.push_back(
-            Injection{session.start_time, sp, kStart, nullptr, 0});
-        if (session.end_time < trace.makespan) {
-            injections.push_back(
-                Injection{session.end_time, sp, kEnd, nullptr, 0});
-        }
-        for (const workload::CellTask& task : session.tasks) {
-            TaskOutcome& outcome = results.tasks[outcome_index];
-            outcome.session = session.id;
-            outcome.seq = task.seq;
-            outcome.is_gpu = task.is_gpu;
-            outcome.gpus = session.resources.gpus;
-            injections.push_back(Injection{task.submit_time, sp, kTask,
-                                           &task, outcome_index});
-            ++outcome_index;
-        }
-    }
-    std::stable_sort(injections.begin(), injections.end(),
-                     [](const Injection& a, const Injection& b) {
-                         if (a.time != b.time) {
-                             return a.time < b.time;
-                         }
-                         if (a.sp->id != b.sp->id) {
-                             return a.sp->id < b.sp->id;
-                         }
-                         return a.kind < b.kind;
-                     });
-
-    // Lockstep windows on the sampling grid: inject the window's events
-    // into their owners, advance every shard to t (in parallel when
-    // configured), sample the merged autoscaler signals, then let the
-    // policy rebalance before the next window's events are routed.
-    std::size_t cursor = 0;
-    for (sim::Time t = 0;; t += config.sample_interval) {
-        while (cursor < injections.size() &&
-               injections[cursor].time <= t) {
-            const Injection& inj = injections[cursor++];
-            const std::size_t owner =
-                inj.kind == kStart
-                    ? scheduler.admit_session(inj.sp->id)
-                    : scheduler.shard_of(inj.sp->id);
-            sched::SchedulerShard* shard = &scheduler.shard(owner);
-            sim::Simulation& simulation = scheduler.simulation(owner);
-            const workload::SessionSpec* sp = inj.sp;
-            switch (inj.kind) {
-                case kStart:
-                    simulation.schedule_at(inj.time, [shard, sp] {
-                        shard->begin_session(sp->id, sp->resources);
-                    });
-                    break;
-                case kEnd:
-                    simulation.schedule_at(inj.time, [shard, sp] {
-                        shard->end_session(sp->id);
-                    });
-                    break;
-                case kTask: {
-                    const workload::CellTask* tp = inj.task;
-                    const std::size_t index = inj.outcome;
-                    sim::Simulation* sim_ptr = &simulation;
-                    simulation.schedule_at(
-                        inj.time, [shard, sim_ptr, sp, tp, index,
-                                   &results, &submitted] {
-                            TaskOutcome& outcome = results.tasks[index];
-                            outcome.submit = sim_ptr->now();
-                            const bool accepted = shard->submit_session(
-                                sp->id, tp->code, tp->is_gpu,
-                                sim_ptr->now(),
-                                [&results, index](
-                                    const kernel::ExecutionResult& result,
-                                    const sched::RequestTrace&
-                                        request_trace) {
-                                    TaskOutcome& done =
-                                        results.tasks[index];
-                                    done.trace = request_trace;
-                                    done.exec_start =
-                                        request_trace.execution_started;
-                                    done.exec_end =
-                                        request_trace.execution_finished;
-                                    done.reply =
-                                        request_trace.client_replied;
-                                    done.migrated =
-                                        request_trace.migrated;
-                                    done.aborted =
-                                        request_trace.aborted ||
-                                        result.status ==
-                                            kernel::ExecutionStatus::
-                                                kError;
-                                    if (done.aborted) {
-                                        done.error = result.error;
-                                    }
-                                });
-                            if (accepted) {
-                                submitted[index] = 1;
-                            }
-                        });
-                    break;
-                }
-                default:
-                    break;
-            }
-        }
-        scheduler.run_until(t);
-        results.provisioned_gpus.record(
-            t, static_cast<double>(scheduler.total_gpus()));
-        results.subscription_ratio.record(t, scheduler.cluster_sr());
-        if (t >= trace.makespan) {
-            break;
-        }
-        scheduler.rebalance_window();
-    }
-    // Drain window for in-flight cells.
-    scheduler.run_until(trace.makespan + 12 * sim::kHour);
-
-    // Compact dropped cells, then canonicalize to (submit, session, seq)
-    // exactly as the static sharded driver does.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < results.tasks.size(); ++i) {
-        if (!submitted[i]) {
-            continue;
-        }
-        if (kept != i) {
-            results.tasks[kept] = std::move(results.tasks[i]);
-        }
-        ++kept;
-    }
-    results.tasks.resize(kept);
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
-
-    results.events = scheduler.events();
-    results.sched_stats = scheduler.stats();
-    results.net_stats = scheduler.network_stats();
-    results.sync_ms = scheduler.sync_latencies_ms();
-    results.read_ms = scheduler.store_read_ms();
-    results.write_ms = scheduler.store_write_ms();
-    results.store_bytes_written = scheduler.store_bytes_written();
-    finalize_committed_series(results);
-    return results;
-}
+    sched::ShardedGlobalScheduler scheduler_;
+    ExperimentResults results_;
+    /** Per outcome slot: did the owning shard accept the cell? */
+    std::vector<char> submitted_;
+};
 
 }  // namespace
 
-ExperimentResults
-run_prototype_streamed(workload::SessionSource& source,
-                       const PlatformConfig& config)
+RunResponse
+drive_prototype(workload::SessionSource& source, const PlatformConfig& config)
 {
-    if (config.scheduler.shards < 1) {
-        throw std::invalid_argument("scheduler.shards must be >= 1");
-    }
-    sched::ShardedGlobalScheduler scheduler(config.scheduler, config.seed);
-    scheduler.start();
-
-    const sim::Time makespan = source.makespan();
-    ExperimentResults results;
-    results.policy = Policy::kNotebookOS;
-    results.trace_name = source.trace_name();
-    results.makespan = makespan;
-
-    // Outcome slots are appended as sessions stream in (always on the
-    // driving thread, between windows). Closures hold &results plus an
-    // index and dereference at run time, so growth-triggered reallocation
-    // between windows is safe.
-    std::vector<char> submitted;
-
-    enum Kind : std::int32_t
-    {
-        kStart = 0,
-        kEnd = 1,
-        kTask = 2,
-    };
-    struct Injection
-    {
-        sim::Time time;
-        const workload::SessionSpec* sp;
-        std::int32_t kind;
-        const workload::CellTask* task;
-        std::size_t outcome;
-        std::uint64_t seq;
-    };
-    // Min-heap in exactly the routed driver's injection order: (time, id,
-    // kind), with the insertion sequence breaking the only possible
-    // remaining tie (two tasks of one session submitted the same tick,
-    // which the materialized driver keeps in insertion order via
-    // stable_sort).
-    struct InjectionAfter
-    {
-        bool operator()(const Injection& a, const Injection& b) const
-        {
-            if (a.time != b.time) {
-                return a.time > b.time;
-            }
-            if (a.sp->id != b.sp->id) {
-                return a.sp->id > b.sp->id;
-            }
-            if (a.kind != b.kind) {
-                return a.kind > b.kind;
-            }
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Injection, std::vector<Injection>, InjectionAfter>
-        injections;
-    std::uint64_t next_seq = 0;
-
-    // Live session store: specs stay pinned (map nodes are stable) until
-    // their last trace event has executed, then retire. Memory therefore
-    // tracks the concurrent-session population, not the trace length.
-    struct LiveSession
-    {
-        workload::SessionSpec spec;
-        sim::Time last_event = 0;
-    };
-    std::map<workload::SessionId, LiveSession> live;
-    using Retire = std::pair<sim::Time, workload::SessionId>;
-    std::priority_queue<Retire, std::vector<Retire>, std::greater<Retire>>
-        retire;
-
-    sim::Time last_start = std::numeric_limits<sim::Time>::min();
-    auto admit_one = [&](workload::SessionSpec&& incoming) {
-        if (incoming.start_time < last_start) {
-            throw std::invalid_argument(
-                "streamed session source is not sorted by start time");
-        }
-        last_start = incoming.start_time;
-        const auto [it, inserted] =
-            live.emplace(incoming.id, LiveSession{std::move(incoming), 0});
-        if (!inserted) {
-            throw std::invalid_argument(
-                "streamed session source repeated session id " +
-                std::to_string(it->first));
-        }
-        const workload::SessionSpec* sp = &it->second.spec;
-        sim::Time last_event = sp->start_time;
-        injections.push(Injection{sp->start_time, sp, kStart, nullptr, 0,
-                                  next_seq++});
-        if (sp->end_time < makespan) {
-            injections.push(Injection{sp->end_time, sp, kEnd, nullptr, 0,
-                                      next_seq++});
-            last_event = std::max(last_event, sp->end_time);
-        }
-        for (const workload::CellTask& task : sp->tasks) {
-            results.tasks.push_back(TaskOutcome{});
-            TaskOutcome& outcome = results.tasks.back();
-            outcome.session = sp->id;
-            outcome.seq = task.seq;
-            outcome.is_gpu = task.is_gpu;
-            outcome.gpus = sp->resources.gpus;
-            submitted.push_back(0);
-            injections.push(Injection{task.submit_time, sp, kTask, &task,
-                                      results.tasks.size() - 1,
-                                      next_seq++});
-            last_event = std::max(last_event, task.submit_time);
-        }
-        it->second.last_event = last_event;
-        retire.push(Retire{last_event, sp->id});
-    };
-
-    // Lockstep windows on the sampling grid, exactly as the routed
-    // driver: pull the window's sessions, inject their due events into
-    // the current owners, advance, sample, retire drained specs, then
-    // let the policy rebalance.
-    workload::SessionSpec pending;
-    bool has_pending = source.next(pending);
-    for (sim::Time t = 0;; t += config.sample_interval) {
-        while (has_pending && pending.start_time <= t) {
-            workload::SessionSpec spec = std::move(pending);
-            has_pending = source.next(pending);
-            admit_one(std::move(spec));
-        }
-        while (!injections.empty() && injections.top().time <= t) {
-            const Injection inj = injections.top();
-            injections.pop();
-            const std::size_t owner =
-                inj.kind == kStart
-                    ? scheduler.admit_session(inj.sp->id)
-                    : scheduler.shard_of(inj.sp->id);
-            sched::SchedulerShard* shard = &scheduler.shard(owner);
-            sim::Simulation& simulation = scheduler.simulation(owner);
-            const workload::SessionSpec* sp = inj.sp;
-            switch (inj.kind) {
-                case kStart:
-                    simulation.schedule_at(inj.time, [shard, sp] {
-                        shard->begin_session(sp->id, sp->resources);
-                    });
-                    break;
-                case kEnd:
-                    simulation.schedule_at(inj.time, [shard, sp] {
-                        shard->end_session(sp->id);
-                    });
-                    break;
-                case kTask: {
-                    const workload::CellTask* tp = inj.task;
-                    const std::size_t index = inj.outcome;
-                    sim::Simulation* sim_ptr = &simulation;
-                    simulation.schedule_at(
-                        inj.time, [shard, sim_ptr, sp, tp, index,
-                                   &results, &submitted] {
-                            TaskOutcome& outcome = results.tasks[index];
-                            outcome.submit = sim_ptr->now();
-                            const bool accepted = shard->submit_session(
-                                sp->id, tp->code, tp->is_gpu,
-                                sim_ptr->now(),
-                                [&results, index](
-                                    const kernel::ExecutionResult& result,
-                                    const sched::RequestTrace&
-                                        request_trace) {
-                                    TaskOutcome& done =
-                                        results.tasks[index];
-                                    done.trace = request_trace;
-                                    done.exec_start =
-                                        request_trace.execution_started;
-                                    done.exec_end =
-                                        request_trace.execution_finished;
-                                    done.reply =
-                                        request_trace.client_replied;
-                                    done.migrated =
-                                        request_trace.migrated;
-                                    done.aborted =
-                                        request_trace.aborted ||
-                                        result.status ==
-                                            kernel::ExecutionStatus::
-                                                kError;
-                                    if (done.aborted) {
-                                        done.error = result.error;
-                                    }
-                                });
-                            if (accepted) {
-                                submitted[index] = 1;
-                            }
-                        });
-                    break;
-                }
-                default:
-                    break;
-            }
-        }
-        scheduler.run_until(t);
-        results.provisioned_gpus.record(
-            t, static_cast<double>(scheduler.total_gpus()));
-        results.subscription_ratio.record(t, scheduler.cluster_sr());
-        // Every event of a session with last_event <= t has been popped
-        // and executed inside run_until, so its spec is unreferenced.
-        while (!retire.empty() && retire.top().first <= t) {
-            live.erase(retire.top().second);
-            retire.pop();
-        }
-        if (t >= makespan) {
-            break;
-        }
-        scheduler.rebalance_window();
-    }
-    // Drain window for in-flight cells.
-    scheduler.run_until(makespan + 12 * sim::kHour);
-
-    // Compact dropped cells, then canonicalize to (submit, session, seq)
-    // exactly as the materialized drivers do.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < results.tasks.size(); ++i) {
-        if (!submitted[i]) {
-            continue;
-        }
-        if (kept != i) {
-            results.tasks[kept] = std::move(results.tasks[i]);
-        }
-        ++kept;
-    }
-    results.tasks.resize(kept);
-    std::stable_sort(results.tasks.begin(), results.tasks.end(),
-                     [](const TaskOutcome& a, const TaskOutcome& b) {
-                         if (a.submit != b.submit) {
-                             return a.submit < b.submit;
-                         }
-                         if (a.session != b.session) {
-                             return a.session < b.session;
-                         }
-                         return a.seq < b.seq;
-                     });
-
-    results.events = scheduler.events();
-    results.sched_stats = scheduler.stats();
-    results.net_stats = scheduler.network_stats();
-    results.sync_ms = scheduler.sync_latencies_ms();
-    results.read_ms = scheduler.store_read_ms();
-    results.write_ms = scheduler.store_write_ms();
-    results.store_bytes_written = scheduler.store_bytes_written();
-    finalize_committed_series(results);
-    return results;
-}
-
-ExperimentResults
-run_prototype_notebookos(const workload::Trace& trace,
-                         const PlatformConfig& config)
-{
-    if (config.scheduler.shards < 1) {
-        throw std::invalid_argument("scheduler.shards must be >= 1");
-    }
-    if (config.scheduler.shards == 1) {
-        return run_prototype_monolithic(trace, config);
-    }
-    if (config.scheduler.routing == sched::RoutingPolicyKind::kStaticHash) {
-        return run_prototype_sharded(trace, config);
-    }
-    return run_prototype_routed(trace, config);
+    SessionFeed feed(source, config.sample_interval);
+    PrototypeRun run(config, feed);
+    drive_windows(feed, config.sample_interval, run);
+    return run.finish();
 }
 
 }  // namespace nbos::core

@@ -40,7 +40,6 @@ run_one(const ExperimentSpec& spec, std::size_t index)
         request.engine = spec.engine;
         request.config = spec.config;
         request.trace = spec.trace;
-        request.mode = RunMode::kMaterialized;
         request.seed = spec.seed;
         outcome.results = run(request).results;
         outcome.ok = true;

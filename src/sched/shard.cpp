@@ -618,8 +618,8 @@ SchedulerShard::on_session_kernel(std::int64_t session,
     record.kernel = kernel;
     if (!ok) {
         // Placement ultimately failed: buffered cells stay unsubmitted,
-        // mirroring the monolithic driver whose client never drains its
-        // queue when start_kernel reports failure.
+        // as a client never drains its queue when start_kernel reports
+        // failure.
         flags |= kSessionFailed;
         return;
     }

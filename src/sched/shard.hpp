@@ -148,8 +148,8 @@ class SchedulerShard
     /** Submit a cell addressed by session id (buffered until the
      *  session's kernel is ready).
      *  @return false when the cell was dropped — session unknown, ended,
-     *  or its kernel creation failed — mirroring the monolithic driver's
-     *  client-side guards, where such cells never produce an outcome. */
+     *  or its kernel creation failed; such cells never produce an
+     *  outcome. */
     bool submit_session(std::int64_t session, std::string code,
                         bool is_gpu, sim::Time submitted_at,
                         ExecuteCallback callback);

@@ -1,7 +1,5 @@
 #include "sched/sharded_scheduler.hpp"
 
-#include <thread>
-
 namespace nbos::sched {
 
 // Per-shard seeds come from sched::shard_seed (shard_router.hpp), shared
@@ -12,7 +10,9 @@ ShardedGlobalScheduler::ShardedGlobalScheduler(SchedulerConfig config,
                                                std::uint64_t seed)
     : config_(std::move(config)),
       table_(config_.shards),
-      policy_(make_routing_policy(config_.routing))
+      policy_(make_routing_policy(config_.routing)),
+      lockstep_(static_cast<std::size_t>(table_.shards()),
+                config_.shard_parallel)
 {
     const std::int32_t count = table_.shards();
     shards_.reserve(static_cast<std::size_t>(count));
@@ -201,28 +201,11 @@ ShardedGlobalScheduler::shard_loads() const
 void
 ShardedGlobalScheduler::run_until(sim::Time t)
 {
-    if (config_.shard_parallel && shards_.size() > 1) {
-        // One thread per sibling shard; shard 0 runs on the calling
-        // thread, saving one spawn per window. Shards are fully disjoint
-        // (own simulation, network, cluster, store, RNG), so the only
-        // synchronization needed is the fork/join itself; thread::join
-        // gives the happens-before edge for the post-window merges.
-        std::vector<std::thread> threads;
-        threads.reserve(shards_.size() - 1);
-        for (std::size_t i = 1; i < shards_.size(); ++i) {
-            ShardUnit* unit = shards_[i].get();
-            threads.emplace_back(
-                [unit, t] { unit->simulation.run_until(t); });
-        }
-        shards_.front()->simulation.run_until(t);
-        for (std::thread& thread : threads) {
-            thread.join();
-        }
-    } else {
-        for (const auto& unit : shards_) {
-            unit->simulation.run_until(t);
-        }
-    }
+    // Shards are fully disjoint (own simulation, network, cluster, store,
+    // RNG), so the lockstep fork/join is the only synchronization needed.
+    lockstep_.run([this, t](std::size_t shard) {
+        shards_[shard]->simulation.run_until(t);
+    });
     now_ = t;
 }
 

@@ -28,6 +28,7 @@
 #include "sched/scheduler_types.hpp"
 #include "sched/shard.hpp"
 #include "sched/shard_router.hpp"
+#include "sim/lockstep.hpp"
 
 namespace nbos::sched {
 
@@ -84,8 +85,8 @@ class ShardedGlobalScheduler
      * freely from the driving thread. From *inside* a window (i.e. from
      * a simulation event) a call must target the calling shard's own
      * sessions/kernels — the router guarantees that for anything derived
-     * from the shard's own session ids, and every in-tree driver
-     * (protosim, micro_sched) follows it. Cross-shard calls mid-window
+     * from the shard's own session ids, and every in-tree caller
+     * (micro_sched, the tests) follows it. Cross-shard calls mid-window
      * would race when shard_parallel is set.
      */
     ///@{
@@ -105,8 +106,8 @@ class ShardedGlobalScheduler
 
     /** @name Session-addressed API + rebalancing (routing layer)
      *
-     * The routed windowed driver (protosim.cpp, non-static policies)
-     * addresses everything by session id; shards own the session ->
+     * The prototype engine's windowed driver (protosim.cpp) addresses
+     * everything by session id; shards own the session ->
      * kernel bindings so whole sessions can move. admit_session and
      * rebalance_window mutate the routing table and therefore run only
      * on the driving thread between lockstep windows; the per-session
@@ -150,12 +151,19 @@ class ShardedGlobalScheduler
 
     /**
      * Advance every shard to time @p t (one lockstep window). With
-     * SchedulerConfig::shard_parallel and more than one shard, each
-     * shard's event loop runs on its own thread; otherwise shards are
-     * swept serially in index order. Both orders produce bit-identical
-     * states because shards share nothing.
+     * SchedulerConfig::shard_parallel and more than one shard, shards
+     * 1..n-1 run on worker threads started once per scheduler
+     * (sim::Lockstep); otherwise shards are swept serially in index
+     * order. Both orders produce bit-identical states because shards
+     * share nothing. A shard's exception is rethrown here.
      */
     void run_until(sim::Time t);
+
+    /** Wall seconds each shard has spent in run_until, shard order. */
+    const std::vector<double>& shard_busy_seconds() const
+    {
+        return lockstep_.busy_seconds();
+    }
 
     /** The lockstep clock: the target of the last run_until window. */
     sim::Time now() const { return now_; }
@@ -202,6 +210,7 @@ class ShardedGlobalScheduler
     SchedulerConfig config_;
     RoutingTable table_;
     std::unique_ptr<RoutingPolicy> policy_;
+    sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<ShardUnit>> shards_;
     sim::Time now_ = 0;
     /** Merged per-shard loads as of the last boundary, kept current

@@ -533,7 +533,7 @@ TEST(ChaosRaftTest, ElectsLeaderAndConvergesAfterEveryHeal)
 }
 
 // ---------------------------------------------------------------------------
-// Platform-level invariants under chaos
+// Run-level invariants under chaos
 
 core::PlatformConfig
 chaos_platform_config(std::uint64_t seed, double rate_scale = 1.0)
@@ -556,7 +556,7 @@ TEST(ChaosPlatformTest, NoTaskLostAcrossPartitionsAndCrashes)
         core::PlatformConfig config =
             chaos_platform_config(rng.next_u64() % 1000 + 1);
         const core::ExperimentResults results =
-            core::Platform(config).run(trace);
+            test::run_config(config, trace);
         // Chaos must not lose work: every submitted cell either completed
         // (got its reply) or was explicitly aborted by the scheduler.
         ASSERT_EQ(results.tasks.size(), trace.task_count());
@@ -594,7 +594,7 @@ TEST(ChaosPlatformTest, ChaosRunsAreObservableInNetworkStats)
     core::PlatformConfig config = chaos_platform_config(17, 2.0);
     config.scheduler.chaos.options.drop_probability = 0.5;
     const core::ExperimentResults results =
-        core::Platform(config).run(trace);
+        test::run_config(config, trace);
     EXPECT_GT(results.net_stats.sent, 0u);
     EXPECT_GT(results.net_stats.dropped_chaos, 0u);
 
@@ -614,9 +614,9 @@ TEST(ChaosPlatformTest, SameSeedSamePlanBitIdenticalRun)
         auto sink_a = std::make_shared<RecordSink>();
         auto sink_b = std::make_shared<RecordSink>();
         config.scheduler.chaos.record = sink_a;
-        const core::ExperimentResults a = core::Platform(config).run(trace);
+        const core::ExperimentResults a = test::run_config(config, trace);
         config.scheduler.chaos.record = sink_b;
-        const core::ExperimentResults b = core::Platform(config).run(trace);
+        const core::ExperimentResults b = test::run_config(config, trace);
         test::expect_results_identical(a, b);
         EXPECT_EQ(sink_a->serialize(), sink_b->serialize());
         EXPECT_FALSE(sink_a->merged().shards.empty());
@@ -632,7 +632,7 @@ TEST(ChaosPlatformTest, RecordedScheduleReplaysBitIdentically)
     auto sink = std::make_shared<RecordSink>();
     record_config.scheduler.chaos.record = sink;
     const core::ExperimentResults recorded_run =
-        core::Platform(record_config).run(trace);
+        test::run_config(record_config, trace);
     const ScheduleFile schedule = sink->merged();
     ASSERT_FALSE(schedule.shards.empty());
     ASSERT_FALSE(schedule.shards.begin()->second.empty());
@@ -646,7 +646,7 @@ TEST(ChaosPlatformTest, RecordedScheduleReplaysBitIdentically)
             parse_schedule(serialize_schedule(schedule)));
     replay_config.scheduler.chaos.record = replayed_sink;
     const core::ExperimentResults replayed_run =
-        core::Platform(replay_config).run(trace);
+        test::run_config(replay_config, trace);
 
     test::expect_results_identical(recorded_run, replayed_run);
     EXPECT_EQ(serialize_schedule(replayed_sink->merged()),
@@ -660,7 +660,7 @@ TEST(ChaosPlatformTest, ShardedRunRecordsEveryShardsFaults)
     config.scheduler.shards = 2;
     auto sink = std::make_shared<RecordSink>();
     config.scheduler.chaos.record = sink;
-    const core::ExperimentResults a = core::Platform(config).run(trace);
+    const core::ExperimentResults a = test::run_config(config, trace);
     const ScheduleFile schedule = sink->merged();
     EXPECT_EQ(schedule.shards.size(), 2u);
 
@@ -670,7 +670,7 @@ TEST(ChaosPlatformTest, ShardedRunRecordsEveryShardsFaults)
     replay_config.scheduler.chaos.replay =
         std::make_shared<const ScheduleFile>(schedule);
     const core::ExperimentResults b =
-        core::Platform(replay_config).run(trace);
+        test::run_config(replay_config, trace);
     test::expect_results_identical(a, b);
 }
 
@@ -687,7 +687,7 @@ TEST(ChaosPlatformTest, RebalanceUnderFaultsLosesNoTask)
             chaos_platform_config(rng.next_u64() % 1000 + 1);
         config.scheduler.shards = 2;
         config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
-        const core::ExperimentResults a = core::Platform(config).run(trace);
+        const core::ExperimentResults a = test::run_config(config, trace);
         for (std::size_t i = 0; i < a.tasks.size(); ++i) {
             const core::TaskOutcome& task = a.tasks[i];
             EXPECT_TRUE(task.aborted || task.reply >= task.submit)
@@ -698,7 +698,7 @@ TEST(ChaosPlatformTest, RebalanceUnderFaultsLosesNoTask)
         EXPECT_LE(a.tasks.size(), trace.task_count());
         EXPECT_GT(a.tasks.size(), 0u);
 
-        const core::ExperimentResults b = core::Platform(config).run(trace);
+        const core::ExperimentResults b = test::run_config(config, trace);
         test::expect_results_identical(a, b);
     });
 }
@@ -708,8 +708,8 @@ TEST(ChaosPlatformTest, FastEngineRejectsChaos)
     core::PlatformConfig config =
         test::platform_config(core::Policy::kNotebookOS, 17, /*fast=*/true);
     config.scheduler.chaos.enabled = true;
-    core::Platform platform(config);
-    EXPECT_THROW(platform.run(test::tiny_trace()), std::invalid_argument);
+    EXPECT_THROW(test::run_config(config, test::tiny_trace()),
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -183,8 +183,7 @@ class EngineParamTest : public ::testing::TestWithParam<EngineCase>
         config.policy = GetParam().policy;
         config.fast_mode = GetParam().fast;
         config.seed = 5;
-        Platform platform(config);
-        return platform.run(trace);
+        return test::run_config(config, trace);
     }
 };
 
@@ -292,7 +291,7 @@ TEST(PrototypeEngineTest, StatsPopulated)
     const auto trace = tiny_trace();
     PlatformConfig config = PlatformConfig::prototype_defaults();
     config.policy = Policy::kNotebookOS;
-    const auto results = Platform(config).run(trace);
+    const auto results = test::run_config(config, trace);
     EXPECT_EQ(results.sched_stats.kernels_created, trace.sessions.size());
     EXPECT_GT(results.sched_stats.executions_completed, 0u);
     EXPECT_GT(results.sync_ms.count(), 0u);
@@ -308,7 +307,7 @@ TEST(PrototypeEngineTest, HighImmediateCommitFraction)
     const auto trace = tiny_trace(10, 6 * kHour);
     PlatformConfig config = PlatformConfig::prototype_defaults();
     config.policy = Policy::kNotebookOS;
-    const auto results = Platform(config).run(trace);
+    const auto results = test::run_config(config, trace);
     ASSERT_GT(results.sched_stats.gpu_executions, 0u);
     const double immediate =
         static_cast<double>(results.sched_stats.immediate_commits) /
@@ -349,7 +348,7 @@ TEST(FastEngineTest, HandlesSessionsEndingMidTrace)
     PlatformConfig config = PlatformConfig::prototype_defaults();
     config.policy = Policy::kNotebookOS;
     config.fast_mode = true;
-    const auto results = Platform(config).run(trace);
+    const auto results = test::run_config(config, trace);
     EXPECT_GT(results.tasks.size(), 0u);
     // Scale-in happens once sessions end (the auto-scaler reclaims).
     bool scale_in = false;
@@ -366,7 +365,7 @@ TEST(BatchEngineTest, ColdStartDominatesDelay)
     const auto trace = tiny_trace(6, 3 * kHour);
     PlatformConfig config;
     config.policy = Policy::kBatch;
-    const auto results = Platform(config).run(trace);
+    const auto results = test::run_config(config, trace);
     const auto delays = results.interactivity_delays_seconds();
     // Every task pays at least the minimum container cold start (8 s).
     EXPECT_GE(delays.min(), 8.0);
@@ -377,9 +376,9 @@ TEST(LcpEngineTest, WarmPoolBeatsBatchDelay)
     const auto trace = tiny_trace(6, 3 * kHour);
     PlatformConfig config;
     config.policy = Policy::kBatch;
-    const auto batch = Platform(config).run(trace);
+    const auto batch = test::run_config(config, trace);
     config.policy = Policy::kNotebookOSLCP;
-    const auto lcp = Platform(config).run(trace);
+    const auto lcp = test::run_config(config, trace);
     EXPECT_LT(lcp.interactivity_delays_seconds().percentile(50),
               batch.interactivity_delays_seconds().percentile(50));
 }
@@ -389,7 +388,7 @@ TEST(ReservationEngineTest, CommittedEqualsReservedShape)
     const auto trace = tiny_trace(6, 3 * kHour);
     PlatformConfig config;
     config.policy = Policy::kReservation;
-    const auto results = Platform(config).run(trace);
+    const auto results = test::run_config(config, trace);
     // Reservation holds GPUs for whole sessions: committed GPU-hours
     // substantially exceed the oracle's task demand.
     const auto oracle = oracle_gpu_series(trace);

@@ -21,15 +21,14 @@
 #include "chaos/config.hpp"
 #include "chaos/fault_plan.hpp"
 #include "core/engine_api.hpp"
-#include "core/protosim.hpp"
 #include "core/seed_sweep.hpp"
-#include "core/sharded_fastsim.hpp"
 #include "harness.hpp"
 #include "net/network.hpp"
 #include "raft/raft.hpp"
 #include "sched/routing.hpp"
 #include "sim/simulation.hpp"
 #include "workload/profiles.hpp"
+#include "workload/session_source.hpp"
 #include "workload/trace_io.hpp"
 
 namespace nbos {
@@ -378,8 +377,8 @@ TEST(DeterminismTest, ShardedPrototypeSameSeedBitIdentical)
     core::PlatformConfig config =
         test::platform_config(core::Policy::kNotebookOS, /*seed=*/33);
     config.scheduler.shards = 3;
-    const auto a = core::Platform(config).run(trace);
-    const auto b = core::Platform(config).run(trace);
+    const auto a = test::run_config(config, trace);
+    const auto b = test::run_config(config, trace);
     test::expect_results_identical(a, b);
 }
 
@@ -394,9 +393,9 @@ TEST(DeterminismTest, ShardedPrototypeParallelBitIdenticalToSerial)
         test::platform_config(core::Policy::kNotebookOS, /*seed=*/11);
     config.scheduler.shards = 4;
     config.scheduler.shard_parallel = true;
-    const auto parallel = core::Platform(config).run(trace);
+    const auto parallel = test::run_config(config, trace);
     config.scheduler.shard_parallel = false;
-    const auto serial = core::Platform(config).run(trace);
+    const auto serial = test::run_config(config, trace);
     test::expect_results_identical(parallel, serial);
 }
 
@@ -409,8 +408,8 @@ TEST(DeterminismTest, ShardedFastSameSeedBitIdentical)
     core::PlatformConfig config = test::platform_config(
         core::Policy::kNotebookOS, /*seed=*/33, /*fast=*/true);
     config.scheduler.shards = 4;
-    const auto a = core::Platform(config).run(trace);
-    const auto b = core::Platform(config).run(trace);
+    const auto a = test::run_config(config, trace);
+    const auto b = test::run_config(config, trace);
     test::expect_results_identical(a, b);
 }
 
@@ -424,30 +423,10 @@ TEST(DeterminismTest, ShardedFastParallelBitIdenticalToSerial)
         core::Policy::kNotebookOS, /*seed=*/11, /*fast=*/true);
     config.scheduler.shards = 4;
     config.scheduler.shard_parallel = true;
-    const auto parallel = core::Platform(config).run(trace);
+    const auto parallel = test::run_config(config, trace);
     config.scheduler.shard_parallel = false;
-    const auto serial = core::Platform(config).run(trace);
+    const auto serial = test::run_config(config, trace);
     test::expect_results_identical(parallel, serial);
-}
-
-/** shards == 1 must stay byte-identical to the historical monolithic
- *  fast path regardless of the shard_parallel knob: the ShardedFastSim
- *  driver collapses to one full-trace shard with the caller's seed and
- *  in-engine timeline recording. (That the single-shard path itself
- *  still matches the PRE-sharding engine is pinned by
- *  SeedSweepAggregateMatchesGolden, whose golden numbers predate this
- *  refactor and were not regenerated.) */
-TEST(DeterminismTest, ShardedFastShardsOneBitIdenticalToMonolithic)
-{
-    const auto trace = test::tiny_trace(12, 2 * sim::kHour);
-    const auto monolithic = test::run_policy(
-        trace, core::Policy::kNotebookOS, /*seed=*/17, /*fast=*/true);
-    core::PlatformConfig config = test::platform_config(
-        core::Policy::kNotebookOS, /*seed=*/17, /*fast=*/true);
-    config.scheduler.shards = 1;
-    config.scheduler.shard_parallel = false;
-    const auto single_shard = core::Platform(config).run(trace);
-    test::expect_results_identical(monolithic, single_shard);
 }
 
 /** The non-static routing policies keep the whole determinism contract
@@ -467,11 +446,11 @@ TEST(DeterminismTest, RoutedPrototypeDeterministicAndParallelAgnostic)
         config.scheduler.shards = 3;
         config.scheduler.routing = routing;
         config.scheduler.shard_parallel = false;
-        const auto serial_a = core::Platform(config).run(trace);
-        const auto serial_b = core::Platform(config).run(trace);
+        const auto serial_a = test::run_config(config, trace);
+        const auto serial_b = test::run_config(config, trace);
         test::expect_results_identical(serial_a, serial_b);
         config.scheduler.shard_parallel = true;
-        const auto parallel = core::Platform(config).run(trace);
+        const auto parallel = test::run_config(config, trace);
         test::expect_results_identical(serial_a, parallel);
     }
 }
@@ -490,11 +469,11 @@ TEST(DeterminismTest, RoutedFastDeterministicAndParallelAgnostic)
         config.scheduler.shards = 4;
         config.scheduler.routing = routing;
         config.scheduler.shard_parallel = false;
-        const auto serial_a = core::Platform(config).run(trace);
-        const auto serial_b = core::Platform(config).run(trace);
+        const auto serial_a = test::run_config(config, trace);
+        const auto serial_b = test::run_config(config, trace);
         test::expect_results_identical(serial_a, serial_b);
         config.scheduler.shard_parallel = true;
-        const auto parallel = core::Platform(config).run(trace);
+        const auto parallel = test::run_config(config, trace);
         test::expect_results_identical(serial_a, parallel);
     }
 }
@@ -515,9 +494,9 @@ TEST(DeterminismTest, ChaosSameSeedBitIdentical)
     auto record_a = std::make_shared<chaos::RecordSink>();
     auto record_b = std::make_shared<chaos::RecordSink>();
     config.scheduler.chaos.record = record_a;
-    const auto a = core::Platform(config).run(trace);
+    const auto a = test::run_config(config, trace);
     config.scheduler.chaos.record = record_b;
-    const auto b = core::Platform(config).run(trace);
+    const auto b = test::run_config(config, trace);
     test::expect_results_identical(a, b);
     EXPECT_EQ(record_a->serialize(), record_b->serialize());
     EXPECT_GT(a.net_stats.dropped_chaos +
@@ -539,7 +518,7 @@ TEST(DeterminismTest, ChaosReplayMatchesRecord)
         chaos::ChaosRates{2.0, 2.0, 1.0, 1.0, 1.0};
     auto recorded = std::make_shared<chaos::RecordSink>();
     config.scheduler.chaos.record = recorded;
-    const auto original = core::Platform(config).run(trace);
+    const auto original = test::run_config(config, trace);
     const std::string schedule_text = recorded->serialize();
 
     core::PlatformConfig replay =
@@ -550,7 +529,7 @@ TEST(DeterminismTest, ChaosReplayMatchesRecord)
             chaos::parse_schedule(schedule_text));
     auto replayed = std::make_shared<chaos::RecordSink>();
     replay.scheduler.chaos.record = replayed;
-    const auto rerun = core::Platform(replay).run(trace);
+    const auto rerun = test::run_config(replay, trace);
 
     test::expect_results_identical(original, rerun);
     EXPECT_EQ(replayed->serialize(), schedule_text);
@@ -658,61 +637,9 @@ TEST(ProfileDeterminismTest, StreamedGenerateMatchesMaterializedSave)
     }
 }
 
-/** The prototype engine's streamed driver is bit-identical to the
- *  materialized routed drivers when fed the same trace through
- *  TraceSessionSource, for both non-static routing policies. */
-TEST(ProfileDeterminismTest, PrototypeStreamedMatchesMaterializedRouted)
-{
-    const auto trace = test::tiny_trace(8, 2 * sim::kHour);
-    for (const sched::RoutingPolicyKind routing :
-         {sched::RoutingPolicyKind::kLeastLoaded,
-          sched::RoutingPolicyKind::kRebalance}) {
-        SCOPED_TRACE(sched::to_string(routing));
-        core::PlatformConfig config =
-            test::platform_config(core::Policy::kNotebookOS, /*seed=*/21);
-        config.scheduler.shards = 3;
-        config.scheduler.routing = routing;
-        config.scheduler.shard_parallel = false;
-        const auto materialized = core::Platform(config).run(trace);
-        workload::TraceSessionSource source_a(trace);
-        const auto streamed_a =
-            core::run_prototype_streamed(source_a, config);
-        test::expect_results_identical(materialized, streamed_a);
-        workload::TraceSessionSource source_b(trace);
-        const auto streamed_b =
-            core::run_prototype_streamed(source_b, config);
-        test::expect_results_identical(streamed_a, streamed_b);
-    }
-}
-
-/** Same pin for the sharded fast engine: the streamed driver under
- *  rebalance routing matches the materialized run bit-for-bit, with
- *  shard threads on or off. */
-TEST(ProfileDeterminismTest, FastStreamedMatchesMaterializedRebalance)
-{
-    const auto trace = test::tiny_trace(16, 3 * sim::kHour);
-    core::PlatformConfig config = test::platform_config(
-        core::Policy::kNotebookOS, /*seed=*/21, /*fast=*/true);
-    config.scheduler.shards = 4;
-    config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
-    config.scheduler.shard_parallel = false;
-    const auto materialized = core::Platform(config).run(trace);
-    workload::TraceSessionSource source_serial(trace);
-    const core::StreamedFastRun serial =
-        core::run_fast_streamed(source_serial, config);
-    test::expect_results_identical(materialized, serial.results);
-    config.scheduler.shard_parallel = true;
-    workload::TraceSessionSource source_parallel(trace);
-    const core::StreamedFastRun parallel =
-        core::run_fast_streamed(source_parallel, config);
-    test::expect_results_identical(serial.results, parallel.results);
-    EXPECT_EQ(parallel.events_executed, serial.events_executed);
-    EXPECT_EQ(parallel.sessions_rebalanced, serial.sessions_rebalanced);
-}
-
 /** Streamed profile runs keep the same-seed contract end to end: two
- *  fresh streams of the same profile through the streamed fast driver
- *  are bit-identical. */
+ *  fresh streams of the same profile through the fast driver are
+ *  bit-identical. */
 TEST(ProfileDeterminismTest, FastStreamedProfileRunSameSeedBitIdentical)
 {
     workload::GeneratorOptions options;
@@ -727,10 +654,15 @@ TEST(ProfileDeterminismTest, FastStreamedProfileRunSameSeedBitIdentical)
     config.scheduler.shards = 4;
     config.scheduler.routing = sched::RoutingPolicyKind::kLeastLoaded;
     config.scheduler.shard_parallel = true;
-    const auto source_a = profile->open(/*seed=*/33, options);
-    const core::StreamedFastRun a = core::run_fast_streamed(*source_a, config);
-    const auto source_b = profile->open(/*seed=*/33, options);
-    const core::StreamedFastRun b = core::run_fast_streamed(*source_b, config);
+    const auto run_stream = [&] {
+        const auto source = profile->open(/*seed=*/33, options);
+        core::RunRequest request;
+        request.config = config;
+        request.source = source.get();
+        return core::run(request);
+    };
+    const core::RunResponse a = run_stream();
+    const core::RunResponse b = run_stream();
     test::expect_results_identical(a.results, b.results);
     EXPECT_EQ(a.events_executed, b.events_executed);
     EXPECT_GT(a.results.tasks.size(), 0u);
@@ -800,61 +732,104 @@ TEST(TimerWheelDeterminismTest, WheelAndHeapEngineRunsBitIdentical)
     test::expect_results_identical(a, b);
 }
 
-/** The unified run API is a zero-cost front door: every legacy entry
- *  point reached through core::run returns byte-identical results. */
-TEST(RunApiDeterminismTest, RunRequestMatchesEveryLegacyEntryPoint)
+/** Results plus the deterministic telemetry of two core::run calls. */
+void
+expect_runs_identical(const core::RunResponse& a, const core::RunResponse& b)
+{
+    test::expect_results_identical(a.results, b.results);
+    EXPECT_EQ(a.events_executed, b.events_executed);
+    EXPECT_EQ(a.shard_events, b.shard_events);
+    EXPECT_EQ(a.sessions_rebalanced, b.sessions_rebalanced);
+}
+
+/**
+ * The driver-equivalence pin. Each NotebookOS engine has one windowed
+ * driver behind core::run; for every routing policy and shard count it
+ * must give bit-identical results (telemetry counters included) for a
+ * trace and for a TraceSessionSource over it — two same-seed runs — and
+ * for parallel and serial shards.
+ */
+TEST(DriverDeterminismTest, TraceSourceParallelAndSerialRunsAgree)
 {
     const auto trace = test::tiny_trace(8, 2 * sim::kHour);
+    for (const char* engine : {core::kEnginePrototype, core::kEngineFast}) {
+        for (const sched::RoutingPolicyKind routing :
+             {sched::RoutingPolicyKind::kStaticHash,
+              sched::RoutingPolicyKind::kLeastLoaded,
+              sched::RoutingPolicyKind::kRebalance}) {
+            for (const std::int32_t shards : {1, 3}) {
+                SCOPED_TRACE(std::string(engine) + " " +
+                             sched::to_string(routing) +
+                             " shards=" + std::to_string(shards));
+                core::RunRequest request;
+                request.engine = engine;
+                request.config = core::PlatformConfig::prototype_defaults();
+                request.config.scheduler.shard_parallel = false;
+                request.seed = 21;
+                request.shards = shards;
+                request.routing = routing;
+                request.trace = &trace;
+                const core::RunResponse serial = core::run(request);
+                ASSERT_GT(serial.results.tasks.size(), 0u);
 
-    // Platform::run (derived engine, fast analytic).
-    {
-        const core::PlatformConfig config = test::platform_config(
-            core::Policy::kNotebookOS, /*seed=*/21, /*fast=*/true);
-        const auto legacy = core::Platform(config).run(trace);
-        core::RunRequest request;
-        request.config = config;
-        request.trace = &trace;
-        test::expect_results_identical(legacy,
-                                       core::run(request).results);
+                workload::TraceSessionSource source(trace);
+                request.trace = nullptr;
+                request.source = &source;
+                expect_runs_identical(serial, core::run(request));
+
+                request.config.scheduler.shard_parallel = true;
+                request.source = nullptr;
+                request.trace = &trace;
+                expect_runs_identical(serial, core::run(request));
+            }
+        }
+    }
+}
+
+/** Where the fast driver stops decides only when sessions are admitted
+ *  and their events handed over, never what runs. On one shard nothing
+ *  can move, so a pinned policy — admitting ahead, then hourly once more
+ *  than kAdmitAhead sessions are live — matches rebalance, which stops at
+ *  every window. The trace is dense enough to reach the hourly stops, and
+ *  every event lands on an autoscaler tick, so an event scheduled in the
+ *  wrong window would reorder against the tick. */
+TEST(DriverDeterminismTest, PinnedStopsMatchStoppingEveryWindow)
+{
+    const sim::Time tick =
+        core::PlatformConfig::prototype_defaults().scheduler.autoscale_interval;
+    workload::Trace trace;
+    trace.name = "dense";
+    trace.makespan = 4 * sim::kHour;
+    sim::Rng rng = test::seeded_rng(5);
+    for (workload::SessionId id = 0; id < 4000; ++id) {
+        workload::SessionSpec session;
+        session.id = id;
+        session.start_time = rng.uniform_int(0, 3 * sim::kHour / tick) * tick;
+        session.end_time = session.start_time + 45 * sim::kMinute;
+        session.resources = cluster::ResourceSpec{4000, 16384, 1, 16.0};
+        for (std::int32_t seq = 0; seq < 2; ++seq) {
+            workload::CellTask task;
+            task.session = id;
+            task.seq = seq;
+            task.submit_time =
+                session.start_time + (seq + 1) * 10 * sim::kMinute;
+            task.duration = 90 * sim::kSecond;
+            session.tasks.push_back(task);
+        }
+        trace.sessions.push_back(std::move(session));
     }
 
-    // run_prototype_streamed (windowed rebalance driver).
-    {
-        core::PlatformConfig config =
-            test::platform_config(core::Policy::kNotebookOS, /*seed=*/21);
-        config.scheduler.shards = 2;
-        config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
-        workload::TraceSessionSource legacy_source(trace);
-        const auto legacy =
-            core::run_prototype_streamed(legacy_source, config);
-        workload::TraceSessionSource source(trace);
-        core::RunRequest request;
-        request.config = config;
-        request.source = &source;
-        test::expect_results_identical(legacy,
-                                       core::run(request).results);
-    }
-
-    // run_fast_streamed (sharded analytic driver), telemetry included.
-    {
-        core::PlatformConfig config = test::platform_config(
-            core::Policy::kNotebookOS, /*seed=*/21, /*fast=*/true);
-        config.scheduler.shards = 2;
-        config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
-        workload::TraceSessionSource legacy_source(trace);
-        const core::StreamedFastRun legacy =
-            core::run_fast_streamed(legacy_source, config);
-        workload::TraceSessionSource source(trace);
-        core::RunRequest request;
-        request.config = config;
-        request.source = &source;
-        const core::RunResponse response = core::run(request);
-        test::expect_results_identical(legacy.results, response.results);
-        EXPECT_EQ(legacy.events_executed, response.events_executed);
-        EXPECT_EQ(legacy.shard_events, response.shard_events);
-        EXPECT_EQ(legacy.sessions_rebalanced,
-                  response.sessions_rebalanced);
-    }
+    core::RunRequest request;
+    request.engine = core::kEngineFast;
+    request.config = core::PlatformConfig::prototype_defaults();
+    request.trace = &trace;
+    request.shards = 1;
+    request.routing = sched::RoutingPolicyKind::kStaticHash;
+    const core::RunResponse pinned = core::run(request);
+    request.routing = sched::RoutingPolicyKind::kRebalance;
+    const core::RunResponse every_window = core::run(request);
+    ASSERT_EQ(pinned.results.tasks.size(), trace.task_count());
+    expect_runs_identical(pinned, every_window);
 }
 
 }  // namespace

@@ -1,19 +1,19 @@
 /**
  * @file
- * Tests for the unified engine-run API (core/engine_api.hpp): request
- * validation, exact legacy error strings, the adapter equivalences
- * (Platform::run / ExperimentRunner / the streamed drivers all produce
- * byte-identical results through core::run), and the per-run override
- * fields.
+ * Tests for the engine-run API (core/engine_api.hpp): request validation
+ * and its exact error strings, the equivalences (derived vs named engine,
+ * ExperimentRunner, registry engines, trace order), the telemetry block,
+ * and the per-run override fields.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/engine_api.hpp"
-#include "core/protosim.hpp"
-#include "core/sharded_fastsim.hpp"
 #include "harness.hpp"
 #include "workload/session_source.hpp"
 
@@ -49,24 +49,6 @@ TEST(RunRequestValidationTest, RequiresExactlyOneInput)
               "RunRequest: set exactly one of trace and source");
 }
 
-TEST(RunRequestValidationTest, ModeMustMatchTheInputKind)
-{
-    const auto trace = test::tiny_trace();
-    workload::TraceSessionSource source(trace);
-
-    RunRequest streamed_without_source;
-    streamed_without_source.trace = &trace;
-    streamed_without_source.mode = RunMode::kStreamed;
-    EXPECT_EQ(run_error(streamed_without_source),
-              "RunRequest: streamed mode requires a SessionSource");
-
-    RunRequest materialized_without_trace;
-    materialized_without_trace.source = &source;
-    materialized_without_trace.mode = RunMode::kMaterialized;
-    EXPECT_EQ(run_error(materialized_without_trace),
-              "RunRequest: materialized mode requires a trace");
-}
-
 TEST(RunRequestValidationTest, UnknownEngineKeepsTheLegacyMessage)
 {
     const auto trace = test::tiny_trace();
@@ -77,7 +59,7 @@ TEST(RunRequestValidationTest, UnknownEngineKeepsTheLegacyMessage)
     EXPECT_EQ(run_error(request), "unknown engine 'no-such-engine'");
 }
 
-TEST(RunRequestValidationTest, InvalidConfigKeepsThePlatformMessage)
+TEST(RunRequestValidationTest, InvalidConfigNamesPlatformConfig)
 {
     const auto trace = test::tiny_trace();
     RunRequest request;
@@ -120,19 +102,17 @@ TEST(RunRequestValidationTest, ChaosOverrideIsValidatedAgainstTheEngine)
     EXPECT_NE(error.find("chaos"), std::string::npos) << error;
 }
 
-TEST(RunApiEquivalenceTest, MatchesPlatformRunForDerivedEngines)
+TEST(RunApiEquivalenceTest, DerivedEngineMatchesTheNamedEngine)
 {
     const auto trace = test::tiny_trace();
     for (const bool fast : {false, true}) {
-        const PlatformConfig config =
-            test::platform_config(Policy::kNotebookOS, 17, fast);
-        const ExperimentResults legacy = Platform(config).run(trace);
-
         RunRequest request;
-        request.config = config;
+        request.config = test::platform_config(Policy::kNotebookOS, 17, fast);
         request.trace = &trace;
-        const RunResponse response = run(request);
-        test::expect_results_identical(legacy, response.results);
+        const RunResponse derived = run(request);
+
+        request.engine = engine_name(Policy::kNotebookOS, fast);
+        test::expect_results_identical(derived.results, run(request).results);
     }
 }
 
@@ -157,57 +137,89 @@ TEST(RunApiEquivalenceTest, MatchesTheRunnerPathForNamedEngines)
     test::expect_results_identical(outcomes[0].results, response.results);
 }
 
-TEST(RunApiEquivalenceTest, StreamedFastMatchesTheLegacyEntryPoint)
-{
-    const auto trace = test::tiny_trace();
-    PlatformConfig config =
-        test::platform_config(Policy::kNotebookOS, 17, true);
-    config.scheduler.shards = 2;
-    config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
-
-    workload::TraceSessionSource legacy_source(trace);
-    const StreamedFastRun legacy = run_fast_streamed(legacy_source, config);
-
-    workload::TraceSessionSource source(trace);
-    RunRequest request;
-    request.engine = kEngineFast;
-    request.config = PlatformConfig::prototype_defaults();
-    request.config.scheduler.shard_parallel =
-        config.scheduler.shard_parallel;
-    request.source = &source;
-    request.seed = 17;
-    request.shards = 2;
-    request.routing = sched::RoutingPolicyKind::kRebalance;
-    const RunResponse response = run(request);
-
-    test::expect_results_identical(legacy.results, response.results);
-    EXPECT_EQ(legacy.events_executed, response.events_executed);
-    EXPECT_EQ(legacy.shard_events, response.shard_events);
-    EXPECT_EQ(legacy.sessions_rebalanced, response.sessions_rebalanced);
-}
-
-TEST(RunApiEquivalenceTest, StreamedPrototypeMatchesTheLegacyEntryPoint)
+TEST(RunApiEquivalenceTest, RegistryEnginesRunTheWindowedDrivers)
 {
     const auto trace = test::tiny_trace(6);
-    PlatformConfig config = test::platform_config(Policy::kNotebookOS, 17);
-    config.scheduler.shards = 2;
-    config.scheduler.routing = sched::RoutingPolicyKind::kLeastLoaded;
+    for (const char* name : {kEnginePrototype, kEngineFast}) {
+        SCOPED_TRACE(name);
+        const PlatformConfig config = PlatformConfig::prototype_defaults();
+        const ExperimentResults direct =
+            EngineRegistry::instance().create(name)->run(trace, config);
 
-    workload::TraceSessionSource legacy_source(trace);
-    const ExperimentResults legacy =
-        run_prototype_streamed(legacy_source, config);
+        RunRequest request;
+        request.engine = name;
+        request.config = config;
+        request.trace = &trace;
+        test::expect_results_identical(direct, run(request).results);
+    }
+}
 
-    workload::TraceSessionSource source(trace);
-    RunRequest request;
-    request.config = config;
-    request.source = &source;
-    request.mode = RunMode::kStreamed;
-    const RunResponse response = run(request);
+/** A trace whose sessions are stored out of (start_time, id) order — the
+ *  scale benches hash each session's start time from its id — runs
+ *  exactly like its sorted copy on both NotebookOS engines. */
+TEST(RunApiEquivalenceTest, ShuffledTraceMatchesItsSortedCopy)
+{
+    const auto sorted = test::tiny_trace(10);
+    workload::Trace shuffled = sorted;
+    sim::Rng rng = test::seeded_rng(3);
+    for (std::size_t i = shuffled.sessions.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(shuffled.sessions[i - 1], shuffled.sessions[j]);
+    }
+    ASSERT_FALSE(std::is_sorted(
+        shuffled.sessions.begin(), shuffled.sessions.end(),
+        [](const workload::SessionSpec& a, const workload::SessionSpec& b) {
+            return a.start_time < b.start_time;
+        }));
 
-    test::expect_results_identical(legacy, response.results);
-    // The prototype driver reports no fast-shard telemetry.
-    EXPECT_EQ(response.events_executed, 0u);
-    EXPECT_TRUE(response.shard_events.empty());
+    for (const char* name : {kEnginePrototype, kEngineFast}) {
+        SCOPED_TRACE(name);
+        RunRequest request;
+        request.engine = name;
+        request.config = PlatformConfig::prototype_defaults();
+        request.shards = 2;
+        request.trace = &sorted;
+        const RunResponse want = run(request);
+        request.trace = &shuffled;
+        test::expect_results_identical(want.results, run(request).results);
+    }
+}
+
+/** Every NotebookOS run fills the telemetry block, whichever engine,
+ *  input kind, and shard count. */
+TEST(RunApiTelemetryTest, NotebookEnginesReportPerShardTelemetry)
+{
+    const auto trace = test::tiny_trace(6);
+    for (const char* name : {kEnginePrototype, kEngineFast}) {
+        for (const bool streamed : {false, true}) {
+            for (const std::int32_t shards : {1, 2}) {
+                SCOPED_TRACE(std::string(name) +
+                             (streamed ? " source" : " trace") +
+                             " shards=" + std::to_string(shards));
+                workload::TraceSessionSource source(trace);
+                RunRequest request;
+                request.engine = name;
+                request.config = PlatformConfig::prototype_defaults();
+                request.shards = shards;
+                if (streamed) {
+                    request.source = &source;
+                } else {
+                    request.trace = &trace;
+                }
+                const RunResponse response = run(request);
+                const auto count = static_cast<std::size_t>(shards);
+                ASSERT_EQ(response.shard_events.size(), count);
+                ASSERT_EQ(response.shard_busy_seconds.size(), count);
+                EXPECT_EQ(response.events_executed,
+                          std::accumulate(response.shard_events.begin(),
+                                          response.shard_events.end(),
+                                          std::uint64_t{0}));
+                EXPECT_GT(response.events_executed, 0u);
+                EXPECT_EQ(response.sessions_rebalanced, 0u);
+            }
+        }
+    }
 }
 
 TEST(RunApiEquivalenceTest, SeedOverrideBeatsTheConfigSeed)

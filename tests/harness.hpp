@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/engine_api.hpp"
 #include "core/platform.hpp"
 #include "core/results.hpp"
 #include "core/runner.hpp"
@@ -105,13 +106,23 @@ platform_config(core::Policy policy, std::uint64_t seed = 17,
     return config;
 }
 
+/** Run @p trace under @p config through core::run (the engine is
+ *  derived from config.policy and config.fast_mode). */
+inline core::ExperimentResults
+run_config(const core::PlatformConfig& config, const workload::Trace& trace)
+{
+    core::RunRequest request;
+    request.config = config;
+    request.trace = &trace;
+    return core::run(request).results;
+}
+
 /** Run one policy engine over a trace with canonical settings. */
 inline core::ExperimentResults
 run_policy(const workload::Trace& trace, core::Policy policy,
            std::uint64_t seed = 17, bool fast = false)
 {
-    core::Platform platform(platform_config(policy, seed, fast));
-    return platform.run(trace);
+    return run_config(platform_config(policy, seed, fast), trace);
 }
 
 /** One (policy, seed, fast) run for run_concurrent(). */

@@ -346,7 +346,7 @@ TEST(ShardedSchedulerProperty, TotalStatsIndependentOfShardCount)
  * differ, so latency *values* legitimately move with the shard count;
  * anything count-shaped must not.
  */
-TEST(ShardedFastSimProperty, TotalsIndependentOfShardCount)
+TEST(FastShardsProperty, TotalsIndependentOfShardCount)
 {
     test::check_property(3, [](sim::Rng& rng, std::size_t) {
         workload::Trace trace;
@@ -400,7 +400,7 @@ TEST(ShardedFastSimProperty, TotalsIndependentOfShardCount)
             config.scheduler.shards = shards;
             config.scheduler.shard_parallel = false;
             const core::ExperimentResults results =
-                core::Platform(config).run(trace);
+                test::run_config(config, trace);
 
             if (!have_reference) {
                 reference = results.sched_stats;
@@ -490,7 +490,7 @@ TEST(RoutingPolicyProperty, InvariantTotalsIndependentOfPolicy)
                 config.scheduler.shard_parallel = false;
                 config.scheduler.routing = routing;
                 const core::ExperimentResults results =
-                    core::Platform(config).run(trace);
+                    test::run_config(config, trace);
                 const sched::SchedulerStats& stats = results.sched_stats;
                 const std::uint64_t completed_or_aborted =
                     stats.executions_completed + stats.executions_aborted;

@@ -156,8 +156,7 @@ TEST(PlatformValidationTest, FastModeWithBaselinePolicyThrows)
         PlatformConfig config;
         config.policy = policy;
         config.fast_mode = true;  // no baseline has a fast engine
-        Platform platform(config);
-        EXPECT_THROW(platform.run(trace), std::invalid_argument);
+        EXPECT_THROW(test::run_config(config, trace), std::invalid_argument);
     }
     EXPECT_FALSE(validate_config([] {
                      PlatformConfig config;
@@ -174,7 +173,7 @@ TEST(PlatformValidationTest, ValidConfigsStillRun)
     PlatformConfig config;
     config.policy = Policy::kNotebookOS;
     config.fast_mode = true;
-    const auto results = Platform(config).run(trace);
+    const auto results = test::run_config(config, trace);
     EXPECT_EQ(results.tasks.size(), trace.task_count());
 }
 

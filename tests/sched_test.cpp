@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "sched/autoscaler.hpp"
 #include "sched/global_scheduler.hpp"
@@ -14,6 +18,7 @@
 #include "sched/routing.hpp"
 #include "sched/shard_router.hpp"
 #include "sched/sharded_scheduler.hpp"
+#include "sim/lockstep.hpp"
 #include "sim/simulation.hpp"
 
 namespace nbos::sched {
@@ -1434,6 +1439,79 @@ TEST(ShardedSchedulerTest, BufferedWorkTravelsWithMigratedSession)
         [](const kernel::ExecutionResult&, const RequestTrace&) {
             FAIL() << "callback for a dropped cell";
         }));
+}
+
+/** The lockstep fork/join behind every sharded window: parallel workers
+ *  are started once and reused for every later step, not respawned per
+ *  window, and every step runs on the same thread as before. */
+TEST(LockstepTest, ParallelWorkersAreStartedOncePerRun)
+{
+    constexpr std::size_t kShards = 4;
+    constexpr int kWindows = 50;
+    sim::Lockstep lockstep(kShards, /*parallel=*/true);
+    std::vector<std::set<std::thread::id>> seen(kShards);
+    std::vector<int> steps(kShards, 0);
+    for (int window = 0; window < kWindows; ++window) {
+        lockstep.run([&](std::size_t shard) {
+            seen[shard].insert(std::this_thread::get_id());
+            ++steps[shard];
+        });
+    }
+    std::set<std::thread::id> threads;
+    for (std::size_t shard = 0; shard < kShards; ++shard) {
+        EXPECT_EQ(steps[shard], kWindows) << "shard " << shard;
+        ASSERT_EQ(seen[shard].size(), 1u) << "shard " << shard;
+        threads.insert(*seen[shard].begin());
+    }
+    // Shard 0 runs on the caller; every other shard has its own worker.
+    EXPECT_EQ(seen[0].count(std::this_thread::get_id()), 1u);
+    EXPECT_EQ(threads.size(), kShards);
+    EXPECT_EQ(lockstep.busy_seconds().size(), kShards);
+}
+
+/** A shard's exception reaches the caller in both modes, after every
+ *  other shard has finished its step; the lowest throwing shard wins and
+ *  the helper stays usable afterwards. */
+TEST(LockstepTest, ShardExceptionReachesTheCaller)
+{
+    for (const bool parallel : {false, true}) {
+        SCOPED_TRACE(parallel ? "parallel" : "serial");
+        sim::Lockstep lockstep(3, parallel);
+        std::vector<int> steps(3, 0);
+        try {
+            lockstep.run([&](std::size_t shard) {
+                ++steps[shard];
+                if (shard >= 1) {
+                    throw std::runtime_error("shard " +
+                                             std::to_string(shard));
+                }
+            });
+            ADD_FAILURE() << "Lockstep::run did not throw";
+        } catch (const std::runtime_error& error) {
+            EXPECT_STREQ(error.what(), "shard 1");
+        }
+        EXPECT_EQ(steps, (std::vector<int>{1, 1, 1}));
+        lockstep.run([&](std::size_t shard) { ++steps[shard]; });
+        EXPECT_EQ(steps, (std::vector<int>{2, 2, 2}));
+    }
+}
+
+/** The sharded scheduler's windows forward a shard's exception instead of
+ *  terminating the process. */
+TEST(LockstepTest, ShardedSchedulerWindowForwardsShardException)
+{
+    for (const bool parallel : {false, true}) {
+        SCOPED_TRACE(parallel ? "parallel" : "serial");
+        SchedulerConfig config;
+        config.shards = 2;
+        config.shard_parallel = parallel;
+        ShardedGlobalScheduler scheduler(config, 7);
+        scheduler.start();
+        scheduler.simulation(1).schedule_at(
+            5 * sim::kSecond, [] { throw std::runtime_error("boom"); });
+        EXPECT_THROW(scheduler.run_until(10 * sim::kSecond),
+                     std::runtime_error);
+    }
 }
 
 TEST(GlobalSchedulerTest, MultipleKernelsOversubscribe)
