@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <set>
 
-#include "sched/global_scheduler.hpp"
+#include "sched/shard.hpp"
 #include "sim/simulation.hpp"
 
 using namespace nbos;
@@ -35,7 +35,7 @@ main()
     config.initial_servers = 4;
     config.kernel.raft.snapshot_threshold = 16;
     config.yield_conversion = false;  // show the full Raft election path
-    sched::GlobalScheduler scheduler(simulation, config, 11);
+    sched::SchedulerShard scheduler(simulation, config, 11);
     scheduler.start();
 
     cluster::KernelId kernel = cluster::kNoKernel;

@@ -8,7 +8,7 @@
  */
 #include <cstdio>
 
-#include "sched/global_scheduler.hpp"
+#include "sched/shard.hpp"
 #include "sim/simulation.hpp"
 
 using namespace nbos;
@@ -22,7 +22,7 @@ main()
     sched::SchedulerConfig config;
     config.initial_servers = 4;
     config.kernel.raft.snapshot_threshold = 16;
-    sched::GlobalScheduler scheduler(simulation, config, /*seed=*/42);
+    sched::SchedulerShard scheduler(simulation, config, /*seed=*/42);
     scheduler.start();
 
     // 2. Create a distributed kernel: 3 Raft-replicated replicas placed on

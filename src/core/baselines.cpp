@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 
+#include "cluster/cluster.hpp"
 #include "nblang/catalog.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -333,156 +335,32 @@ class ReservationEngine : public BaselineEngine
     std::map<workload::SessionId, SessionState> sessions_;
 };
 
-/* --------------------------------- Batch ------------------------------ */
+/* ----------------------------- Batch and LCP --------------------------- */
 
-class BatchEngine : public BaselineEngine
+/**
+ * The two FCFS queue baselines. Every cell waits in one queue for a
+ * server that can host it, runs in a container with mandatory model +
+ * dataset I/O around it, and releases its GPUs when it replies; idle
+ * servers are released after a timeout (keeping one). The policy sets
+ * the rest:
+ *
+ *  - LCP keeps `lcp_warm_per_server` warm containers per server, prefers
+ *    a server with a warm one, and returns the container to the pool
+ *    after the task; idle release after `lcp_idle_release`.
+ *  - Batch has no pool: every task cold-starts a container that
+ *    terminates with it; idle release after `batch_idle_release`.
+ */
+class QueueEngine : public BaselineEngine
 {
   public:
-    BatchEngine(Policy policy, const workload::Trace& trace,
+    QueueEngine(Policy policy, const workload::Trace& trace,
                 const BaselineConfig& config, std::uint64_t seed)
-        : BaselineEngine(policy, trace, config, seed)
+        : BaselineEngine(policy, trace, config, seed),
+          pooled_(policy == Policy::kNotebookOSLCP),
+          idle_release_(pooled_ ? config.lcp_idle_release
+                                : config.batch_idle_release)
     {
-        add_server();  // minimal standing capacity
-        schedule_reaper();
-    }
-
-  private:
-    struct QueuedTask
-    {
-        const workload::SessionSpec* session;
-        const workload::CellTask* task;
-        std::size_t outcome_index;
-    };
-
-    void on_session_start(const workload::SessionSpec&) override {}
-    void on_session_end(const workload::SessionSpec&) override {}
-
-    void
-    on_task(const workload::SessionSpec& session,
-            const workload::CellTask& task) override
-    {
-        TaskOutcome& outcome = new_outcome(session, task);
-        (void)outcome;
-        queue_.push_back(QueuedTask{&session, &task,
-                                    results_.tasks.size() - 1});
-        dispatch();
-    }
-
-    /** Strict FCFS: the head blocks until some server can host it. */
-    void
-    dispatch()
-    {
-        while (!queue_.empty()) {
-            const QueuedTask next = queue_.front();
-            cluster::GpuServer* host = nullptr;
-            for (const auto& [id, server] : cluster_.servers()) {
-                if (server->can_commit(next.session->resources)) {
-                    host = server;
-                    break;
-                }
-            }
-            if (host == nullptr) {
-                if (provisioning_ == 0) {
-                    provision_server(
-                        [this](cluster::ServerId) { dispatch(); });
-                }
-                return;
-            }
-            queue_.pop_front();
-            run_task(next, host->id());
-        }
-    }
-
-    void
-    run_task(const QueuedTask& queued, cluster::ServerId host_id)
-    {
-        cluster::GpuServer* host = cluster_.find(host_id);
-        host->commit(queued.session->resources);
-        record_commit(queued.session->resources.gpus);
-        busy_servers_[host_id] += 1;
-        // On-demand container provisioning (the Batch cold start).
-        const sim::Time cold = sample(config_.timings.cold_start_min,
-                                      config_.timings.cold_start_max);
-        const std::size_t index = queued.outcome_index;
-        const workload::SessionSpec* session = queued.session;
-        const workload::CellTask* task = queued.task;
-        simulation_.schedule_after(cold, [this, index, session, task,
-                                          host_id] {
-            // Mandatory pre-processing I/O: model + dataset download.
-            load_artifacts(*session, [this, index, session, task, host_id] {
-                TaskOutcome& outcome = results_.tasks[index];
-                outcome.exec_start = simulation_.now();
-                outcome.trace.execution_started = outcome.exec_start;
-                simulation_.schedule_after(task->duration, [this, index,
-                                                            session,
-                                                            host_id] {
-                    TaskOutcome& done = results_.tasks[index];
-                    done.exec_end = simulation_.now();
-                    done.trace.execution_finished = done.exec_end;
-                    // Mandatory post-processing I/O before the reply.
-                    writeback_model(*session, [this, index, session,
-                                               host_id] {
-                        TaskOutcome& finished = results_.tasks[index];
-                        finished.reply = simulation_.now();
-                        finished.trace.replica_replied = finished.reply;
-                        finished.trace.client_replied = finished.reply;
-                        record_release(session->resources.gpus);
-                        if (cluster::GpuServer* server =
-                                cluster_.find(host_id)) {
-                            server->release(session->resources);
-                        }
-                        busy_servers_[host_id] -= 1;
-                        last_activity_[host_id] = simulation_.now();
-                        dispatch();
-                    });
-                });
-            });
-        });
-    }
-
-    void
-    schedule_reaper()
-    {
-        simulation_.schedule_after(config_.batch_idle_release, [this] {
-            // Release servers idle past the timeout (keep one).
-            std::vector<cluster::ServerId> victims;
-            for (const auto& [id, server] : cluster_.servers()) {
-                if (cluster_.size() - victims.size() <= 1) {
-                    break;
-                }
-                const bool busy = busy_servers_[id] > 0;
-                const sim::Time last = last_activity_.count(id) > 0
-                                           ? last_activity_[id]
-                                           : 0;
-                if (!busy && simulation_.now() - last >=
-                                 config_.batch_idle_release) {
-                    victims.push_back(id);
-                }
-            }
-            for (const cluster::ServerId id : victims) {
-                remove_server(id);
-                busy_servers_.erase(id);
-                last_activity_.erase(id);
-            }
-            schedule_reaper();
-        });
-    }
-
-    std::deque<QueuedTask> queue_;
-    std::map<cluster::ServerId, int> busy_servers_;
-    std::map<cluster::ServerId, sim::Time> last_activity_;
-};
-
-/* ---------------------------------- LCP -------------------------------- */
-
-class LcpEngine : public BaselineEngine
-{
-  public:
-    LcpEngine(Policy policy, const workload::Trace& trace,
-              const BaselineConfig& config, std::uint64_t seed)
-        : BaselineEngine(policy, trace, config, seed)
-    {
-        warm_up_server(add_server().id());
+        warm_up_server(add_server().id());  // minimal standing capacity
         schedule_reaper();
     }
 
@@ -511,7 +389,8 @@ class LcpEngine : public BaselineEngine
     warm_up_server(cluster::ServerId id)
     {
         // Fill the server's share of the warm-container pool.
-        for (std::int32_t i = 0; i < config_.lcp_warm_per_server; ++i) {
+        const std::int32_t warm = pooled_ ? config_.lcp_warm_per_server : 0;
+        for (std::int32_t i = 0; i < warm; ++i) {
             const sim::Time cold = sample(config_.timings.cold_start_min,
                                           config_.timings.cold_start_max);
             simulation_.schedule_after(cold, [this, id] {
@@ -523,6 +402,7 @@ class LcpEngine : public BaselineEngine
         }
     }
 
+    /** Strict FCFS: the head blocks until some server can host it. */
     void
     dispatch()
     {
@@ -571,6 +451,8 @@ class LcpEngine : public BaselineEngine
         cluster_.find(host_id)->commit(queued.session->resources);
         record_commit(queued.session->resources.gpus);
         busy_servers_[host_id] += 1;
+        // A pooled container is assigned; otherwise one is provisioned on
+        // demand (the cold start).
         const sim::Time setup =
             from_pool ? config_.timings.prewarm_assign
                       : sample(config_.timings.cold_start_min,
@@ -591,6 +473,7 @@ class LcpEngine : public BaselineEngine
                         TaskOutcome& done = results_.tasks[index];
                         done.exec_end = simulation_.now();
                         done.trace.execution_finished = done.exec_end;
+                        // Mandatory post-processing I/O before the reply.
                         writeback_model(*session, [this, index, session,
                                                    host_id] {
                             TaskOutcome& finished = results_.tasks[index];
@@ -604,9 +487,11 @@ class LcpEngine : public BaselineEngine
                             }
                             busy_servers_[host_id] -= 1;
                             last_activity_[host_id] = simulation_.now();
-                            // The container returns to the pool rather
-                            // than terminating.
-                            warm_[host_id] += 1;
+                            // LCP's container returns to the pool; a
+                            // Batch container terminates.
+                            if (pooled_) {
+                                warm_[host_id] += 1;
+                            }
                             dispatch();
                         });
                     });
@@ -617,7 +502,8 @@ class LcpEngine : public BaselineEngine
     void
     schedule_reaper()
     {
-        simulation_.schedule_after(config_.lcp_idle_release, [this] {
+        simulation_.schedule_after(idle_release_, [this] {
+            // Release servers idle past the timeout (keep one).
             std::vector<cluster::ServerId> victims;
             for (const auto& [id, server] : cluster_.servers()) {
                 if (cluster_.size() - victims.size() <= 1) {
@@ -627,8 +513,7 @@ class LcpEngine : public BaselineEngine
                 const sim::Time last = last_activity_.count(id) > 0
                                            ? last_activity_[id]
                                            : 0;
-                if (!busy && simulation_.now() - last >=
-                                 config_.lcp_idle_release) {
+                if (!busy && simulation_.now() - last >= idle_release_) {
                     victims.push_back(id);
                 }
             }
@@ -642,6 +527,9 @@ class LcpEngine : public BaselineEngine
         });
     }
 
+    /** True for LCP, whose containers come from and return to warm_. */
+    const bool pooled_;
+    const sim::Time idle_release_;
     std::deque<QueuedTask> queue_;
     std::map<cluster::ServerId, std::int32_t> warm_;
     std::map<cluster::ServerId, int> busy_servers_;
@@ -662,7 +550,7 @@ ExperimentResults
 run_batch(const workload::Trace& trace, const BaselineConfig& config,
           std::uint64_t seed)
 {
-    BatchEngine engine(Policy::kBatch, trace, config, seed);
+    QueueEngine engine(Policy::kBatch, trace, config, seed);
     return engine.run();
 }
 
@@ -670,7 +558,7 @@ ExperimentResults
 run_lcp(const workload::Trace& trace, const BaselineConfig& config,
         std::uint64_t seed)
 {
-    LcpEngine engine(Policy::kNotebookOSLCP, trace, config, seed);
+    QueueEngine engine(Policy::kNotebookOSLCP, trace, config, seed);
     return engine.run();
 }
 

@@ -16,7 +16,7 @@
 #define NBOS_CORE_BASELINES_HPP
 
 #include "core/results.hpp"
-#include "sched/global_scheduler.hpp"
+#include "sched/scheduler_types.hpp"
 #include "storage/datastore.hpp"
 #include "workload/trace.hpp"
 

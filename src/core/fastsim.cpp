@@ -568,8 +568,7 @@ FastEngineShard::session_movable(workload::SessionId id) const
 }
 
 bool
-FastEngineShard::extract_session(workload::SessionId id,
-                                 FastSessionExtract& out)
+FastEngineShard::extract_session(workload::SessionId id, SessionExtract& out)
 {
     const std::int32_t row = kernels_.find(id);
     if (row < 0) {
@@ -593,7 +592,7 @@ FastEngineShard::extract_session(workload::SessionId id,
 }
 
 void
-FastEngineShard::adopt_session(const FastSessionExtract& extract)
+FastEngineShard::adopt_session(const SessionExtract& extract)
 {
     FastKernel& kernel = kernel_at(extract.session);
     kernel.session = extract.session;
@@ -615,7 +614,6 @@ FastEngineShard::harvest_window_load(sched::ShardLoad& load,
                                      std::vector<sched::SessionLoad>&
                                          sessions)
 {
-    load.sessions = live_sessions_;
     load.weight = 0;
     sessions.clear();
     // Canonical id order: the merged per-shard lists (and therefore the

@@ -4,19 +4,11 @@
  * FastEngineShards advanced by the shared windowed driver loop on the
  * autoscale_interval grid, then merged deterministically in shard order.
  *
- * Sessions are routed to shards at admission through the routing layer
- * (SchedulerConfig::routing, sched/routing.hpp):
- *
- *  - `static_hash` (default) and `rebalance`: the seed-independent
- *    sched::ShardRouter hash;
- *  - `least_loaded`: sessions, in arrival order, go to the shard with the
- *    least accumulated task weight (ties: fewest sessions, then lowest
- *    index).
- *
- * Under `rebalance` the driver stops at every window: it merges the
- * per-shard loads in shard order, plans migrations with
- * sched::plan_rebalance (a pure function of the merged loads), and moves
- * the chosen sessions before the next window's events are routed to their
+ * Sessions are routed to shards by a sched::SessionRouter
+ * (SchedulerConfig::routing), the same router the prototype driver holds:
+ * admitted as they enter the feed, forgotten once their last event has
+ * run. Under `rebalance` the driver stops at every window so the router
+ * can move sessions before the next window's events are routed to their
  * current owners. Under the other two policies sessions never move, so
  * nothing needs coordinating between windows: the driver stops at most
  * once per simulated hour, and only where a session is admitted, to admit
@@ -54,7 +46,7 @@ class FastRun
         : config_(config),
           trace_name_(feed.trace_name()),
           makespan_(feed.makespan()),
-          table_(config.scheduler.shards),
+          router_(config.scheduler.routing, config.scheduler.shards),
           lockstep_(static_cast<std::size_t>(config.scheduler.shards),
                     config.scheduler.shard_parallel)
     {
@@ -72,9 +64,6 @@ class FastRun
             shards_.push_back(std::make_unique<FastEngineShard>(plan, config));
             shards_.back()->start();
         }
-        weight_.assign(shards_.size(), 0);
-        assigned_.assign(shards_.size(), 0);
-        window_events_.assign(shards_.size(), 0);
     }
 
     /** Lockstep stops: every window when sessions can move, else at
@@ -82,7 +71,7 @@ class FastRun
     sim::Time stride() const
     {
         const sim::Time window = config_.scheduler.autoscale_interval;
-        if (rebalancing()) {
+        if (router_.rebalancing()) {
             return window;
         }
         return std::max(window, kPinnedStopSpan / window * window);
@@ -90,26 +79,12 @@ class FastRun
 
     void admit(const workload::SessionSpec& session)
     {
-        if (config_.scheduler.routing !=
-            sched::RoutingPolicyKind::kLeastLoaded) {
-            return;
-        }
-        std::size_t pick = 0;
-        for (std::size_t i = 1; i < weight_.size(); ++i) {
-            if (weight_[i] < weight_[pick] ||
-                (weight_[i] == weight_[pick] &&
-                 assigned_[i] < assigned_[pick])) {
-                pick = i;
-            }
-        }
-        table_.assign(session.id, static_cast<std::int32_t>(pick));
-        weight_[pick] += session.tasks.size() + 1;
-        assigned_[pick] += 1;
+        router_.admit(session.id, session.tasks.size());
     }
 
     void inject(const Injection& event)
     {
-        shards_[table_.shard_of(event.session->id)]->enqueue(event);
+        shards_[router_.shard_of(event.session->id)]->enqueue(event);
     }
 
     void advance(sim::Time stop)
@@ -121,10 +96,14 @@ class FastRun
 
     void close_window(sim::Time, bool last)
     {
-        if (!last && rebalancing()) {
-            rebalance();
+        if (!last) {
+            router_.rebalance([this](std::size_t i) -> FastEngineShard& {
+                return *shards_[i];
+            });
         }
     }
+
+    void retire(workload::SessionId id) { router_.forget(id); }
 
     void drain(sim::Time horizon)
     {
@@ -136,50 +115,12 @@ class FastRun
     RunResponse finish();
 
   private:
-    bool rebalancing() const
-    {
-        return config_.scheduler.routing ==
-               sched::RoutingPolicyKind::kRebalance;
-    }
-
-    /** Window boundary: merge loads in shard order, plan, apply. */
-    void rebalance()
-    {
-        std::vector<sched::ShardLoad> loads(shards_.size());
-        std::vector<std::vector<sched::SessionLoad>> sessions(
-            shards_.size());
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            shards_[i]->harvest_window_load(loads[i], sessions[i]);
-            const std::uint64_t executed = shards_[i]->events_executed();
-            loads[i].events = executed - window_events_[i];
-            window_events_[i] = executed;
-        }
-        for (const sched::MigrationDecision& move :
-             sched::plan_rebalance(loads, sessions)) {
-            FastEngineShard::FastSessionExtract extract;
-            if (!shards_[static_cast<std::size_t>(move.from)]
-                     ->extract_session(move.session, extract)) {
-                continue;
-            }
-            shards_[static_cast<std::size_t>(move.to)]->adopt_session(
-                extract);
-            table_.assign(move.session, move.to);
-            ++sessions_rebalanced_;
-        }
-    }
-
     const PlatformConfig& config_;
     std::string trace_name_;
     sim::Time makespan_;
-    sched::RoutingTable table_;
+    sched::SessionRouter router_;
     sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<FastEngineShard>> shards_;
-    /** least_loaded admission state: task weight and sessions per shard. */
-    std::vector<std::uint64_t> weight_;
-    std::vector<std::int64_t> assigned_;
-    /** events_executed() at the last boundary, per shard (rebalance). */
-    std::vector<std::uint64_t> window_events_;
-    std::uint64_t sessions_rebalanced_ = 0;
 };
 
 /** Deterministic cross-shard merge, always in shard order. Consumes the
@@ -198,7 +139,7 @@ FastRun::finish()
         response.events_executed += shard->events_executed();
     }
     response.shard_busy_seconds = lockstep_.busy_seconds();
-    response.sessions_rebalanced = sessions_rebalanced_;
+    response.sessions_rebalanced = router_.sessions_rebalanced();
 
     std::vector<ExperimentResults> parts;
     parts.reserve(shards_.size());

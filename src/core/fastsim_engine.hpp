@@ -115,14 +115,14 @@ class FastEngineShard
     /** @name Rebalancing (routing layer, `rebalance` policy only)
      *
      * Whole sessions move between shards at window boundaries, on the
-     * driving thread.
+     * driving thread (sched::SessionRouter::rebalance).
      */
     ///@{
     /** A whole analytic session packed for a cross-shard move. The
      *  executor binding stays behind (server ids are shard-local); the
      *  session's kernels_created contribution moves with it so merged
      *  totals stay policy-invariant. */
-    struct FastSessionExtract
+    struct SessionExtract
     {
         workload::SessionId session = -1;
         cluster::ResourceSpec spec{};
@@ -133,16 +133,15 @@ class FastEngineShard
      *  drop the binding. @return false (no change) if it is not placed
      *  and alive, or has an analytic execution (or migration chain) in
      *  flight. */
-    bool extract_session(workload::SessionId id, FastSessionExtract& out);
+    bool extract_session(workload::SessionId id, SessionExtract& out);
 
     /** Adopt an extracted session: rebind and re-place it here (pending
      *  placement aborts its tasks until placed — the analytic model's
      *  migration cost). Its kernels_created count does not repeat. */
-    void adopt_session(const FastSessionExtract& extract);
+    void adopt_session(const SessionExtract& extract);
 
-    /** Report the closing window's load — live sessions and per-session
-     *  analytic task counts (id order) — and reset the window counters.
-     *  ShardLoad::events is the caller's delta. */
+    /** Report the closing window's load — per-session analytic task
+     *  counts (id order) and their sum — and reset the window counters. */
     void harvest_window_load(sched::ShardLoad& load,
                              std::vector<sched::SessionLoad>& sessions);
     ///@}

@@ -16,7 +16,7 @@
 
 #include "core/baselines.hpp"
 #include "core/results.hpp"
-#include "sched/global_scheduler.hpp"
+#include "sched/scheduler_types.hpp"
 #include "workload/trace.hpp"
 
 namespace nbos::core {

@@ -4,17 +4,18 @@
  * kernels, executor elections, and the Global/Local schedulers, run over
  * sched::ShardedGlobalScheduler shards by the shared windowed driver.
  *
- * Windows follow the PlatformConfig::sample_interval grid. At each
- * boundary the fleet-wide provisioned GPUs and subscription ratio are
- * sampled, then the routing policy refreshes its loads and, under
- * `rebalance`, moves whole sessions between shards. Sessions are admitted
- * through the policy when their start event is injected, so a session's
- * events always go to the shard that owns it for the whole window.
+ * Windows follow the PlatformConfig::sample_interval grid. Sessions are
+ * routed by a sched::SessionRouter, the same router the fast driver
+ * holds: admitted as they enter the feed, forgotten once their last event
+ * has run. At each boundary the fleet-wide provisioned GPUs and
+ * subscription ratio are sampled, then, under `rebalance`, the router
+ * moves whole sessions between shards, so a session's events always go to
+ * the shard that owns it for the whole window.
  *
  * Determinism: admission and the rebalance plan are pure functions of
- * shard-order-merged loads, events are injected in the feed's canonical
- * order, and every cross-shard merge walks shards in index order, so
- * parallel windows are bit-identical to serial ones.
+ * the admitted sessions and shard-order-merged loads, events are injected
+ * in the feed's canonical order, and every cross-shard merge walks shards
+ * in index order, so parallel windows are bit-identical to serial ones.
  */
 #include <cstdint>
 #include <memory>
@@ -32,7 +33,8 @@ class PrototypeRun
 {
   public:
     PrototypeRun(const PlatformConfig& config, const SessionFeed& feed)
-        : scheduler_(config.scheduler, config.seed)
+        : scheduler_(config.scheduler, config.seed),
+          router_(config.scheduler.routing, config.scheduler.shards)
     {
         scheduler_.start();
         results_.policy = Policy::kNotebookOS;
@@ -40,14 +42,15 @@ class PrototypeRun
         results_.makespan = feed.makespan();
     }
 
-    void admit(const workload::SessionSpec&) {}
+    void admit(const workload::SessionSpec& session)
+    {
+        router_.admit(session.id, session.tasks.size());
+    }
 
     void inject(const Injection& event)
     {
         const workload::SessionSpec* session = event.session;
-        const std::size_t owner = event.kind == Injection::kStart
-                                      ? scheduler_.admit_session(session->id)
-                                      : scheduler_.shard_of(session->id);
+        const std::size_t owner = router_.shard_of(session->id);
         sched::SchedulerShard* shard = &scheduler_.shard(owner);
         sim::Simulation* simulation = &scheduler_.simulation(owner);
         switch (event.kind) {
@@ -75,9 +78,14 @@ class PrototypeRun
             stop, static_cast<double>(scheduler_.total_gpus()));
         results_.subscription_ratio.record(stop, scheduler_.cluster_sr());
         if (!last) {
-            scheduler_.rebalance_window();
+            router_.rebalance(
+                [this](std::size_t i) -> sched::SchedulerShard& {
+                    return scheduler_.shard(i);
+                });
         }
     }
+
+    void retire(workload::SessionId id) { router_.forget(id); }
 
     void drain(sim::Time horizon) { scheduler_.run_until(horizon); }
 
@@ -117,7 +125,7 @@ class PrototypeRun
             response.events_executed += response.shard_events.back();
         }
         response.shard_busy_seconds = scheduler_.shard_busy_seconds();
-        response.sessions_rebalanced = scheduler_.sessions_rebalanced();
+        response.sessions_rebalanced = router_.sessions_rebalanced();
         return response;
     }
 
@@ -164,6 +172,7 @@ class PrototypeRun
     }
 
     sched::ShardedGlobalScheduler scheduler_;
+    sched::SessionRouter router_;
     ExperimentResults results_;
     /** Per outcome slot: did the owning shard accept the cell? */
     std::vector<char> submitted_;

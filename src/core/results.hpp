@@ -15,7 +15,7 @@
 
 #include "metrics/percentiles.hpp"
 #include "metrics/timeseries.hpp"
-#include "sched/global_scheduler.hpp"
+#include "sched/scheduler_types.hpp"
 #include "workload/trace.hpp"
 
 namespace nbos::core {

@@ -108,21 +108,6 @@ SessionFeed::next_due(sim::Time t, Injection& out)
 }
 
 void
-SessionFeed::retire_until(sim::Time t)
-{
-    // Every event of a session whose last event is at or before t has
-    // been injected and executed, so nothing references its spec any more
-    // (in-flight engine work holds copies, not trace pointers).
-    while (!retire_.buckets.empty() && retire_.base <= slot(t)) {
-        for (const workload::SessionId id : retire_.buckets.front()) {
-            live_.erase(id);
-        }
-        retire_.buckets.pop_front();
-        ++retire_.base;
-    }
-}
-
-void
 sort_tasks(std::vector<TaskOutcome>& tasks)
 {
     const auto before = [](const TaskOutcome& a, const TaskOutcome& b) {

@@ -9,11 +9,13 @@
  * steps a lockstep clock over the engine's window grid. At each stop it
  * admits the sessions whose start time the clock has reached, hands their
  * start / end / cell events to the engine in one canonical order, lets the
- * engine advance its shards to the stop, and frees every spec whose last
- * event has executed — so memory tracks the live session population, not
- * the trace length. The engine decides which shard an event goes to and
- * what happens when a window closes (sampling, rebalancing). One shard is
- * simply the one-shard case of the same loop.
+ * engine advance its shards to the stop, and retires every session whose
+ * last event has executed — the engine drops its route and the feed frees
+ * its spec — so memory tracks the live session population, not the trace
+ * length. The engine decides which shard an event goes to (both engines
+ * through one sched::SessionRouter) and what happens when a window closes
+ * (sampling, rebalancing). One shard is simply the one-shard case of the
+ * same loop.
  *
  * Internal to nbos_core; callers use core::run (core/engine_api.hpp).
  */
@@ -99,9 +101,11 @@ class SessionFeed
      *  @return false when none is due. */
     bool next_due(sim::Time t, Injection& out);
 
-    /** Free the specs whose last event is at or before @p t. Call only
+    /** Free the specs whose last event is at or before @p t, calling
+     *  @p on_retire(id) for each just before its spec is freed. Call only
      *  once every shard has run to @p t. */
-    void retire_until(sim::Time t);
+    template <typename OnRetire>
+    void retire_until(sim::Time t, OnRetire&& on_retire);
 
   private:
     /** A window-indexed run of buckets; front() is window `base`. */
@@ -136,6 +140,23 @@ class SessionFeed
     Calendar<workload::SessionId> retire_;
 };
 
+template <typename OnRetire>
+void
+SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
+{
+    // Every event of a session whose last event is at or before t has
+    // been injected and executed, so nothing references its spec any more
+    // (in-flight engine work holds copies, not trace pointers).
+    while (!retire_.buckets.empty() && retire_.base <= slot(t)) {
+        for (const workload::SessionId id : retire_.buckets.front()) {
+            on_retire(id);
+            live_.erase(id);
+        }
+        retire_.buckets.pop_front();
+        ++retire_.base;
+    }
+}
+
 /**
  * The one NotebookOS driver loop. @p engine provides
  *
@@ -144,6 +165,8 @@ class SessionFeed
  *   - `advance(sim::Time stop)`: run every shard to @p stop;
  *   - `close_window(sim::Time stop, bool last)`: the shards reached
  *     @p stop (sample, and rebalance unless @p last);
+ *   - `retire(workload::SessionId id)`: the session's last event has
+ *     run (fired once per session, as the feed frees its spec);
  *   - `drain(sim::Time horizon)`: run every shard to the drain horizon.
  *
  * The loop stops on the feed's window grid, @p stride apart, and always
@@ -176,7 +199,9 @@ drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine)
         }
         engine.advance(stop);
         engine.close_window(stop, stop >= last);
-        feed.retire_until(stop);
+        feed.retire_until(stop, [&engine](workload::SessionId id) {
+            engine.retire(id);
+        });
         if (stop >= last) {
             break;
         }

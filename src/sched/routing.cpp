@@ -129,105 +129,23 @@ plan_rebalance(const std::vector<ShardLoad>& loads,
     return plan;
 }
 
-namespace {
-
-class StaticHashPolicy final : public RoutingPolicy
+std::size_t
+SessionRouter::admit(std::int64_t session, std::uint64_t cells)
 {
-  public:
-    RoutingPolicyKind kind() const override
-    {
-        return RoutingPolicyKind::kStaticHash;
+    if (kind_ != RoutingPolicyKind::kLeastLoaded) {
+        return table_.shard_of(session);
     }
-
-    std::int32_t admit(std::int64_t session, const RoutingTable& table,
-                       const std::vector<ShardLoad>&) override
-    {
-        return static_cast<std::int32_t>(table.router().shard_of(session));
-    }
-
-    std::vector<MigrationDecision> plan(
-        const std::vector<ShardLoad>&,
-        const std::vector<std::vector<SessionLoad>>&) override
-    {
-        return {};
-    }
-};
-
-/** Admission-time balancing. The caller keeps the load vector current
- *  between boundaries (bumping the chosen shard after every admit), so
- *  a burst of admissions inside one window spreads out instead of
- *  piling onto the shard that was lightest at the last boundary. */
-class LeastLoadedPolicy final : public RoutingPolicy
-{
-  public:
-    RoutingPolicyKind kind() const override
-    {
-        return RoutingPolicyKind::kLeastLoaded;
-    }
-
-    std::int32_t admit(std::int64_t session, const RoutingTable& table,
-                       const std::vector<ShardLoad>& loads) override
-    {
-        if (loads.size() !=
-            static_cast<std::size_t>(table.shards())) {
-            return static_cast<std::int32_t>(
-                table.router().shard_of(session));
+    std::size_t pick = 0;
+    for (std::size_t i = 1; i < weight_.size(); ++i) {
+        if (weight_[i] < weight_[pick] ||
+            (weight_[i] == weight_[pick] && admitted_[i] < admitted_[pick])) {
+            pick = i;
         }
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < loads.size(); ++i) {
-            if (loads[i].weight < loads[best].weight ||
-                (loads[i].weight == loads[best].weight &&
-                 loads[i].sessions < loads[best].sessions)) {
-                best = i;
-            }
-        }
-        return static_cast<std::int32_t>(best);
     }
-
-    std::vector<MigrationDecision> plan(
-        const std::vector<ShardLoad>&,
-        const std::vector<std::vector<SessionLoad>>&) override
-    {
-        return {};
-    }
-};
-
-class RebalancePolicy final : public RoutingPolicy
-{
-  public:
-    RoutingPolicyKind kind() const override
-    {
-        return RoutingPolicyKind::kRebalance;
-    }
-
-    std::int32_t admit(std::int64_t session, const RoutingTable& table,
-                       const std::vector<ShardLoad>&) override
-    {
-        return static_cast<std::int32_t>(table.router().shard_of(session));
-    }
-
-    std::vector<MigrationDecision> plan(
-        const std::vector<ShardLoad>& loads,
-        const std::vector<std::vector<SessionLoad>>& sessions) override
-    {
-        return plan_rebalance(loads, sessions);
-    }
-};
-
-}  // namespace
-
-std::unique_ptr<RoutingPolicy>
-make_routing_policy(RoutingPolicyKind kind)
-{
-    switch (kind) {
-        case RoutingPolicyKind::kStaticHash:
-            return std::make_unique<StaticHashPolicy>();
-        case RoutingPolicyKind::kLeastLoaded:
-            return std::make_unique<LeastLoadedPolicy>();
-        case RoutingPolicyKind::kRebalance:
-            return std::make_unique<RebalancePolicy>();
-    }
-    throw std::invalid_argument("make_routing_policy: unknown kind");
+    table_.assign(session, static_cast<std::int32_t>(pick));
+    weight_[pick] += cells + 1;
+    admitted_[pick] += 1;
+    return pick;
 }
 
 }  // namespace nbos::sched

@@ -1,32 +1,34 @@
 /**
  * @file
- * Load-aware session -> shard routing (ROADMAP item 2).
+ * Load-aware session -> shard routing, shared by both NotebookOS engines.
  *
- * The routing layer generalizes the static splitmix64 ShardRouter into
- * three cooperating pieces:
+ * Three pieces:
  *
  *  - RoutingTable: an explicit session -> shard map with the stable hash
  *    as the default/fallback route. With no overrides it is byte-for-byte
  *    the ShardRouter, which is how `static_hash` keeps every pre-routing
  *    golden and bench hash bit-identical.
- *  - RoutingPolicy: the decision procedure. `admit` places a new session
- *    given the merged per-shard loads; `plan` emits window-boundary
- *    migration decisions. Both are pure functions of their inputs, and
- *    the inputs are always merged in shard order, so a plan is
- *    reproducible across runs, thread interleavings, and platforms.
- *  - plan_rebalance: the deterministic greedy planner shared by the
- *    `rebalance` policy and its unit tests.
+ *  - plan_rebalance: the deterministic greedy planner behind the
+ *    `rebalance` policy.
+ *  - SessionRouter: the one router both engine drivers hold. It owns the
+ *    table, admits sessions under the configured policy, forgets them
+ *    when their last event has run, and applies window-boundary
+ *    rebalance plans to any shard type.
  *
  * Determinism contract: nothing in this header reads clocks, RNGs, or
- * addresses. Ties break on the lowest shard index / lowest session id.
+ * addresses. Ties break on the lowest shard index / lowest session id,
+ * and per-shard inputs are always merged in shard order, so every
+ * decision is reproducible across runs, thread interleavings, and
+ * platforms.
  */
 #ifndef NBOS_SCHED_ROUTING_HPP
 #define NBOS_SCHED_ROUTING_HPP
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sched/shard_router.hpp"
@@ -38,7 +40,7 @@ enum class RoutingPolicyKind
 {
     /** Pure splitmix64 hash (the default; pre-routing behavior). */
     kStaticHash,
-    /** New sessions go to the least-loaded shard at admission. */
+    /** New sessions go to the shard with the least admitted weight. */
     kLeastLoaded,
     /** Hash admission + deterministic window-boundary migration. */
     kRebalance,
@@ -51,16 +53,13 @@ const char* to_string(RoutingPolicyKind kind);
 RoutingPolicyKind routing_policy_from_string(const std::string& name);
 
 /** One shard's load as seen at a window boundary (merged in shard
- *  order before any policy decision). */
+ *  order before any planning). */
 struct ShardLoad
 {
-    /** Sessions currently resident on the shard. */
-    std::int64_t sessions = 0;
     /** Activity weight accumulated over the closing window (submitted
-     *  cells for the schedulers; analytic tasks for the fast engine). */
+     *  cells for the prototype shards; analytic tasks for the fast
+     *  engine). */
     std::uint64_t weight = 0;
-    /** Simulation events the shard executed in the closing window. */
-    std::uint64_t events = 0;
 };
 
 /** One session's share of its shard's window weight. Shards report only
@@ -133,7 +132,8 @@ class RoutingTable
         }
     }
 
-    /** Drop @p session's override (session ended; bounds the map). */
+    /** Drop @p session's override (its last event has run; bounds the
+     *  map). */
     void forget(std::int64_t session) { overrides_.erase(session); }
 
     /** Number of sessions currently routed away from their hash shard. */
@@ -143,42 +143,6 @@ class RoutingTable
     ShardRouter router_;
     std::unordered_map<std::int64_t, std::int32_t> overrides_;
 };
-
-/**
- * A routing decision procedure. Implementations must be pure: equal
- * inputs (table contents, shard-order-merged loads) produce equal
- * outputs, with no hidden state besides the table itself.
- */
-class RoutingPolicy
-{
-  public:
-    virtual ~RoutingPolicy() = default;
-
-    virtual RoutingPolicyKind kind() const = 0;
-
-    /**
-     * Route a newly admitted @p session. @p loads holds one entry per
-     * shard, merged in shard order at the most recent boundary (empty on
-     * the very first window). @return the target shard in [0, shards).
-     */
-    virtual std::int32_t admit(std::int64_t session,
-                               const RoutingTable& table,
-                               const std::vector<ShardLoad>& loads) = 0;
-
-    /**
-     * Plan window-boundary migrations. @p loads has one entry per shard
-     * and @p sessions one vector per shard (both in shard order); the
-     * per-shard session lists are sorted by descending weight then
-     * ascending id before planning. @return whole-session moves to apply
-     * before the next window (empty for non-rebalancing policies).
-     */
-    virtual std::vector<MigrationDecision> plan(
-        const std::vector<ShardLoad>& loads,
-        const std::vector<std::vector<SessionLoad>>& sessions) = 0;
-};
-
-/** Build the policy implementing @p kind. */
-std::unique_ptr<RoutingPolicy> make_routing_policy(RoutingPolicyKind kind);
 
 /**
  * The deterministic greedy rebalance planner.
@@ -197,6 +161,119 @@ std::unique_ptr<RoutingPolicy> make_routing_policy(RoutingPolicyKind kind);
 std::vector<MigrationDecision> plan_rebalance(
     const std::vector<ShardLoad>& loads,
     const std::vector<std::vector<SessionLoad>>& sessions);
+
+/**
+ * The session -> shard router of both NotebookOS engines.
+ *
+ * It owns the RoutingTable and applies SchedulerConfig::routing:
+ *
+ *  - `static_hash`: every session stays on its hash shard;
+ *  - `least_loaded`: admit() sends a new session to the shard with the
+ *    least cumulative admitted weight, a session weighing its cells + 1
+ *    (ties: fewest sessions admitted, then lowest index);
+ *  - `rebalance`: hash admission, then rebalance() moves whole sessions
+ *    at window boundaries.
+ *
+ * A driver calls admit() when a session enters its feed, shard_of() for
+ * each of the session's events, rebalance() when a window closes, and
+ * forget() once the session's last event has run, so the table only
+ * holds overrides for live sessions. Every call happens on the driving
+ * thread between windows, so the router needs no synchronization.
+ */
+class SessionRouter
+{
+  public:
+    /** @throws std::invalid_argument on shards < 1. */
+    SessionRouter(RoutingPolicyKind kind, std::int32_t shards)
+        : kind_(kind),
+          table_(shards),
+          weight_(static_cast<std::size_t>(shards), 0),
+          admitted_(static_cast<std::size_t>(shards), 0)
+    {
+    }
+
+    const RoutingTable& table() const { return table_; }
+
+    /** True under `rebalance`, the one policy that moves sessions after
+     *  admission. */
+    bool rebalancing() const
+    {
+        return kind_ == RoutingPolicyKind::kRebalance;
+    }
+
+    /** Current owner of @p session. */
+    std::size_t shard_of(std::int64_t session) const
+    {
+        return table_.shard_of(session);
+    }
+
+    /** Route a new @p session that will submit @p cells cells; it weighs
+     *  cells + 1, so a cell-less session still counts. @return its shard. */
+    std::size_t admit(std::int64_t session, std::uint64_t cells);
+
+    /** Drop @p session's override once its last event has run. */
+    void forget(std::int64_t session) { table_.forget(session); }
+
+    /**
+     * Close a window. Under `rebalance` harvest every shard's window load
+     * in shard order, plan with plan_rebalance, and move each planned
+     * session: extract from its owner, adopt on the target, reassign the
+     * route. Other policies never move sessions, so this is a no-op for
+     * them. @p shard_at(i) returns shard i, whose type provides
+     * `harvest_window_load(ShardLoad&, std::vector<SessionLoad>&)`,
+     * `extract_session(id, SessionExtract&) -> bool`,
+     * `adopt_session(SessionExtract)` and the member type
+     * `SessionExtract`. @return sessions moved.
+     */
+    template <typename ShardAt>
+    std::size_t rebalance(ShardAt&& shard_at);
+
+    /** Whole sessions moved across shards so far (not a SchedulerStats
+     *  counter: merged totals stay policy-invariant). */
+    std::uint64_t sessions_rebalanced() const
+    {
+        return sessions_rebalanced_;
+    }
+
+  private:
+    RoutingPolicyKind kind_;
+    RoutingTable table_;
+    /** least_loaded state per shard: cumulative admitted weight and
+     *  sessions admitted. */
+    std::vector<std::uint64_t> weight_;
+    std::vector<std::uint64_t> admitted_;
+    std::uint64_t sessions_rebalanced_ = 0;
+};
+
+template <typename ShardAt>
+std::size_t
+SessionRouter::rebalance(ShardAt&& shard_at)
+{
+    if (!rebalancing()) {
+        return 0;
+    }
+    const auto count = static_cast<std::size_t>(table_.shards());
+    std::vector<ShardLoad> loads(count);
+    std::vector<std::vector<SessionLoad>> sessions(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        shard_at(i).harvest_window_load(loads[i], sessions[i]);
+    }
+    std::size_t moved = 0;
+    for (const MigrationDecision& move : plan_rebalance(loads, sessions)) {
+        auto& from = shard_at(static_cast<std::size_t>(move.from));
+        typename std::remove_reference_t<decltype(from)>::SessionExtract
+            extract;
+        if (!from.extract_session(move.session, extract)) {
+            continue;
+        }
+        shard_at(static_cast<std::size_t>(move.to))
+            .adopt_session(std::move(extract));
+        table_.assign(move.session, move.to);
+        ++moved;
+    }
+    sessions_rebalanced_ += moved;
+    return moved;
+}
 
 }  // namespace nbos::sched
 

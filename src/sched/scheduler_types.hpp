@@ -1,10 +1,9 @@
 /**
  * @file
- * Scheduler-facing value types shared by the monolithic facade
- * (GlobalScheduler), the per-shard engine (SchedulerShard), and the
- * sharded front-end (ShardedGlobalScheduler): tunables, cluster events,
- * request traces, and counters, plus the deterministic cross-shard merge
- * helpers.
+ * Scheduler-facing value types shared by the per-shard engine
+ * (SchedulerShard), the sharded front-end (ShardedGlobalScheduler), and
+ * the engines built on them: tunables, cluster events, request traces,
+ * and counters, plus the deterministic cross-shard merge helpers.
  */
 #ifndef NBOS_SCHED_SCHEDULER_TYPES_HPP
 #define NBOS_SCHED_SCHEDULER_TYPES_HPP
@@ -70,11 +69,11 @@ struct SchedulerConfig
     storage::Backend store_backend = storage::Backend::kS3;
     /**
      * Scheduler shard count. 1 (the default) is the monolithic scheduler —
-     * byte-identical to the pre-sharding implementation. With N > 1 the
-     * ShardedGlobalScheduler partitions sessions across N independent
-     * shards (stable session-id hash), divides `initial_servers` round-
-     * robin across the shard fleets, and merges stats, events, and
-     * autoscaler signals deterministically in shard order.
+     * byte-identical to the pre-sharding implementation. With N > 1 both
+     * NotebookOS engines partition sessions across N independent shards
+     * (routed by `routing`), divide `initial_servers` round-robin across
+     * the shard fleets, and merge stats, events, and autoscaler signals
+     * deterministically in shard order.
      */
     std::int32_t shards = 1;
     /** Run shard event loops on parallel threads inside each lockstep
@@ -83,14 +82,17 @@ struct SchedulerConfig
      *  only useful for debugging and for that equivalence test. */
     bool shard_parallel = true;
     /**
-     * Session -> shard routing policy (sched/routing.hpp). The default,
-     * `static_hash`, is the pure splitmix64 route — byte-identical to the
-     * pre-routing implementation at every shard count. `least_loaded`
-     * routes new sessions by merged per-shard load at admission;
-     * `rebalance` keeps hash admission but migrates whole sessions
-     * between shards at window boundaries, with the plan computed as a
-     * pure function of shard-order-merged load stats. Ignored at
-     * shards == 1 (a single shard has nothing to balance).
+     * Session -> shard routing policy, applied by the sched::SessionRouter
+     * that both NotebookOS engine drivers hold (sched/routing.hpp). The
+     * default, `static_hash`, is the pure splitmix64 route —
+     * byte-identical to the pre-routing implementation at every shard
+     * count. `least_loaded` admits each new session to the shard with the
+     * least cumulative admitted weight (cells + 1 per session; ties:
+     * fewest sessions admitted, then lowest index). `rebalance` keeps hash
+     * admission but migrates whole sessions between shards at window
+     * boundaries, with the plan computed as a pure function of
+     * shard-order-merged window loads. Ignored at shards == 1 (a single
+     * shard has nothing to balance).
      */
     RoutingPolicyKind routing = RoutingPolicyKind::kStaticHash;
     /**

@@ -788,20 +788,15 @@ void
 SchedulerShard::harvest_window_load(ShardLoad& load,
                                     std::vector<SessionLoad>& sessions)
 {
-    load.sessions = 0;
     load.weight = 0;
     sessions.clear();
-    // SoA streaming scan: the flags and weights columns are the only
-    // bytes touched for the idle majority. The table iterates in
+    // SoA streaming scan: the weights column is the only one touched for
+    // the idle majority. The table iterates in
     // insertion/swap order, so sort the (small) weighted subset back into
     // the id order the routing planner's inputs are pinned to.
     const auto& ids = sessions_.ids();
-    const auto& flags = sessions_.flags();
     const auto& weights = sessions_.weights();
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        if ((flags[i] & kSessionEnded) == 0) {
-            ++load.sessions;
-        }
         const std::uint64_t weight = weights[i];
         if (weight == 0) {
             continue;

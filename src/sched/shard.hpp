@@ -1,7 +1,7 @@
 /**
  * @file
  * One scheduler shard: the complete per-server/per-session scheduling
- * engine previously embedded in the monolithic GlobalScheduler — kernel
+ * engine previously embedded in the monolithic Global Scheduler — kernel
  * creation, execute routing through per-server Local Schedulers, yield
  * conversion, migration on failed elections (§3.2.3), the pre-warmed
  * container pool, replica failure detection (§3.2.5), and the §3.4.2
@@ -111,12 +111,12 @@ class SchedulerShard
 
     /** @name Session-addressed API (routing layer)
      *
-     * The routed sharded driver addresses work by session id and lets the
-     * shard own the session -> kernel binding, so a whole session — its
-     * kernel state, queued work, and bookkeeping — can migrate between
-     * shards at a window boundary without the driver tracking kernel
-     * ids. The static-hash path never calls these, keeping it
-     * byte-identical to the pre-routing implementation.
+     * The prototype engine's driver addresses all work by session id and
+     * lets the shard own the session -> kernel binding, so a whole
+     * session — its kernel state, queued work, and bookkeeping — can
+     * migrate between shards at a window boundary
+     * (sched::SessionRouter::rebalance) without the driver tracking
+     * kernel ids.
      */
     ///@{
     /** One queued cell travelling with a migrating session. */
@@ -179,11 +179,10 @@ class SchedulerShard
     /** Sessions currently bound here (live, not ended). */
     std::size_t session_count() const;
 
-    /** Report this shard's closing-window load — resident sessions and
-     *  summed per-session cell weight into @p load (events are the
-     *  caller's delta), plus one SessionLoad per session that submitted
-     *  work this window — and reset the window counters. Deterministic:
-     *  sessions are visited in id order. */
+    /** Report this shard's closing-window load — summed per-session cell
+     *  weight into @p load, plus one SessionLoad per session that
+     *  submitted work this window — and reset the window counters.
+     *  Deterministic: sessions are visited in id order. */
     void harvest_window_load(ShardLoad& load,
                              std::vector<SessionLoad>& sessions);
     ///@}
@@ -278,11 +277,12 @@ class SchedulerShard
         bool count_created = true;
     };
 
-    /** Session -> kernel binding plus pre-creation buffering (routed
-     *  sharded driver only; empty on the static-hash path). This is the
-     *  cold column of the SoA SessionTable; the hot per-window state
-     *  (window weight, created/failed/ended flags) lives in the table's
-     *  parallel arrays so the boundary scans never touch this record. */
+    /** Session -> kernel binding plus pre-creation buffering (the
+     *  session-addressed API only; kernels started through start_kernel
+     *  have none). This is the cold column of the SoA SessionTable; the
+     *  hot per-window state (window weight, created/failed/ended flags)
+     *  lives in the table's parallel arrays so the boundary scans never
+     *  touch this record. */
     struct SessionRecord
     {
         cluster::KernelId kernel = cluster::kNoKernel;

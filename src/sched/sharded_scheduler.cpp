@@ -9,19 +9,16 @@ namespace nbos::sched {
 ShardedGlobalScheduler::ShardedGlobalScheduler(SchedulerConfig config,
                                                std::uint64_t seed)
     : config_(std::move(config)),
-      table_(config_.shards),
-      policy_(make_routing_policy(config_.routing)),
-      lockstep_(static_cast<std::size_t>(table_.shards()),
+      router_(config_.shards),
+      lockstep_(static_cast<std::size_t>(router_.shards()),
                 config_.shard_parallel)
 {
-    const std::int32_t count = table_.shards();
+    const std::int32_t count = router_.shards();
     shards_.reserve(static_cast<std::size_t>(count));
     for (std::int32_t i = 0; i < count; ++i) {
         shards_.push_back(std::make_unique<ShardUnit>(
             config_, shard_seed(seed, i), ShardIdentity{i, count}));
     }
-    loads_.assign(shards_.size(), ShardLoad{});
-    window_events_.assign(shards_.size(), 0);
 }
 
 ShardedGlobalScheduler::~ShardedGlobalScheduler() = default;
@@ -101,78 +98,6 @@ ShardedGlobalScheduler::inject_replica_failure(cluster::KernelId kernel_id,
 {
     shards_[shard_of_kernel(kernel_id)]->shard.inject_replica_failure(
         kernel_id, index);
-}
-
-std::size_t
-ShardedGlobalScheduler::admit_session(std::int64_t session)
-{
-    const std::int32_t target =
-        policy_->admit(session, table_, loads_);
-    table_.assign(session, target);
-    const auto index = static_cast<std::size_t>(target);
-    loads_[index].sessions += 1;
-    loads_[index].weight += 1;
-    return index;
-}
-
-void
-ShardedGlobalScheduler::begin_session(std::int64_t session,
-                                      const cluster::ResourceSpec& spec)
-{
-    shards_[shard_of(session)]->shard.begin_session(session, spec);
-}
-
-bool
-ShardedGlobalScheduler::submit_session_execute(std::int64_t session,
-                                               std::string code,
-                                               bool is_gpu,
-                                               sim::Time submitted_at,
-                                               ExecuteCallback callback)
-{
-    return shards_[shard_of(session)]->shard.submit_session(
-        session, std::move(code), is_gpu, submitted_at,
-        std::move(callback));
-}
-
-void
-ShardedGlobalScheduler::end_session(std::int64_t session)
-{
-    shards_[shard_of(session)]->shard.end_session(session);
-    table_.forget(session);
-}
-
-std::size_t
-ShardedGlobalScheduler::rebalance_window()
-{
-    // Harvest in shard order: the merged loads (and every decision made
-    // from them) are a pure function of per-shard state, independent of
-    // whether the closing window ran its shards serially or in parallel.
-    std::vector<ShardLoad> loads(shards_.size());
-    std::vector<std::vector<SessionLoad>> sessions(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        shards_[i]->shard.harvest_window_load(loads[i], sessions[i]);
-        const std::uint64_t executed =
-            shards_[i]->simulation.events_executed();
-        loads[i].events = executed - window_events_[i];
-        window_events_[i] = executed;
-    }
-    loads_ = loads;
-    const std::vector<MigrationDecision> plan =
-        policy_->plan(loads, sessions);
-    std::size_t applied = 0;
-    for (const MigrationDecision& move : plan) {
-        SchedulerShard::SessionExtract extract;
-        if (!shards_[static_cast<std::size_t>(move.from)]
-                 ->shard.extract_session(move.session, extract)) {
-            continue;
-        }
-        shards_[static_cast<std::size_t>(move.to)]->shard.adopt_session(
-            std::move(extract));
-        table_.assign(move.session, move.to);
-        ++sessions_rebalanced_;
-        ++applied;
-    }
-    return applied;
 }
 
 std::vector<ShardLoadSample>

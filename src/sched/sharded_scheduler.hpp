@@ -4,17 +4,19 @@
  *
  * N independent SchedulerShards — each with its own sim::Simulation,
  * network, fleet slice, data store, and RNG streams — are driven in
- * lockstep time windows. Sessions are routed to shards by a stable hash
- * of the session id (ShardRouter), kernel ids are allocated in disjoint
- * arithmetic progressions so the owning shard is recoverable from the id
- * alone, and all outward-facing signals (SchedulerStats, scheduler
- * events, autoscaler inputs, latency distributions) are merged
- * deterministically in shard order.
+ * lockstep time windows. The kernel-id API routes sessions to shards by
+ * a stable hash of the session id (ShardRouter), kernel ids are
+ * allocated in disjoint arithmetic progressions so the owning shard is
+ * recoverable from the id alone, and all outward-facing signals
+ * (SchedulerStats, scheduler events, autoscaler inputs, latency
+ * distributions) are merged deterministically in shard order. The
+ * prototype engine's driver (core/protosim.cpp) instead routes whole
+ * sessions with a sched::SessionRouter and addresses shard(i) directly.
  *
  * Because shards share no mutable state, run_until() may execute the
  * shard event loops on parallel threads with results bit-identical to a
  * serial sweep (pinned by determinism_test); SchedulerConfig::shards == 1
- * reduces to exactly the monolithic GlobalScheduler behaviour.
+ * reduces to exactly one SchedulerShard with the default identity.
  */
 #ifndef NBOS_SCHED_SHARDED_SCHEDULER_HPP
 #define NBOS_SCHED_SHARDED_SCHEDULER_HPP
@@ -24,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "sched/routing.hpp"
 #include "sched/scheduler_types.hpp"
 #include "sched/shard.hpp"
 #include "sched/shard_router.hpp"
@@ -40,10 +41,10 @@ class ShardedGlobalScheduler
 
     /**
      * Build `config.shards` shards (throws std::invalid_argument when
-     * config.shards < 1). Shard 0 derives its
-     * RNG streams from @p seed exactly as the monolithic scheduler does,
-     * so shards == 1 is byte-identical to GlobalScheduler; the other
-     * shards mix the shard index into the seed.
+     * config.shards < 1). Shard 0 derives its RNG streams from @p seed
+     * exactly as a lone SchedulerShard does, so shards == 1 is
+     * byte-identical to one; the other shards mix the shard index into
+     * the seed.
      */
     ShardedGlobalScheduler(SchedulerConfig config, std::uint64_t seed);
     ~ShardedGlobalScheduler();
@@ -61,17 +62,12 @@ class ShardedGlobalScheduler
     {
         return static_cast<std::int32_t>(shards_.size());
     }
-    const ShardRouter& router() const { return table_.router(); }
-    /** The routing table (hash fallback + explicit assignments). */
-    const RoutingTable& routing_table() const { return table_; }
-    /** The active routing policy kind (SchedulerConfig::routing). */
-    RoutingPolicyKind routing() const { return policy_->kind(); }
-    /** Shard owning @p session_id. Under `static_hash` (the default, no
-     *  table overrides) this is exactly the pre-routing hash route,
-     *  stable across runs and seeds. */
+    const ShardRouter& router() const { return router_; }
+    /** Shard owning @p session_id: the stable hash route, the same across
+     *  runs and seeds. */
     std::size_t shard_of(std::int64_t session_id) const
     {
-        return table_.shard_of(session_id);
+        return router_.shard_of(session_id);
     }
     /** Shard that allocated @p kernel_id (ids stride over shards). */
     std::size_t shard_of_kernel(cluster::KernelId kernel_id) const;
@@ -104,50 +100,9 @@ class ShardedGlobalScheduler
                                 std::int32_t index);
     ///@}
 
-    /** @name Session-addressed API + rebalancing (routing layer)
-     *
-     * The prototype engine's windowed driver (protosim.cpp) addresses
-     * everything by session id; shards own the session ->
-     * kernel bindings so whole sessions can move. admit_session and
-     * rebalance_window mutate the routing table and therefore run only
-     * on the driving thread between lockstep windows; the per-session
-     * calls follow the same thread contract as the routed API above.
-     */
-    ///@{
-    /** Route a new session via the policy, record the assignment, and
-     *  bump the running load estimate (so a burst of admissions inside
-     *  one window spreads out under `least_loaded`).
-     *  @return the assigned shard. */
-    std::size_t admit_session(std::int64_t session);
-    /** Create the session's kernel on its assigned shard. */
-    void begin_session(std::int64_t session,
-                       const cluster::ResourceSpec& spec);
-    /** Submit a cell addressed by session id to the owning shard.
-     *  @return false when the shard dropped the cell (session unknown,
-     *  ended, or failed) — no callback will ever fire for it. */
-    bool submit_session_execute(std::int64_t session, std::string code,
-                                bool is_gpu, sim::Time submitted_at,
-                                ExecuteCallback callback);
-    /** End a session on its owning shard (drops its table override). */
-    void end_session(std::int64_t session);
-    /**
-     * Close a lockstep window: harvest per-shard loads (shard order),
-     * refresh the admission load vector, and — under `rebalance` — plan
-     * and apply whole-session migrations. The plan is a pure function
-     * of the shard-order-merged loads, so it is identical for parallel
-     * and serial window execution. @return sessions moved.
-     */
-    std::size_t rebalance_window();
-    /** Whole sessions moved across shards so far (not a SchedulerStats
-     *  counter: totals must stay policy-invariant). */
-    std::uint64_t sessions_rebalanced() const
-    {
-        return sessions_rebalanced_;
-    }
     /** Per-shard cumulative load samples (sessions, events, busy
      *  fraction), in shard order; also attached to stats(). */
     std::vector<ShardLoadSample> shard_loads() const;
-    ///@}
 
     /**
      * Advance every shard to time @p t (one lockstep window). With
@@ -208,17 +163,10 @@ class ShardedGlobalScheduler
     };
 
     SchedulerConfig config_;
-    RoutingTable table_;
-    std::unique_ptr<RoutingPolicy> policy_;
+    ShardRouter router_;
     sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<ShardUnit>> shards_;
     sim::Time now_ = 0;
-    /** Merged per-shard loads as of the last boundary, kept current
-     *  across admissions (least_loaded input). */
-    std::vector<ShardLoad> loads_;
-    /** events_executed() high-water mark per shard (window deltas). */
-    std::vector<std::uint64_t> window_events_;
-    std::uint64_t sessions_rebalanced_ = 0;
 };
 
 }  // namespace nbos::sched

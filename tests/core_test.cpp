@@ -1,16 +1,24 @@
 /**
  * @file
  * Tests for the core platform: result helpers, trace-derived series, the
- * billing model, the baseline engines, and both NotebookOS engines.
+ * billing model, the baseline engines, both NotebookOS engines, and the
+ * windowed driver loop they share.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <map>
 
 #include "billing/billing.hpp"
 #include "core/baselines.hpp"
 #include "core/platform.hpp"
 #include "core/results.hpp"
+#include "core/window_driver.hpp"
 #include "harness.hpp"
+#include "sched/routing.hpp"
 #include "workload/generator.hpp"
+#include "workload/session_source.hpp"
 
 namespace nbos::core {
 namespace {
@@ -394,6 +402,132 @@ TEST(ReservationEngineTest, CommittedEqualsReservedShape)
     const auto oracle = oracle_gpu_series(trace);
     EXPECT_GT(results.gpu_hours_committed(),
               1.5 * oracle.integrate_hours(0, trace.makespan));
+}
+
+/** A fake engine for drive_windows: it checks what the loop hands it and
+ *  routes sessions through a least_loaded SessionRouter the way both
+ *  NotebookOS engines do. */
+class RecordingEngine
+{
+  public:
+    explicit RecordingEngine(const workload::Trace& trace)
+    {
+        for (const workload::SessionSpec& session : trace.sessions) {
+            Session& s = sessions_[session.id];
+            s.events = 1;
+            s.last = session.start_time;
+            if (session.end_time < trace.makespan) {
+                ++s.events;
+                s.last = std::max(s.last, session.end_time);
+            }
+            for (const workload::CellTask& task : session.tasks) {
+                ++s.events;
+                s.last = std::max(s.last, task.submit_time);
+            }
+        }
+    }
+
+    void admit(const workload::SessionSpec& session)
+    {
+        EXPECT_EQ(sessions_.at(session.id).admitted++, 0)
+            << "session " << session.id;
+        router_.admit(session.id, session.tasks.size());
+    }
+
+    void inject(const Injection& event)
+    {
+        Session& s = sessions_.at(event.session->id);
+        EXPECT_EQ(s.retired, 0) << "event after retire";
+        ++s.injected;
+        EXPECT_LT(router_.shard_of(event.session->id), 3u);
+    }
+
+    void advance(sim::Time stop) { now_ = stop; }
+    void close_window(sim::Time, bool) {}
+
+    void retire(workload::SessionId id)
+    {
+        Session& s = sessions_.at(id);
+        ++s.retired;
+        // Every event was handed over and the shards ran past the last.
+        EXPECT_EQ(s.injected, s.events) << "session " << id;
+        EXPECT_LE(s.last, now_) << "session " << id;
+        peak_overrides_ =
+            std::max(peak_overrides_, router_.table().overrides());
+        router_.forget(id);
+    }
+
+    void drain(sim::Time) {}
+
+    void expect_each_retired_once() const
+    {
+        for (const auto& [id, s] : sessions_) {
+            EXPECT_EQ(s.admitted, 1) << "session " << id;
+            EXPECT_EQ(s.retired, 1) << "session " << id;
+        }
+    }
+
+    const sched::SessionRouter& router() const { return router_; }
+    std::size_t peak_overrides() const { return peak_overrides_; }
+
+  private:
+    struct Session
+    {
+        int events = 0;
+        sim::Time last = 0;
+        int admitted = 0;
+        int injected = 0;
+        int retired = 0;
+    };
+
+    std::map<workload::SessionId, Session> sessions_;
+    sched::SessionRouter router_{sched::RoutingPolicyKind::kLeastLoaded, 3};
+    sim::Time now_ = 0;
+    std::size_t peak_overrides_ = 0;
+};
+
+/** The windowed driver retires every admitted session exactly once, after
+ *  its last event has run — at every window and on a pinned stride that
+ *  admits ahead — so a router fed through admit/retire ends the run
+ *  holding no overrides. */
+TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
+{
+    workload::Trace trace;
+    trace.name = "retire";
+    trace.makespan = 6 * kHour;
+    sim::Rng rng = test::seeded_rng(9);
+    for (workload::SessionId id = 0; id < 300; ++id) {
+        workload::SessionSpec session;
+        session.id = id;
+        session.start_time = rng.uniform_int(0, 5 * kHour);
+        // Some sessions end mid-trace; the rest outlive it.
+        session.end_time =
+            session.start_time + rng.uniform_int(10 * kMinute, 4 * kHour);
+        const sim::Time busy_until =
+            std::min(session.end_time, trace.makespan);
+        const std::int64_t cells = rng.uniform_int(0, 3);
+        for (std::int32_t seq = 0; seq < cells; ++seq) {
+            workload::CellTask task;
+            task.session = id;
+            task.seq = seq;
+            task.submit_time =
+                rng.uniform_int(session.start_time, busy_until);
+            session.tasks.push_back(task);
+        }
+        trace.sessions.push_back(std::move(session));
+    }
+
+    const sim::Time window = 15 * kMinute;
+    for (const sim::Time stride : {window, 4 * window}) {
+        SCOPED_TRACE("stride " + std::to_string(stride / kMinute) + " min");
+        workload::TraceSessionSource source(trace);
+        SessionFeed feed(source, window);
+        RecordingEngine engine(trace);
+        drive_windows(feed, stride, engine);
+        engine.expect_each_retired_once();
+        EXPECT_GT(engine.peak_overrides(), 0u);
+        EXPECT_EQ(engine.router().table().overrides(), 0u);
+    }
 }
 
 }  // namespace

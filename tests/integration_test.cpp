@@ -13,6 +13,7 @@
 #include "billing/billing.hpp"
 #include "core/platform.hpp"
 #include "harness.hpp"
+#include "sched/shard.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace_io.hpp"
 
@@ -180,7 +181,7 @@ TEST(IntegrationTest, SubscriptionAccountingBalancesAtEnd)
     sim::Simulation simulation;
     sched::SchedulerConfig config =
         core::PlatformConfig::prototype_defaults().scheduler;
-    sched::GlobalScheduler scheduler(simulation, config, 12);
+    sched::SchedulerShard scheduler(simulation, config, 12);
     scheduler.start();
     std::vector<cluster::KernelId> kernels;
     for (const auto& session : trace.sessions) {

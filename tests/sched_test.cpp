@@ -6,16 +6,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sched/autoscaler.hpp"
-#include "sched/global_scheduler.hpp"
 #include "sched/placement.hpp"
 #include "sched/routing.hpp"
+#include "sched/shard.hpp"
 #include "sched/shard_router.hpp"
 #include "sched/sharded_scheduler.hpp"
 #include "sim/lockstep.hpp"
@@ -454,7 +457,7 @@ struct SchedFixture
     void run_for(sim::Time t) { simulation.run_until(simulation.now() + t); }
 
     sim::Simulation simulation;
-    GlobalScheduler scheduler;
+    SchedulerShard scheduler;
 };
 
 TEST(GlobalSchedulerTest, StartsInitialFleet)
@@ -933,13 +936,14 @@ TEST(ShardRouterTest, SpreadsDenseIdsRoughlyEvenly)
     }
 }
 
-/** shards=1 must be the monolithic scheduler, bit for bit: same kernel
- *  ids, same request timestamps, same counters and events. */
+/** shards=1 must be the monolithic scheduler — a lone SchedulerShard with
+ *  the default identity — bit for bit: same kernel ids, same request
+ *  timestamps, same counters and events. */
 TEST(ShardedSchedulerTest, SingleShardMatchesMonolithicBitExact)
 {
     const SchedulerConfig config = SchedFixture::default_config();
     sim::Simulation mono_sim;
-    GlobalScheduler mono(mono_sim, config, 99);
+    SchedulerShard mono(mono_sim, config, 99);
     mono.start();
     SchedulerConfig sharded_config = config;
     sharded_config.shards = 1;
@@ -1112,23 +1116,26 @@ TEST(ShardedSchedulerTest, RoutesSessionsAndMergesAcrossShards)
     EXPECT_EQ(sched.live_kernels(), sessions.size() - 1);
 }
 
-/** `static_hash` through the routing table must be the ShardRouter hash,
- *  bit for bit, at every shard count — this is the equivalence that keeps
- *  every pre-routing golden (and all 18 bench hashes) unchanged. */
-TEST(RoutingTableTest, StaticHashMatchesShardRouterAtEveryShardCount)
+/** `static_hash` and `rebalance` admission through the router must be the
+ *  ShardRouter hash, bit for bit, at every shard count — this is the
+ *  equivalence that keeps every pre-routing golden (and all 21 bench
+ *  hashes) unchanged. */
+TEST(SessionRouterTest, StaticHashMatchesShardRouterAtEveryShardCount)
 {
-    for (const std::int32_t shards : {1, 2, 3, 4, 8, 16}) {
-        const RoutingTable table(shards);
-        const ShardRouter router(shards);
-        const auto policy =
-            make_routing_policy(RoutingPolicyKind::kStaticHash);
-        for (std::int64_t id = 0; id <= 4000; id += 7) {
-            ASSERT_EQ(table.shard_of(id), router.shard_of(id))
-                << "shards=" << shards << " id=" << id;
-            ASSERT_EQ(static_cast<std::size_t>(
-                          policy->admit(id, table, {})),
-                      router.shard_of(id))
-                << "shards=" << shards << " id=" << id;
+    for (const RoutingPolicyKind kind :
+         {RoutingPolicyKind::kStaticHash, RoutingPolicyKind::kRebalance}) {
+        for (const std::int32_t shards : {1, 2, 3, 4, 8, 16}) {
+            SessionRouter router(kind, shards);
+            const ShardRouter hash(shards);
+            for (std::int64_t id = 0; id <= 4000; id += 7) {
+                ASSERT_EQ(router.admit(id, id % 5), hash.shard_of(id))
+                    << to_string(kind) << " shards=" << shards
+                    << " id=" << id;
+                ASSERT_EQ(router.shard_of(id), hash.shard_of(id))
+                    << to_string(kind) << " shards=" << shards
+                    << " id=" << id;
+            }
+            EXPECT_EQ(router.table().overrides(), 0u);
         }
     }
 }
@@ -1167,44 +1174,49 @@ TEST(RoutingTableTest, AssignOverridesHashAndForgetRestoresIt)
     EXPECT_THROW(table.assign(session, -1), std::out_of_range);
 }
 
-TEST(RoutingPolicyTest, NamesRoundTripAndFactoryMatches)
+TEST(SessionRouterTest, NamesRoundTrip)
 {
     for (const RoutingPolicyKind kind :
          {RoutingPolicyKind::kStaticHash, RoutingPolicyKind::kLeastLoaded,
           RoutingPolicyKind::kRebalance}) {
         EXPECT_EQ(routing_policy_from_string(to_string(kind)), kind);
-        EXPECT_EQ(make_routing_policy(kind)->kind(), kind);
+        EXPECT_EQ(SessionRouter(kind, 2).rebalancing(),
+                  kind == RoutingPolicyKind::kRebalance);
     }
     EXPECT_THROW(routing_policy_from_string("round_robin"),
                  std::invalid_argument);
     EXPECT_THROW(routing_policy_from_string(""), std::invalid_argument);
+    EXPECT_THROW(SessionRouter(RoutingPolicyKind::kLeastLoaded, 0),
+                 std::invalid_argument);
 }
 
-TEST(RoutingPolicyTest, LeastLoadedAdmitsToLightestShard)
+/** least_loaded admits to the shard with the least cumulative admitted
+ *  weight; a weight tie goes to the shard with fewer sessions admitted,
+ *  a full tie to the lowest index. Forgetting a session drops its route
+ *  but not its weight. */
+TEST(SessionRouterTest, LeastLoadedTieRulesOnCumulativeWeight)
 {
-    const RoutingTable table(3);
-    const auto policy =
-        make_routing_policy(RoutingPolicyKind::kLeastLoaded);
+    SessionRouter router(RoutingPolicyKind::kLeastLoaded, 2);
+    // A session weighs its cells + 1. Comments: why the pick, then
+    // weight/admitted per shard after it.
+    EXPECT_EQ(router.admit(1, 0), 0u);  // full tie, lowest index: 1/1 0/0
+    EXPECT_EQ(router.admit(2, 2), 1u);  // least weight:           1/1 3/1
+    EXPECT_EQ(router.admit(3, 0), 0u);  // least weight:           2/2 3/1
+    EXPECT_EQ(router.admit(4, 0), 0u);  // least weight:           3/3 3/1
+    EXPECT_EQ(router.admit(5, 1), 1u);  // weight tie, fewer adm.: 3/3 5/2
+    EXPECT_EQ(router.admit(6, 1), 0u);  // least weight:           5/4 5/2
+    EXPECT_EQ(router.admit(7, 0), 1u);  // weight tie, fewer adm.: 5/4 6/3
 
-    std::vector<ShardLoad> loads(3);
-    loads[0].weight = 5;
-    loads[1].weight = 1;
-    loads[2].weight = 7;
-    EXPECT_EQ(policy->admit(42, table, loads), 1);
-
-    // Weight tie: fewer resident sessions wins; full tie: lowest index.
-    loads[1].weight = 5;
-    loads[2].weight = 5;
-    loads[0].sessions = 3;
-    loads[1].sessions = 3;
-    loads[2].sessions = 1;
-    EXPECT_EQ(policy->admit(42, table, loads), 2);
-    loads[2].sessions = 3;
-    EXPECT_EQ(policy->admit(42, table, loads), 0);
-
-    // A load vector of the wrong arity falls back to the hash route.
-    EXPECT_EQ(static_cast<std::size_t>(policy->admit(42, table, {})),
-              table.router().shard_of(42));
+    // Every session routed off its hash shard is an override until the
+    // driver forgets it; forgetting leaves the cumulative weights alone.
+    EXPECT_GT(router.table().overrides(), 0u);
+    for (std::int64_t id = 1; id <= 7; ++id) {
+        router.forget(id);
+        EXPECT_EQ(router.shard_of(id), router.table().router().shard_of(id));
+    }
+    EXPECT_EQ(router.table().overrides(), 0u);
+    EXPECT_EQ(router.admit(8, 0), 0u);  // least weight:           6/5 6/3
+    EXPECT_EQ(router.admit(9, 0), 1u);  // weight tie, fewer adm.: 6/5 7/4
 }
 
 TEST(PlanRebalanceTest, EmptyWhenMonolithicOrBalanced)
@@ -1288,93 +1300,129 @@ TEST(PlanRebalanceTest, PureFunctionOfInputs)
     EXPECT_FALSE(a.empty());
 }
 
+/** Two shards driven the way the prototype engine's driver does: a
+ *  `rebalance` SessionRouter admits sessions and moves them at window
+ *  boundaries, and cells go to the owning shard's session API. */
+struct RoutedShards
+{
+    RoutedShards() : sched(make_config(), 99)
+    {
+        sched.start();
+        // Two sessions that hash to the same shard: a guaranteed
+        // imbalance for the planner to fix.
+        for (std::int64_t id = 1; sessions.size() < 2; ++id) {
+            if (sched.router().shard_of(id) == 0) {
+                sessions.push_back(id);
+            }
+        }
+        for (const std::int64_t session : sessions) {
+            EXPECT_EQ(router.admit(session, 1), 0u);
+            sched.shard(0).begin_session(session, kernel_request(2));
+        }
+        sched.run_until(240 * sim::kSecond);
+    }
+
+    static SchedulerConfig
+    make_config()
+    {
+        SchedulerConfig config = SchedFixture::default_config();
+        config.initial_servers = 8;
+        config.shards = 2;
+        config.shard_parallel = false;  // callbacks write shared test state
+        return config;
+    }
+
+    /** Submit a cell to @p session's current owner. */
+    bool
+    submit(std::int64_t session, const std::string& code,
+           SchedulerShard::ExecuteCallback callback)
+    {
+        return sched.shard(router.shard_of(session))
+            .submit_session(session, code, true, sched.now(),
+                            std::move(callback));
+    }
+
+    std::size_t
+    rebalance()
+    {
+        return router.rebalance([this](std::size_t i) -> SchedulerShard& {
+            return sched.shard(i);
+        });
+    }
+
+    /** The session the last rebalance moved off shard 0. */
+    std::int64_t
+    moved() const
+    {
+        return router.shard_of(sessions[0]) == 1 ? sessions[0] : sessions[1];
+    }
+
+    ShardedGlobalScheduler sched;
+    SessionRouter router{RoutingPolicyKind::kRebalance, 2};
+    std::vector<std::int64_t> sessions;
+};
+
 /** Window-boundary migration end to end on the real scheduler shards: a
  *  whole session (kernel, checkpointed state, pending work) moves to the
  *  other shard, its interpreter state survives the move, every submitted
- *  cell completes exactly once, and the routing table tracks the new
- *  owner until the session ends. */
+ *  cell completes exactly once, and the router tracks the new owner until
+ *  the session is forgotten. */
 TEST(ShardedSchedulerTest, RebalanceMigratesSessionKeepingState)
 {
-    SchedulerConfig config = SchedFixture::default_config();
-    config.initial_servers = 8;
-    config.shards = 2;
-    config.shard_parallel = false;  // callbacks write shared test state
-    config.routing = RoutingPolicyKind::kRebalance;
-    ShardedGlobalScheduler sched(config, 99);
-    sched.start();
-
-    // Two sessions that hash to the same shard: a guaranteed imbalance
-    // for the planner to fix.
-    std::vector<std::int64_t> sessions;
-    for (std::int64_t id = 1; sessions.size() < 2; ++id) {
-        if (sched.router().shard_of(id) == 0) {
-            sessions.push_back(id);
-        }
-    }
-    for (const std::int64_t session : sessions) {
-        EXPECT_EQ(sched.admit_session(session), 0u);
-        sched.begin_session(session, kernel_request(2));
-    }
-    sched.run_until(240 * sim::kSecond);
-    EXPECT_EQ(sched.shard(0).session_count(), 2u);
-    EXPECT_EQ(sched.shard(1).session_count(), 0u);
+    RoutedShards f;
+    EXPECT_EQ(f.sched.shard(0).session_count(), 2u);
+    EXPECT_EQ(f.sched.shard(1).session_count(), 0u);
 
     // One completed cell per session gives each a window weight of 1.
     std::map<std::int64_t, int> completions;
-    auto submit = [&](std::int64_t session, const std::string& code) {
-        ASSERT_TRUE(sched.submit_session_execute(
-            session, code, true, sched.now(),
+    for (const std::int64_t session : f.sessions) {
+        ASSERT_TRUE(f.submit(
+            session, "counter = 1\ngpu_compute(1)",
             [&completions, session](const kernel::ExecutionResult& r,
                                     const RequestTrace&) {
                 EXPECT_EQ(r.status, kernel::ExecutionStatus::kOk);
                 ++completions[session];
             }));
-    };
-    for (const std::int64_t session : sessions) {
-        submit(session, "counter = 1\ngpu_compute(1)");
     }
-    sched.run_until(sched.now() + 300 * sim::kSecond);
+    f.sched.run_until(f.sched.now() + 300 * sim::kSecond);
 
     // Close the window: 2/0 splits to 1/1 by moving exactly one session.
-    EXPECT_EQ(sched.rebalance_window(), 1u);
-    EXPECT_EQ(sched.sessions_rebalanced(), 1u);
-    EXPECT_EQ(sched.shard(0).session_count(), 1u);
-    EXPECT_EQ(sched.shard(1).session_count(), 1u);
-    EXPECT_EQ(sched.routing_table().overrides(), 1u);
-
-    // The moved session is whichever no longer routes to shard 0.
-    const std::int64_t moved =
-        sched.shard_of(sessions[0]) == 1 ? sessions[0] : sessions[1];
-    EXPECT_EQ(sched.shard_of(moved), 1u);
-    sched.run_until(sched.now() + 300 * sim::kSecond);
+    EXPECT_EQ(f.rebalance(), 1u);
+    EXPECT_EQ(f.router.sessions_rebalanced(), 1u);
+    EXPECT_EQ(f.sched.shard(0).session_count(), 1u);
+    EXPECT_EQ(f.sched.shard(1).session_count(), 1u);
+    EXPECT_EQ(f.router.table().overrides(), 1u);
+    const std::int64_t moved = f.moved();
+    EXPECT_EQ(f.router.shard_of(moved), 1u);
+    f.sched.run_until(f.sched.now() + 300 * sim::kSecond);
 
     // State survives the move: the migrated kernel still sees `counter`.
     bool checked = false;
-    ASSERT_TRUE(sched.submit_session_execute(
+    ASSERT_TRUE(f.submit(
         moved, "counter = counter + 1\nprint(counter)\ngpu_compute(1)",
-        true, sched.now(),
         [&checked](const kernel::ExecutionResult& r, const RequestTrace&) {
             EXPECT_EQ(r.status, kernel::ExecutionStatus::kOk);
             EXPECT_EQ(r.output, "2\n");
             checked = true;
         }));
-    sched.run_until(sched.now() + 300 * sim::kSecond);
+    f.sched.run_until(f.sched.now() + 300 * sim::kSecond);
     EXPECT_TRUE(checked);
 
     // No lost or duplicated cells across the migration.
-    for (const std::int64_t session : sessions) {
+    for (const std::int64_t session : f.sessions) {
         EXPECT_EQ(completions[session], 1) << "session " << session;
     }
 
-    // Ending the migrated session drops its override.
-    sched.end_session(moved);
-    sched.run_until(sched.now() + 60 * sim::kSecond);
-    EXPECT_EQ(sched.routing_table().overrides(), 0u);
-    EXPECT_EQ(sched.shard(1).session_count(), 0u);
+    // Ending the migrated session and forgetting it drops its override.
+    f.sched.shard(1).end_session(moved);
+    f.sched.run_until(f.sched.now() + 60 * sim::kSecond);
+    f.router.forget(moved);
+    EXPECT_EQ(f.router.table().overrides(), 0u);
+    EXPECT_EQ(f.sched.shard(1).session_count(), 0u);
 
     // Merged totals stay policy-invariant: 2 kernels, 3 completions.
-    EXPECT_EQ(sched.stats().kernels_created, 2u);
-    EXPECT_EQ(sched.stats().executions_completed, 3u);
+    EXPECT_EQ(f.sched.stats().kernels_created, 2u);
+    EXPECT_EQ(f.sched.stats().executions_completed, 3u);
 }
 
 /** A cell submitted while the session is mid-migration (extracted but
@@ -1382,60 +1430,40 @@ TEST(ShardedSchedulerTest, RebalanceMigratesSessionKeepingState)
  *  the shard buffers instead of dropping. */
 TEST(ShardedSchedulerTest, BufferedWorkTravelsWithMigratedSession)
 {
-    SchedulerConfig config = SchedFixture::default_config();
-    config.initial_servers = 8;
-    config.shards = 2;
-    config.shard_parallel = false;
-    config.routing = RoutingPolicyKind::kRebalance;
-    ShardedGlobalScheduler sched(config, 99);
-    sched.start();
-
-    std::vector<std::int64_t> sessions;
-    for (std::int64_t id = 1; sessions.size() < 2; ++id) {
-        if (sched.router().shard_of(id) == 0) {
-            sessions.push_back(id);
-        }
-    }
-    for (const std::int64_t session : sessions) {
-        sched.admit_session(session);
-        sched.begin_session(session, kernel_request(2));
-    }
-    sched.run_until(240 * sim::kSecond);
-
+    RoutedShards f;
     std::map<std::int64_t, int> completions;
-    for (const std::int64_t session : sessions) {
-        ASSERT_TRUE(sched.submit_session_execute(
-            session, "x = 7\ngpu_compute(1)", true, sched.now(),
+    for (const std::int64_t session : f.sessions) {
+        ASSERT_TRUE(f.submit(
+            session, "x = 7\ngpu_compute(1)",
             [&completions, session](const kernel::ExecutionResult& r,
                                     const RequestTrace&) {
                 EXPECT_EQ(r.status, kernel::ExecutionStatus::kOk);
                 ++completions[session];
             }));
     }
-    sched.run_until(sched.now() + 300 * sim::kSecond);
-    ASSERT_EQ(sched.rebalance_window(), 1u);
-    const std::int64_t moved =
-        sched.shard_of(sessions[0]) == 1 ? sessions[0] : sessions[1];
+    f.sched.run_until(f.sched.now() + 300 * sim::kSecond);
+    ASSERT_EQ(f.rebalance(), 1u);
+    const std::int64_t moved = f.moved();
 
     // Submit to the moved session *before* advancing time: the adopted
     // kernel is still re-electing on its new shard, so the cell lands in
     // the session buffer and drains when the kernel comes up.
-    ASSERT_TRUE(sched.submit_session_execute(
-        moved, "x = x + 1\nprint(x)\ngpu_compute(1)", true, sched.now(),
+    ASSERT_TRUE(f.submit(
+        moved, "x = x + 1\nprint(x)\ngpu_compute(1)",
         [&completions, moved](const kernel::ExecutionResult& r,
                               const RequestTrace&) {
             EXPECT_EQ(r.status, kernel::ExecutionStatus::kOk);
             EXPECT_EQ(r.output, "8\n");
             ++completions[moved];
         }));
-    sched.run_until(sched.now() + 600 * sim::kSecond);
+    f.sched.run_until(f.sched.now() + 600 * sim::kSecond);
     EXPECT_EQ(completions[moved], 2);
 
     // Submitting to an ended session is refused, not silently dropped.
-    sched.end_session(moved);
-    sched.run_until(sched.now() + 60 * sim::kSecond);
-    EXPECT_FALSE(sched.submit_session_execute(
-        moved, "gpu_compute(1)", true, sched.now(),
+    f.sched.shard(1).end_session(moved);
+    f.sched.run_until(f.sched.now() + 60 * sim::kSecond);
+    EXPECT_FALSE(f.submit(
+        moved, "gpu_compute(1)",
         [](const kernel::ExecutionResult&, const RequestTrace&) {
             FAIL() << "callback for a dropped cell";
         }));
