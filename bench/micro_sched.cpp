@@ -4,11 +4,14 @@
  * Scheduler at shards ∈ {1, 2, 4, 8}.
  *
  * An identical synthetic session workload (dense session ids, so the
- * ShardRouter spreads them) is run at each shard count; the timed phase
- * is one big lockstep window over the cell-execution horizon, during
- * which each shard's event loop runs on its own thread. On a multi-core
- * host the events/sec rate should scale with the shard count (the
- * sharding PR's acceptance bar is >= 1.5x at shards=4).
+ * ShardRouter spreads them) is run at each shard count on plain
+ * SchedulerShards, built the way the prototype engine's driver builds
+ * them: each on its own simulation, with sched::shard_seed and its
+ * ShardIdentity. A session's kernel and cells go to its hash shard. The
+ * timed phase is one big lockstep window over the cell-execution horizon,
+ * during which each shard's event loop runs on its own thread. On a
+ * multi-core host the events/sec rate should scale with the shard count
+ * (the sharding acceptance bar is >= 1.5x at shards=4).
  *
  * Output convention: the table rows are fully deterministic (same seed ->
  * same kernels/executions/event counts) and are hashed by the CI bench
@@ -17,15 +20,33 @@
  */
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sched/sharded_scheduler.hpp"
+#include "sched/shard.hpp"
+#include "sched/shard_router.hpp"
+#include "sim/lockstep.hpp"
 
 namespace {
 
 using namespace nbos;
+
+/** One shard and the event loop it runs on. */
+struct ShardUnit
+{
+    ShardUnit(const sched::SchedulerConfig& config, std::int32_t index)
+        : simulation(sim::Simulation::Options{
+              true, &sim::SimMemoryPool::global()}),
+          shard(simulation, config, sched::shard_seed(bench::kSeed, index),
+                sched::ShardIdentity{index, config.shards})
+    {
+    }
+
+    sim::Simulation simulation;
+    sched::SchedulerShard shard;
+};
 
 struct ShardRunResult
 {
@@ -52,8 +73,27 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
     config.kernel.raft.heartbeat_interval = 50 * sim::kMillisecond;
     config.kernel.raft.snapshot_threshold = 16;
 
-    sched::ShardedGlobalScheduler scheduler(config, bench::kSeed);
-    scheduler.start();
+    std::vector<std::unique_ptr<ShardUnit>> units;
+    for (std::int32_t i = 0; i < shards; ++i) {
+        units.push_back(std::make_unique<ShardUnit>(config, i));
+    }
+    for (const auto& unit : units) {
+        unit->shard.start();
+    }
+    const sched::ShardRouter router(shards);
+    sim::Lockstep lockstep(units.size(), config.shard_parallel);
+    const auto run_until = [&](sim::Time t) {
+        lockstep.run([&units, t](std::size_t i) {
+            units[i]->simulation.run_until(t);
+        });
+    };
+    const auto events_executed = [&units] {
+        std::uint64_t total = 0;
+        for (const auto& unit : units) {
+            total += unit->simulation.events_executed();
+        }
+        return total;
+    };
 
     // Kernel creation phase (untimed). Callbacks may fire on shard
     // threads, so each writes only its own pre-sized slot.
@@ -62,17 +102,15 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
     const cluster::ResourceSpec spec{4000, 16384, 1, 16.0};
     for (std::int64_t session = 0; session < sessions; ++session) {
         const auto slot = static_cast<std::size_t>(session);
-        scheduler.start_kernel(session + 1, spec,
-                               [&kernels, slot](cluster::KernelId id,
-                                                bool ok) {
-                                   kernels[slot] =
-                                       ok ? id : cluster::kNoKernel;
-                               });
+        units[router.shard_of(session + 1)]->shard.start_kernel(
+            spec, [&kernels, slot](cluster::KernelId id, bool ok) {
+                kernels[slot] = ok ? id : cluster::kNoKernel;
+            });
     }
-    scheduler.run_until(300 * sim::kSecond);
+    run_until(300 * sim::kSecond);
 
     // Cell schedule: staggered GPU cells, spaced so a session's cells
-    // never overlap. Completion is read from the merged stats afterwards
+    // never overlap. Completion is read from the summed stats afterwards
     // (no shared counters across shard threads).
     sim::Time horizon = 300 * sim::kSecond;
     for (std::int64_t session = 0; session < sessions; ++session) {
@@ -80,42 +118,45 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
         if (kernels[slot] == cluster::kNoKernel) {
             continue;
         }
-        const std::size_t shard = scheduler.shard_of(session + 1);
+        ShardUnit* unit = units[router.shard_of(session + 1)].get();
         for (std::int64_t cell = 0; cell < cells; ++cell) {
             const sim::Time at = 300 * sim::kSecond +
                                  cell * 45 * sim::kSecond +
                                  (session % 7) * 3 * sim::kSecond;
             horizon = std::max(horizon, at);
             const cluster::KernelId kernel_id = kernels[slot];
-            sched::ShardedGlobalScheduler* sched_ptr = &scheduler;
-            scheduler.simulation(shard).schedule_at(
-                at, [sched_ptr, kernel_id] {
-                    sched_ptr->submit_execute(
-                        kernel_id, "gpu_compute(4)", true,
-                        sched_ptr
-                            ->simulation(sched_ptr->shard_of_kernel(
-                                kernel_id))
-                            .now(),
-                        [](const kernel::ExecutionResult&,
-                           const sched::RequestTrace&) {});
-                });
+            unit->simulation.schedule_at(at, [unit, kernel_id] {
+                unit->shard.submit_execute(
+                    kernel_id, "gpu_compute(4)", true,
+                    unit->simulation.now(),
+                    [](const kernel::ExecutionResult&,
+                       const sched::RequestTrace&) {});
+            });
         }
     }
 
     // Timed phase: one lockstep window across the whole execution
     // horizon plus a drain tail — the multi-core hot loop.
-    const std::uint64_t events_before = scheduler.events_executed();
+    const std::uint64_t events_before = events_executed();
     const auto wall_start = std::chrono::steady_clock::now();
-    scheduler.run_until(horizon + 300 * sim::kSecond);
+    run_until(horizon + 300 * sim::kSecond);
     const auto wall_end = std::chrono::steady_clock::now();
 
+    sched::SchedulerStats stats;
+    for (const auto& unit : units) {
+        stats += unit->shard.stats();
+        if (shards > 1) {
+            stats.shard_loads.push_back(
+                sched::ShardLoadSample{unit->simulation.events_executed()});
+        }
+    }
     ShardRunResult result;
-    result.kernels = scheduler.stats().kernels_created;
-    result.executions = scheduler.stats().executions_completed;
-    result.timed_events = scheduler.events_executed() - events_before;
+    result.kernels = stats.kernels_created;
+    result.executions = stats.executions_completed;
+    result.timed_events = events_executed() - events_before;
     result.seconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
-    result.imbalance = scheduler.stats().shard_imbalance();
+    result.imbalance = stats.shard_imbalance();
     return result;
 }
 

@@ -109,15 +109,22 @@ Cluster::total_committed_millicpus() const
 }
 
 double
-Cluster::cluster_subscription_ratio(std::int32_t replicas_per_kernel) const
+subscription_ratio(std::int64_t subscribed_gpus, std::int64_t total_gpus,
+                   std::int32_t replicas_per_kernel)
 {
-    const std::int32_t gpus = total_gpus();
-    if (gpus <= 0 || replicas_per_kernel <= 0) {
+    if (total_gpus <= 0 || replicas_per_kernel < 1) {
         return 0.0;
     }
-    return static_cast<double>(total_subscribed_gpus()) /
-           (static_cast<double>(gpus) *
+    return static_cast<double>(subscribed_gpus) /
+           (static_cast<double>(total_gpus) *
             static_cast<double>(replicas_per_kernel));
+}
+
+double
+Cluster::cluster_subscription_ratio(std::int32_t replicas_per_kernel) const
+{
+    return subscription_ratio(total_subscribed_gpus(), total_gpus(),
+                              replicas_per_kernel);
 }
 
 PrewarmPool::PrewarmPool(std::int32_t target_per_server)

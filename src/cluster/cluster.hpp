@@ -16,6 +16,15 @@
 namespace nbos::cluster {
 
 /**
+ * The subscription ratio sum(S) / (sum(G) * R) (§3.4.1) of a fleet with
+ * @p subscribed_gpus subscribed over @p total_gpus; 0 when the fleet has
+ * no GPUs or R < 1. A sharded run passes its fleet-wide sums.
+ */
+double subscription_ratio(std::int64_t subscribed_gpus,
+                          std::int64_t total_gpus,
+                          std::int32_t replicas_per_kernel);
+
+/**
  * Registry of GPU servers. Servers can be added (scale-out) and removed
  * (scale-in) at runtime.
  *
@@ -120,10 +129,7 @@ class Cluster
     /** Total committed millicpus across all servers. */
     std::int64_t total_committed_millicpus() const;
 
-    /**
-     * Cluster-wide subscription-ratio limit, sum(S) / (sum(G) * R)
-     * (§3.4.1); 0 when the cluster is empty.
-     */
+    /** This fleet's subscription_ratio(sum(S), sum(G), R). */
     double cluster_subscription_ratio(std::int32_t replicas_per_kernel) const;
 
     /** The default server shape for scale-out. */

@@ -185,6 +185,21 @@ validate_config(const PlatformConfig& config)
     if (config.scheduler.shards < 1) {
         return "scheduler.shards must be >= 1";
     }
+    // Both NotebookOS engines divide by the autoscaler window or re-arm
+    // these periodic services at the same instant, and a kernel with no
+    // replicas cannot be placed.
+    if (config.scheduler.autoscale_interval <= 0) {
+        return "scheduler.autoscale_interval must be positive";
+    }
+    if (config.scheduler.health_check_interval <= 0) {
+        return "scheduler.health_check_interval must be positive";
+    }
+    if (config.scheduler.prewarm_check_interval <= 0) {
+        return "scheduler.prewarm_check_interval must be positive";
+    }
+    if (config.scheduler.kernel.replica_count < 1) {
+        return "scheduler.kernel.replica_count must be >= 1";
+    }
     if (config.scheduler.chaos.enabled && config.fast_mode) {
         return "chaos requires the discrete-event prototype engine; the "
                "fast analytic engine has no network or replicas to break";

@@ -15,24 +15,26 @@
  * windowed driver loop and merges their results.
  */
 #include <algorithm>
-#include <memory>
+#include <string>
 
 #include "core/fastsim_engine.hpp"
 #include "sched/autoscaler.hpp"
 
 namespace nbos::core {
 
-FastEngineShard::FastEngineShard(FastShardPlan plan,
-                                 const PlatformConfig& config)
-    : plan_(std::move(plan)),
-      config_(config),
+FastEngineShard::FastEngineShard(const PlatformConfig& config,
+                                 sim::Time makespan, std::uint64_t seed,
+                                 sched::ShardIdentity identity)
+    : config_(config),
+      makespan_(makespan),
+      identity_(identity),
       // Recycle simulation buffers across shard runs: a sweep constructs
       // one shard per spec and the cold-page faults dominated re-runs.
       simulation_(sim::Simulation::Options{
           true, &sim::SimMemoryPool::global()}),
-      rng_(plan_.seed),
+      rng_(seed),
       store_(simulation_, config.scheduler.store_backend,
-             sim::Rng(plan_.seed ^ 0x2545f491)),
+             sim::Rng(seed ^ 0x2545f491)),
       cluster_(config.scheduler.server_shape),
       placement_(config.scheduler.sr_watermark),
       prewarm_(config.scheduler.prewarm_per_server),
@@ -44,7 +46,9 @@ FastEngineShard::FastEngineShard(FastShardPlan plan,
 void
 FastEngineShard::start()
 {
-    for (std::int32_t i = 0; i < plan_.initial_servers; ++i) {
+    const std::int32_t initial =
+        identity_.share_of(config_.scheduler.initial_servers);
+    for (std::int32_t i = 0; i < initial; ++i) {
         add_server();
     }
     schedule_tick();
@@ -155,7 +159,6 @@ FastEngineShard::start_session(const workload::SessionSpec& session)
     FastKernel& kernel = kernel_at(session.id);
     kernel.session = session.id;
     kernel.spec = session.resources;
-    ++live_sessions_;
     place_kernel(session.id);
 }
 
@@ -206,7 +209,6 @@ void
 FastEngineShard::end_session(const workload::SessionSpec& session)
 {
     FastKernel& kernel = kernel_at(session.id);
-    --live_sessions_;
     if (!kernel.alive) {
         pending_kernels_.erase(session.id);
         return;
@@ -407,7 +409,6 @@ FastEngineShard::migrate_and_run(std::size_t index,
             : (results_.sched_stats.cold_starts += 1,
                sample(config_.scheduler.timings.cold_start_min,
                       config_.scheduler.timings.cold_start_max));
-    auto stage = std::make_shared<sim::Time>(0);
     const std::string key =
         "kernel/" + std::to_string(session_id) + "/checkpoint";
     store_.write(key, 8ULL << 20, [this, index, session_id, target,
@@ -439,7 +440,6 @@ FastEngineShard::migrate_and_run(std::size_t index,
             });
         });
     });
-    (void)stage;
 }
 
 void
@@ -467,7 +467,7 @@ FastEngineShard::schedule_tick()
     simulation_.schedule_after(
         config_.scheduler.autoscale_interval, [this] {
             tick();
-            if (simulation_.now() < plan_.makespan) {
+            if (simulation_.now() < makespan_) {
                 schedule_tick();
             }
         });
@@ -587,7 +587,6 @@ FastEngineShard::extract_session(workload::SessionId id, SessionExtract& out)
         }
     }
     kernels_.erase(id);
-    --live_sessions_;
     return true;
 }
 
@@ -605,7 +604,6 @@ FastEngineShard::adopt_session(const SessionExtract& extract)
     kernel.window_tasks = 0;
     // Already counted on the shard that first placed it.
     kernel.counted = true;
-    ++live_sessions_;
     place_kernel(extract.session);
 }
 

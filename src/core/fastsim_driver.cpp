@@ -21,7 +21,6 @@
  */
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -50,18 +49,11 @@ class FastRun
           lockstep_(static_cast<std::size_t>(config.scheduler.shards),
                     config.scheduler.shard_parallel)
     {
-        // Round-robin split of the initial fleet (shares differ by at
-        // most one server) and per-shard seeds (shard 0 keeps the
-        // caller's).
         const std::int32_t count = config.scheduler.shards;
-        const std::int32_t base = config.scheduler.initial_servers / count;
-        const std::int32_t extra = config.scheduler.initial_servers % count;
         for (std::int32_t i = 0; i < count; ++i) {
-            FastShardPlan plan;
-            plan.makespan = makespan_;
-            plan.initial_servers = base + (i < extra ? 1 : 0);
-            plan.seed = sched::shard_seed(config.seed, i);
-            shards_.push_back(std::make_unique<FastEngineShard>(plan, config));
+            shards_.push_back(std::make_unique<FastEngineShard>(
+                config, makespan_, sched::shard_seed(config.seed, i),
+                sched::ShardIdentity{i, count}));
             shards_.back()->start();
         }
     }
@@ -123,69 +115,24 @@ class FastRun
     std::vector<std::unique_ptr<FastEngineShard>> shards_;
 };
 
-/** Deterministic cross-shard merge, always in shard order. Consumes the
- *  shards' results (finish()). */
+/** Merge the shards' results (finish() consumes them) in shard order. */
 RunResponse
 FastRun::finish()
 {
-    RunResponse response;
+    std::vector<ExperimentResults> parts;
+    std::vector<std::uint64_t> shard_events;
+    parts.reserve(shards_.size());
+    for (const auto& shard : shards_) {
+        shard_events.push_back(shard->events_executed());
+        parts.push_back(shard->finish());
+    }
+    RunResponse response = merge_shards(std::move(parts), shard_events);
     ExperimentResults& results = response.results;
     results.policy = Policy::kNotebookOS;
     results.trace_name = trace_name_;
     results.makespan = makespan_;
-
-    for (const auto& shard : shards_) {
-        response.shard_events.push_back(shard->events_executed());
-        response.events_executed += shard->events_executed();
-    }
     response.shard_busy_seconds = lockstep_.busy_seconds();
     response.sessions_rebalanced = router_.sessions_rebalanced();
-
-    std::vector<ExperimentResults> parts;
-    parts.reserve(shards_.size());
-    std::size_t total_tasks = 0;
-    std::vector<std::vector<sched::SchedulerEvent>> shard_events;
-    shard_events.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-        ExperimentResults& part = parts.emplace_back(shard->finish());
-        total_tasks += part.tasks.size();
-        shard_events.push_back(std::move(part.events));
-        results.sched_stats += part.sched_stats;
-        results.read_ms.add_all(part.read_ms.sorted());
-        results.write_ms.add_all(part.write_ms.sorted());
-        results.store_bytes_written += part.store_bytes_written;
-    }
-    results.events = sched::merge_events(shard_events);
-
-    // Tasks: each shard's outcomes are already in (submit, session, seq)
-    // order, so one shard's vector is the answer as it stands. Several
-    // are appended into shard 0's vector, each freed once moved, and
-    // ordered in place — one copy of the tasks at a time.
-    results.tasks = std::move(parts.front().tasks);
-    results.tasks.reserve(total_tasks);
-    for (std::size_t i = 1; i < parts.size(); ++i) {
-        std::vector<TaskOutcome> part = std::move(parts[i].tasks);
-        std::move(part.begin(), part.end(),
-                  std::back_inserter(results.tasks));
-    }
-    sort_tasks(results.tasks);
-
-    // Per-shard load telemetry (shard order), as the prototype's
-    // ShardedGlobalScheduler::stats() reports it: only a sharded run has
-    // a shard view.
-    if (shards_.size() > 1) {
-        for (const auto& shard : shards_) {
-            sched::ShardLoadSample sample;
-            sample.sessions = shard->live_sessions();
-            sample.events = shard->events_executed();
-            sample.busy_fraction =
-                response.events_executed == 0
-                    ? 0.0
-                    : static_cast<double>(sample.events) /
-                          static_cast<double>(response.events_executed);
-            results.sched_stats.shard_loads.push_back(sample);
-        }
-    }
 
     // Fleet timeline: sum the per-shard (time, ±gpus) deltas into one
     // step series. Equal-time deltas collapse into a single sample whose
@@ -198,8 +145,7 @@ FastRun::finish()
     results.provisioned_gpus = series_from_deltas(std::move(gpu_deltas));
 
     // Subscription ratio: every shard ticks on the same grid, so samples
-    // merge positionally into sum(S) / (sum(G) * R) — the same formula
-    // Cluster::cluster_subscription_ratio applies to one fleet.
+    // merge positionally into the fleet-wide ratio.
     const std::vector<FastTickSample>& grid =
         shards_.front()->tick_samples();
     for (const auto& shard : shards_) {
@@ -208,8 +154,6 @@ FastRun::finish()
                 "fast engine: shard tick sample counts diverged");
         }
     }
-    const std::int32_t replicas =
-        std::max<std::int32_t>(1, config_.scheduler.kernel.replica_count);
     for (std::size_t k = 0; k < grid.size(); ++k) {
         std::int64_t subscribed = 0;
         std::int64_t gpus = 0;
@@ -218,12 +162,10 @@ FastRun::finish()
             subscribed += sample.subscribed_gpus;
             gpus += sample.total_gpus;
         }
-        const double ratio =
-            gpus <= 0 ? 0.0
-                      : static_cast<double>(subscribed) /
-                            (static_cast<double>(gpus) *
-                             static_cast<double>(replicas));
-        results.subscription_ratio.record(grid[k].time, ratio);
+        results.subscription_ratio.record(
+            grid[k].time,
+            cluster::subscription_ratio(
+                subscribed, gpus, config_.scheduler.kernel.replica_count));
     }
 
     finalize_tasks(results);

@@ -25,22 +25,13 @@
 #include "sched/placement.hpp"
 #include "sched/routing.hpp"
 #include "sched/session_table.hpp"
+#include "sched/shard_router.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "storage/datastore.hpp"
 #include "workload/trace.hpp"
 
 namespace nbos::core {
-
-/** Everything one fast shard needs to know about its slice of the run. */
-struct FastShardPlan
-{
-    sim::Time makespan = 0;
-    /** This shard's share of SchedulerConfig::initial_servers. */
-    std::int32_t initial_servers = 0;
-    /** Per-shard seed (sched::shard_seed; shard 0 = the caller's seed). */
-    std::uint64_t seed = 1;
-};
 
 /** One fleet-wide autoscaler-signal sample taken at a tick. Tick times are
  *  a pure function of (autoscale_interval, makespan), so every shard
@@ -67,7 +58,12 @@ struct FastTickSample
 class FastEngineShard
 {
   public:
-    FastEngineShard(FastShardPlan plan, const PlatformConfig& config);
+    /** @param makespan the trace's; autoscaler ticks stop after it.
+     *  @param seed this shard's seed (sched::shard_seed).
+     *  @param identity its position, which fixes its share of
+     *         SchedulerConfig::initial_servers. */
+    FastEngineShard(const PlatformConfig& config, sim::Time makespan,
+                    std::uint64_t seed, sched::ShardIdentity identity);
 
     FastEngineShard(const FastEngineShard&) = delete;
     FastEngineShard& operator=(const FastEngineShard&) = delete;
@@ -108,9 +104,6 @@ class FastEngineShard
     {
         return tick_samples_;
     }
-
-    /** Sessions started and not yet ended or extracted here. */
-    std::int64_t live_sessions() const { return live_sessions_; }
 
     /** @name Rebalancing (routing layer, `rebalance` policy only)
      *
@@ -194,8 +187,9 @@ class FastEngineShard
     void tick();
     void finalize();
 
-    FastShardPlan plan_;
     PlatformConfig config_;
+    sim::Time makespan_;
+    sched::ShardIdentity identity_;
     sim::Simulation simulation_;
     sim::Rng rng_;
     storage::DataStore store_;
@@ -223,7 +217,6 @@ class FastEngineShard
     std::deque<Injection> queued_;
     /** End of the next window advance() runs to. */
     sim::Time next_window_ = 0;
-    std::int64_t live_sessions_ = 0;
     std::int32_t provisioning_ = 0;
     /** Previous cluster_.total_gpus(), for delta-form fleet recording. */
     double last_total_gpus_ = 0.0;

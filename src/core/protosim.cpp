@@ -1,8 +1,9 @@
 /**
  * @file
  * The discrete-event prototype NotebookOS engine (§5.2): Raft-replicated
- * kernels, executor elections, and the Global/Local schedulers, run over
- * sched::ShardedGlobalScheduler shards by the shared windowed driver.
+ * kernels, executor elections, and the Global/Local schedulers, run as
+ * SchedulerConfig::shards sched::SchedulerShards, each on its own
+ * sim::Simulation, by the shared windowed driver.
  *
  * Windows follow the PlatformConfig::sample_interval grid. Sessions are
  * routed by a sched::SessionRouter, the same router the fast driver
@@ -14,8 +15,9 @@
  *
  * Determinism: admission and the rebalance plan are pure functions of
  * the admitted sessions and shard-order-merged loads, events are injected
- * in the feed's canonical order, and every cross-shard merge walks shards
- * in index order, so parallel windows are bit-identical to serial ones.
+ * in the feed's canonical order, and every cross-shard sum walks shards
+ * in index order (finish() through core::merge_shards), so parallel
+ * windows are bit-identical to serial ones.
  */
 #include <cstdint>
 #include <memory>
@@ -24,7 +26,8 @@
 #include <vector>
 
 #include "core/window_driver.hpp"
-#include "sched/sharded_scheduler.hpp"
+#include "sched/shard.hpp"
+#include "sim/lockstep.hpp"
 
 namespace nbos::core {
 namespace {
@@ -33,13 +36,22 @@ class PrototypeRun
 {
   public:
     PrototypeRun(const PlatformConfig& config, const SessionFeed& feed)
-        : scheduler_(config.scheduler, config.seed),
-          router_(config.scheduler.routing, config.scheduler.shards)
+        : replicas_(config.scheduler.kernel.replica_count),
+          trace_name_(feed.trace_name()),
+          makespan_(feed.makespan()),
+          router_(config.scheduler.routing, config.scheduler.shards),
+          lockstep_(static_cast<std::size_t>(config.scheduler.shards),
+                    config.scheduler.shard_parallel)
     {
-        scheduler_.start();
-        results_.policy = Policy::kNotebookOS;
-        results_.trace_name = feed.trace_name();
-        results_.makespan = feed.makespan();
+        const std::int32_t count = config.scheduler.shards;
+        for (std::int32_t i = 0; i < count; ++i) {
+            shards_.push_back(std::make_unique<ShardUnit>(
+                config.scheduler, sched::shard_seed(config.seed, i),
+                sched::ShardIdentity{i, count}));
+        }
+        for (const auto& unit : shards_) {
+            unit->shard.start();
+        }
     }
 
     void admit(const workload::SessionSpec& session)
@@ -50,44 +62,56 @@ class PrototypeRun
     void inject(const Injection& event)
     {
         const workload::SessionSpec* session = event.session;
-        const std::size_t owner = router_.shard_of(session->id);
-        sched::SchedulerShard* shard = &scheduler_.shard(owner);
-        sim::Simulation* simulation = &scheduler_.simulation(owner);
+        ShardUnit& unit = *shards_[router_.shard_of(session->id)];
+        sched::SchedulerShard* shard = &unit.shard;
         switch (event.kind) {
             case Injection::kStart:
-                simulation->schedule_at(event.time, [shard, session] {
+                unit.simulation.schedule_at(event.time, [shard, session] {
                     shard->begin_session(session->id, session->resources);
                 });
                 break;
             case Injection::kEnd:
-                simulation->schedule_at(event.time, [shard, session] {
+                unit.simulation.schedule_at(event.time, [shard, session] {
                     shard->end_session(session->id);
                 });
                 break;
             case Injection::kTask:
-                submit(shard, simulation, event);
+                submit(unit, event);
                 break;
         }
     }
 
-    void advance(sim::Time stop) { scheduler_.run_until(stop); }
+    void advance(sim::Time stop)
+    {
+        // Shards share nothing (own simulation, network, cluster, store,
+        // RNG), so the lockstep fork/join is the only synchronization.
+        lockstep_.run([this, stop](std::size_t i) {
+            shards_[i]->simulation.run_until(stop);
+        });
+    }
 
     void close_window(sim::Time stop, bool last)
     {
-        results_.provisioned_gpus.record(
-            stop, static_cast<double>(scheduler_.total_gpus()));
-        results_.subscription_ratio.record(stop, scheduler_.cluster_sr());
+        std::int64_t gpus = 0;
+        std::int64_t subscribed = 0;
+        for (const auto& unit : shards_) {
+            gpus += unit->shard.cluster().total_gpus();
+            subscribed += unit->shard.cluster().total_subscribed_gpus();
+        }
+        provisioned_gpus_.record(stop, static_cast<double>(gpus));
+        subscription_ratio_.record(
+            stop, cluster::subscription_ratio(subscribed, gpus, replicas_));
         if (!last) {
             router_.rebalance(
                 [this](std::size_t i) -> sched::SchedulerShard& {
-                    return scheduler_.shard(i);
+                    return shards_[i]->shard;
                 });
         }
     }
 
     void retire(workload::SessionId id) { router_.forget(id); }
 
-    void drain(sim::Time horizon) { scheduler_.run_until(horizon); }
+    void drain(sim::Time horizon) { advance(horizon); }
 
     RunResponse finish()
     {
@@ -95,64 +119,88 @@ class PrototypeRun
         // session ended). Slots were created in injection order, which is
         // already (submit, session, seq) order.
         std::size_t kept = 0;
-        for (std::size_t i = 0; i < results_.tasks.size(); ++i) {
+        for (std::size_t i = 0; i < tasks_.size(); ++i) {
             if (!submitted_[i]) {
                 continue;
             }
             if (kept != i) {
-                results_.tasks[kept] = std::move(results_.tasks[i]);
+                tasks_[kept] = std::move(tasks_[i]);
             }
             ++kept;
         }
-        results_.tasks.resize(kept);
-        sort_tasks(results_.tasks);
+        tasks_.resize(kept);
 
-        results_.events = scheduler_.events();
-        results_.sched_stats = scheduler_.stats();
-        results_.net_stats = scheduler_.network_stats();
-        results_.sync_ms = scheduler_.sync_latencies_ms();
-        results_.read_ms = scheduler_.store_read_ms();
-        results_.write_ms = scheduler_.store_write_ms();
-        results_.store_bytes_written = scheduler_.store_bytes_written();
-        finalize_tasks(results_);
-
-        RunResponse response;
-        response.results = std::move(results_);
-        for (std::size_t i = 0;
-             i < static_cast<std::size_t>(scheduler_.shard_count()); ++i) {
-            response.shard_events.push_back(
-                scheduler_.simulation(i).events_executed());
-            response.events_executed += response.shard_events.back();
+        // The outcome slots enter the merge as shard 0's tasks.
+        std::vector<ExperimentResults> parts(shards_.size());
+        parts.front().tasks = std::move(tasks_);
+        std::vector<std::uint64_t> shard_events;
+        for (std::size_t i = 0; i < shards_.size(); ++i) {
+            const sched::SchedulerShard& shard = shards_[i]->shard;
+            ExperimentResults& part = parts[i];
+            part.sched_stats = shard.stats();
+            part.events = shard.events();
+            part.sync_ms = shard.sync_latencies_ms();
+            part.read_ms = shard.store().read_latencies();
+            part.write_ms = shard.store().write_latencies();
+            part.store_bytes_written = shard.store().bytes_written();
+            part.net_stats = shard.network_stats();
+            shard_events.push_back(shards_[i]->simulation.events_executed());
         }
-        response.shard_busy_seconds = scheduler_.shard_busy_seconds();
+        RunResponse response = merge_shards(std::move(parts), shard_events);
+        ExperimentResults& results = response.results;
+        results.policy = Policy::kNotebookOS;
+        results.trace_name = trace_name_;
+        results.makespan = makespan_;
+        results.provisioned_gpus = std::move(provisioned_gpus_);
+        results.subscription_ratio = std::move(subscription_ratio_);
+        finalize_tasks(results);
+        response.shard_busy_seconds = lockstep_.busy_seconds();
         response.sessions_rebalanced = router_.sessions_rebalanced();
         return response;
     }
 
   private:
+    /** One shard and the event loop it runs on. */
+    struct ShardUnit
+    {
+        ShardUnit(const sched::SchedulerConfig& config, std::uint64_t seed,
+                  sched::ShardIdentity identity)
+            : simulation(sim::Simulation::Options{
+                  true, &sim::SimMemoryPool::global()}),
+              shard(simulation, config, seed, identity)
+        {
+        }
+
+        /** Backing buffers recycle through the global pool so repeated
+         *  specs in a sweep stop re-faulting cold pages. */
+        sim::Simulation simulation;
+        sched::SchedulerShard shard;
+    };
+
     /** Schedule one cell on its owner. The outcome slot is appended now,
      *  on the driving thread; the closures hold an index, so later growth
      *  of the vector between windows is safe. */
-    void submit(sched::SchedulerShard* shard, sim::Simulation* simulation,
-                const Injection& event)
+    void submit(ShardUnit& unit, const Injection& event)
     {
         const workload::SessionSpec* session = event.session;
         const workload::CellTask* task = event.task;
-        TaskOutcome& outcome = results_.tasks.emplace_back();
+        TaskOutcome& outcome = tasks_.emplace_back();
         outcome.session = session->id;
         outcome.seq = task->seq;
         outcome.is_gpu = task->is_gpu;
         outcome.gpus = session->resources.gpus;
         submitted_.push_back(0);
-        const std::size_t index = results_.tasks.size() - 1;
+        const std::size_t index = tasks_.size() - 1;
+        sched::SchedulerShard* shard = &unit.shard;
+        sim::Simulation* simulation = &unit.simulation;
         simulation->schedule_at(event.time, [this, shard, simulation,
                                              session, task, index] {
-            results_.tasks[index].submit = simulation->now();
+            tasks_[index].submit = simulation->now();
             const bool accepted = shard->submit_session(
                 session->id, task->code, task->is_gpu, simulation->now(),
                 [this, index](const kernel::ExecutionResult& result,
                               const sched::RequestTrace& request_trace) {
-                    TaskOutcome& done = results_.tasks[index];
+                    TaskOutcome& done = tasks_[index];
                     done.trace = request_trace;
                     done.exec_start = request_trace.execution_started;
                     done.exec_end = request_trace.execution_finished;
@@ -171,11 +219,18 @@ class PrototypeRun
         });
     }
 
-    sched::ShardedGlobalScheduler scheduler_;
+    std::int32_t replicas_;
+    std::string trace_name_;
+    sim::Time makespan_;
     sched::SessionRouter router_;
-    ExperimentResults results_;
+    sim::Lockstep lockstep_;
+    std::vector<std::unique_ptr<ShardUnit>> shards_;
+    /** Outcome slots, one per injected cell, in injection order. */
+    std::vector<TaskOutcome> tasks_;
     /** Per outcome slot: did the owning shard accept the cell? */
     std::vector<char> submitted_;
+    metrics::TimeSeries provisioned_gpus_;
+    metrics::TimeSeries subscription_ratio_;
 };
 
 }  // namespace

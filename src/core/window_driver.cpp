@@ -1,8 +1,10 @@
 #include "core/window_driver.hpp"
 
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 namespace nbos::core {
 
@@ -152,6 +154,51 @@ sort_tasks(std::vector<TaskOutcome>& tasks)
         tasks[slot] = std::move(held);
         keys[slot].from = slot;
     }
+}
+
+RunResponse
+merge_shards(std::vector<ExperimentResults> parts,
+             const std::vector<std::uint64_t>& shard_events)
+{
+    RunResponse response;
+    ExperimentResults& merged = response.results;
+    std::size_t total_tasks = 0;
+    for (const ExperimentResults& part : parts) {
+        total_tasks += part.tasks.size();
+    }
+    // Tasks: one shard's outcomes are already in order, so shard 0's
+    // vector is the answer as it stands. The others are appended, each
+    // freed once moved, and ordered in place — one copy of the tasks at
+    // a time.
+    merged.tasks = std::move(parts.front().tasks);
+    merged.tasks.reserve(total_tasks);
+    std::vector<std::vector<sched::SchedulerEvent>> events;
+    events.reserve(parts.size());
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+        ExperimentResults& part = parts[i];
+        merged.sched_stats += part.sched_stats;
+        events.push_back(std::move(part.events));
+        merged.sync_ms.add_all(part.sync_ms.sorted());
+        merged.read_ms.add_all(part.read_ms.sorted());
+        merged.write_ms.add_all(part.write_ms.sorted());
+        merged.store_bytes_written += part.store_bytes_written;
+        merged.net_stats += part.net_stats;
+        std::vector<TaskOutcome> tasks = std::move(part.tasks);
+        std::move(tasks.begin(), tasks.end(),
+                  std::back_inserter(merged.tasks));
+        response.shard_events.push_back(shard_events.at(i));
+        response.events_executed += shard_events[i];
+    }
+    merged.events = sched::merge_events(events);
+    sort_tasks(merged.tasks);
+    // Only a sharded run has a shard view.
+    if (parts.size() > 1) {
+        for (const std::uint64_t executed : response.shard_events) {
+            merged.sched_stats.shard_loads.push_back(
+                sched::ShardLoadSample{executed});
+        }
+    }
+    return response;
 }
 
 void

@@ -20,20 +20,14 @@ LeastLoadedPolicy::current_limit(const cluster::Cluster& cluster,
 std::vector<cluster::ServerId>
 LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
                         const cluster::ResourceSpec& spec, std::size_t count,
-                        std::int32_t replicas_per_kernel)
+                        std::int32_t replicas_per_kernel) const
 {
     // The dynamic limit includes the incoming subscription so that an
     // at-average server still qualifies as "preferred" while sum(S) grows.
-    const std::int32_t total_gpus = cluster.total_gpus();
-    double soft_limit = 1.0;
-    if (total_gpus > 0 && replicas_per_kernel > 0) {
-        soft_limit = std::max(
-            soft_limit,
-            static_cast<double>(cluster.total_subscribed_gpus() +
-                                spec.gpus) /
-                (static_cast<double>(total_gpus) *
-                 static_cast<double>(replicas_per_kernel)));
-    }
+    const double soft_limit = std::max(
+        1.0, cluster::subscription_ratio(
+                 cluster.total_subscribed_gpus() + spec.gpus,
+                 cluster.total_gpus(), replicas_per_kernel));
     struct Candidate
     {
         cluster::ServerId id;
@@ -80,30 +74,6 @@ LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
         }
         chosen.push_back(candidate.id);
     }
-    return chosen;
-}
-
-std::vector<cluster::ServerId>
-RoundRobinPolicy::pick(const cluster::Cluster& cluster,
-                       const cluster::ResourceSpec& spec, std::size_t count,
-                       std::int32_t replicas_per_kernel)
-{
-    (void)replicas_per_kernel;
-    const auto ids = cluster.server_ids();
-    std::vector<cluster::ServerId> chosen;
-    if (ids.empty()) {
-        return chosen;
-    }
-    for (std::size_t scanned = 0;
-         scanned < ids.size() && chosen.size() < count; ++scanned) {
-        const cluster::ServerId id = ids[(cursor_ + scanned) % ids.size()];
-        const cluster::GpuServer* server = cluster.find(id);
-        if (server != nullptr && !server->draining() &&
-            spec.fits_within(server->capacity())) {
-            chosen.push_back(id);
-        }
-    }
-    cursor_ = (cursor_ + 1) % ids.size();
     return chosen;
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Scheduler-facing value types shared by the per-shard engine
- * (SchedulerShard), the sharded front-end (ShardedGlobalScheduler), and
- * the engines built on them: tunables, cluster events, request traces,
- * and counters, plus the deterministic cross-shard merge helpers.
+ * (SchedulerShard) and the engines built on it: tunables, cluster events,
+ * request traces, and counters, plus the deterministic cross-shard event
+ * merge.
  */
 #ifndef NBOS_SCHED_SCHEDULER_TYPES_HPP
 #define NBOS_SCHED_SCHEDULER_TYPES_HPP
@@ -140,13 +140,8 @@ struct RequestTrace
 /** One shard's share of a sharded run (load/imbalance telemetry). */
 struct ShardLoadSample
 {
-    /** Sessions (live kernels) resident when the sample was taken. */
-    std::int64_t sessions = 0;
-    /** Simulation events the shard has executed so far. */
+    /** Simulation events the shard executed. */
     std::uint64_t events = 0;
-    /** This shard's fraction of all shard events (the shard's share of
-     *  the run's busy time under the events-as-work proxy). */
-    double busy_fraction = 0.0;
 };
 
 /** Scheduler-wide counters. */
@@ -170,8 +165,8 @@ struct SchedulerStats
 
     /**
      * Per-shard load telemetry, in shard order (empty for monolithic
-     * runs). NOT a counter: the sharded front-ends fill it after their
-     * own merge, so it is deliberately excluded from operator+= and
+     * runs). NOT a counter: core::merge_shards fills it after the
+     * counter merge, so it is deliberately excluded from operator+= and
      * operator== — routing policies change how work spreads over shards
      * without changing any merged total, and the policy-invariance /
      * shard-count-invariance property tests compare the counters only.

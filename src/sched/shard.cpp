@@ -45,11 +45,10 @@ SchedulerShard::SchedulerShard(sim::Simulation& simulation,
       prewarm_(config.prewarm_per_server),
       store_(std::make_unique<storage::DataStore>(
           simulation, config.store_backend, sim::Rng(seed ^ 0x9e3779b9))),
-      placement_(std::make_unique<LeastLoadedPolicy>(config.sr_watermark)),
+      placement_(config.sr_watermark),
       // Disjoint kernel-id progression per shard: index + 1, stepping by
-      // the shard count, so ids are globally unique and (kernel_id - 1)
-      // mod count recovers the owning shard. {0, 1} yields 1, 2, 3, ... —
-      // the monolithic scheduler's sequence.
+      // the shard count, so ids are globally unique. {0, 1} yields 1, 2,
+      // 3, ... — the monolithic scheduler's sequence.
       next_kernel_id_(identity.index + 1)
 {
     // Keep the kernel-level replica count and the scheduler's R in sync.
@@ -281,15 +280,8 @@ SchedulerShard::provision_server(SchedulerEvent::Kind reason)
         --servers_provisioning_;
         cluster::GpuServer& server = cluster_.add_server();
         prewarm_.register_server(server.id());
-        on_server_ready(server.id());
+        try_place_pending_kernels();
     });
-}
-
-void
-SchedulerShard::on_server_ready(cluster::ServerId id)
-{
-    (void)id;
-    try_place_pending_kernels();
 }
 
 cluster::KernelId
@@ -325,7 +317,7 @@ SchedulerShard::try_place_pending_kernels()
         PendingKernel& front = pending_kernels_.front();
         const std::size_t replicas =
             static_cast<std::size_t>(config_.kernel.replica_count);
-        const std::vector<cluster::ServerId> servers = placement_->pick(
+        const std::vector<cluster::ServerId> servers = placement_.pick(
             cluster_, front.spec, replicas, config_.kernel.replica_count);
         if (servers.size() < replicas) {
             // §3.4.2: failed placement triggers a scale-out; placement is
@@ -1163,9 +1155,7 @@ SchedulerShard::continue_migration(cluster::KernelId kernel_id,
         record.slots[victim_index].container = placeholder.id;
     }
     sim::Time container_delay;
-    bool used_prewarm = false;
     if (prewarm_.acquire(target)) {
-        used_prewarm = true;
         ++stats_.prewarm_hits;
         container_delay = config_.timings.prewarm_assign;
     } else {
@@ -1175,10 +1165,9 @@ SchedulerShard::continue_migration(cluster::KernelId kernel_id,
     }
     simulation_.schedule_after(
         container_delay,
-        [this, kernel_id, election, victim_index, target, checkpoint,
-         used_prewarm] {
+        [this, kernel_id, election, victim_index, target, checkpoint] {
             finish_migration(kernel_id, election, victim_index, target,
-                             checkpoint, used_prewarm);
+                             checkpoint);
         });
 }
 
@@ -1187,10 +1176,8 @@ SchedulerShard::finish_migration(cluster::KernelId kernel_id,
                                   kernel::ElectionId election,
                                   std::int32_t victim_index,
                                   cluster::ServerId target,
-                                  const std::string& checkpoint,
-                                  bool used_prewarm)
+                                  const std::string& checkpoint)
 {
-    (void)used_prewarm;
     const auto it = kernels_.find(kernel_id);
     if (it == kernels_.end() || !it->second.alive) {
         return;
@@ -1234,8 +1221,6 @@ SchedulerShard::finish_migration(cluster::KernelId kernel_id,
         }
         if (removed) {
             // Membership updated: attach the new replica on the target.
-            const auto pit = rec.pending.find(election);
-            (void)pit;
             cluster::GpuServer* server = cluster_.find(target);
             if (server == nullptr) {
                 // Cannot happen: the placeholder container pins the

@@ -11,9 +11,10 @@
  * A shard shares no mutable state with its siblings: it has its own
  * network, cluster slice, pre-warm pool, data store, placement policy,
  * and RNG streams, and it advances exclusively on the sim::Simulation it
- * was constructed with. That isolation is what lets the
- * ShardedGlobalScheduler run shard event loops on parallel threads with
- * bit-identical results to a serial sweep.
+ * was constructed with. That isolation is what lets the prototype
+ * engine's driver (core/protosim.cpp) run its shards' event loops on
+ * parallel sim::Lockstep threads with results bit-identical to a serial
+ * sweep.
  */
 #ifndef NBOS_SCHED_SHARD_HPP
 #define NBOS_SCHED_SHARD_HPP
@@ -35,34 +36,12 @@
 #include "sched/placement.hpp"
 #include "sched/scheduler_types.hpp"
 #include "sched/session_table.hpp"
+#include "sched/shard_router.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "storage/datastore.hpp"
 
 namespace nbos::sched {
-
-/**
- * A shard's position in the fleet: shard @p index of @p count.
- *
- * It fixes the shard's disjoint kernel-id arithmetic progression
- * (index + 1, index + 1 + count, ...) and its round-robin share of
- * SchedulerConfig::initial_servers. The default identity {0, 1} makes the
- * shard byte-identical to the pre-sharding monolithic scheduler.
- */
-struct ShardIdentity
-{
-    std::int32_t index = 0;
-    std::int32_t count = 1;
-
-    /** Round-robin share of @p total servers owned by this shard. */
-    std::int32_t share_of(std::int32_t total) const
-    {
-        if (total <= 0 || count <= 1) {
-            return total;
-        }
-        return total / count + (index < total % count ? 1 : 0);
-    }
-};
 
 /**
  * The per-shard Global Scheduler engine plus the per-server Local
@@ -305,7 +284,6 @@ class SchedulerShard
     void on_session_kernel(std::int64_t session, cluster::KernelId kernel,
                            bool ok, const std::string& checkpoint);
     void provision_server(SchedulerEvent::Kind reason);
-    void on_server_ready(cluster::ServerId id);
     void try_place_pending_kernels();
     void place_kernel(PendingKernel pending,
                       const std::vector<cluster::ServerId>& servers);
@@ -328,7 +306,7 @@ class SchedulerShard
                           kernel::ElectionId election,
                           std::int32_t victim_index,
                           cluster::ServerId target,
-                          const std::string& checkpoint, bool used_prewarm);
+                          const std::string& checkpoint);
     void abort_execution(cluster::KernelId kernel_id,
                          kernel::ElectionId election,
                          const std::string& reason);
@@ -356,7 +334,7 @@ class SchedulerShard
     cluster::Cluster cluster_;
     cluster::PrewarmPool prewarm_;
     std::unique_ptr<storage::DataStore> store_;
-    std::unique_ptr<PlacementPolicy> placement_;
+    LeastLoadedPolicy placement_;
 
     std::map<cluster::KernelId, KernelRecord> kernels_;
     SessionTable<SessionRecord> sessions_;

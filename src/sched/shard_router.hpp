@@ -1,6 +1,7 @@
 /**
  * @file
- * Deterministic session -> shard routing for the sharded Global Scheduler.
+ * Shard seeds, shard identity, and deterministic session -> shard routing
+ * for the sharded Global Scheduler, shared by both NotebookOS engines.
  *
  * The route must be stable across runs, seeds, platforms, and process
  * restarts (a session's kernel lives on exactly one shard for its whole
@@ -38,6 +39,29 @@ shard_seed(std::uint64_t seed, std::int32_t index)
     return splitmix64(seed + 0x632be59bd9b4e019ULL *
                                  static_cast<std::uint64_t>(index));
 }
+
+/**
+ * A shard's position in the fleet: shard @p index of @p count. Both shard
+ * types take their share of SchedulerConfig::initial_servers from it, and
+ * a SchedulerShard also its disjoint kernel-id progression (index + 1,
+ * index + 1 + count, ...). The default identity {0, 1} is the monolithic
+ * scheduler.
+ */
+struct ShardIdentity
+{
+    std::int32_t index = 0;
+    std::int32_t count = 1;
+
+    /** This shard's round-robin share of @p total servers: shares differ
+     *  by at most one and lower indices take the remainder. */
+    std::int32_t share_of(std::int32_t total) const
+    {
+        if (total <= 0 || count <= 1) {
+            return total;
+        }
+        return total / count + (index < total % count ? 1 : 0);
+    }
+};
 
 /**
  * Stable hash router: session id -> shard index in [0, shards).

@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "billing/billing.hpp"
 #include "core/baselines.hpp"
@@ -528,6 +531,117 @@ TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
         EXPECT_GT(engine.peak_overrides(), 0u);
         EXPECT_EQ(engine.router().table().overrides(), 0u);
     }
+}
+
+/** One shard's part for the merge tests: two tasks, two events (the
+ *  second, of @p kind, at 20 s), samples in every distribution and a
+ *  count in every counter, all scaled by @p k so the parts are told
+ *  apart. */
+ExperimentResults
+merge_part(std::int64_t k, sim::Time first_submit,
+           sched::SchedulerEvent::Kind kind)
+{
+    ExperimentResults part;
+    part.sched_stats.kernels_created = static_cast<std::uint64_t>(k);
+    part.sched_stats.executions_completed = 2 * static_cast<std::uint64_t>(k);
+    part.events.push_back(
+        sched::SchedulerEvent{sched::SchedulerEvent::Kind::kKernelCreated,
+                              k * kSecond});
+    part.events.push_back(sched::SchedulerEvent{kind, 20 * kSecond});
+    for (std::int32_t seq = 0; seq < 2; ++seq) {
+        TaskOutcome& task = part.tasks.emplace_back();
+        task.session = k;
+        task.seq = seq;
+        task.submit = first_submit + seq * 20 * kSecond;
+    }
+    part.sync_ms.add(3.0 * static_cast<double>(k));
+    part.sync_ms.add(1.0 * static_cast<double>(k));
+    part.read_ms.add(2.0 * static_cast<double>(k));
+    part.write_ms.add(4.0 * static_cast<double>(k));
+    part.store_bytes_written = 100 * static_cast<std::uint64_t>(k);
+    part.net_stats.sent = 7 * static_cast<std::uint64_t>(k);
+    part.net_stats.delivered = 6 * static_cast<std::uint64_t>(k);
+    return part;
+}
+
+/** merge_shards is the one cross-shard fold of both engines. One part
+ *  comes back as it went in with no shard view (shards=1 is the
+ *  monolithic scheduler); several are summed in shard order, with events
+ *  and tasks put in order and the imbalance computed from the per-shard
+ *  event counts. */
+TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
+{
+    using Kind = sched::SchedulerEvent::Kind;
+    const ExperimentResults a = merge_part(1, 10 * kSecond, Kind::kMigration);
+    const ExperimentResults b = merge_part(2, 20 * kSecond, Kind::kScaleOut);
+    const auto task_keys = [](const ExperimentResults& results) {
+        std::vector<std::tuple<sim::Time, workload::SessionId, std::int32_t>>
+            keys;
+        for (const TaskOutcome& task : results.tasks) {
+            keys.emplace_back(task.submit, task.session, task.seq);
+        }
+        return keys;
+    };
+    const auto event_keys = [](const ExperimentResults& results) {
+        std::vector<std::pair<sim::Time, sched::SchedulerEvent::Kind>> keys;
+        for (const sched::SchedulerEvent& event : results.events) {
+            keys.emplace_back(event.time, event.kind);
+        }
+        return keys;
+    };
+
+    {
+        SCOPED_TRACE("one part");
+        const RunResponse one = merge_shards({a}, {42});
+        const ExperimentResults& merged = one.results;
+        EXPECT_TRUE(merged.sched_stats == a.sched_stats);
+        EXPECT_TRUE(merged.sched_stats.shard_loads.empty());
+        EXPECT_EQ(merged.sched_stats.shard_imbalance(), 0.0);
+        EXPECT_EQ(event_keys(merged), event_keys(a));
+        EXPECT_EQ(task_keys(merged), task_keys(a));
+        EXPECT_EQ(merged.sync_ms.sorted(), a.sync_ms.sorted());
+        EXPECT_EQ(merged.read_ms.sorted(), a.read_ms.sorted());
+        EXPECT_EQ(merged.write_ms.sorted(), a.write_ms.sorted());
+        EXPECT_EQ(merged.store_bytes_written, a.store_bytes_written);
+        EXPECT_TRUE(merged.net_stats == a.net_stats);
+        EXPECT_EQ(one.shard_events, (std::vector<std::uint64_t>{42}));
+        EXPECT_EQ(one.events_executed, 42u);
+    }
+
+    SCOPED_TRACE("two parts");
+    const RunResponse two = merge_shards({a, b}, {30, 10});
+    const ExperimentResults& merged = two.results;
+    EXPECT_EQ(merged.sched_stats.kernels_created, 3u);
+    EXPECT_EQ(merged.sched_stats.executions_completed, 6u);
+    EXPECT_EQ(merged.store_bytes_written, 300u);
+    EXPECT_EQ(merged.net_stats.sent, 21u);
+    EXPECT_EQ(merged.net_stats.delivered, 18u);
+    // Time order; the tie at 20 s keeps shard order.
+    EXPECT_EQ(event_keys(merged),
+              (std::vector<std::pair<sim::Time, Kind>>{
+                  {1 * kSecond, Kind::kKernelCreated},
+                  {2 * kSecond, Kind::kKernelCreated},
+                  {20 * kSecond, Kind::kMigration},
+                  {20 * kSecond, Kind::kScaleOut}}));
+    // (submit, session, seq) order across the two parts.
+    EXPECT_EQ(task_keys(merged),
+              (std::vector<std::tuple<sim::Time, workload::SessionId,
+                                      std::int32_t>>{{10 * kSecond, 1, 0},
+                                                     {20 * kSecond, 2, 0},
+                                                     {30 * kSecond, 1, 1},
+                                                     {40 * kSecond, 2, 1}}));
+    // Samples are concatenated in shard order, each part's sorted.
+    EXPECT_EQ(merged.sync_ms.count(), 4u);
+    EXPECT_EQ(merged.sync_ms.sum(), 1.0 + 3.0 + 2.0 + 6.0);
+    EXPECT_EQ(merged.read_ms.sorted(), (std::vector<double>{2.0, 4.0}));
+    EXPECT_EQ(merged.write_ms.sorted(), (std::vector<double>{4.0, 8.0}));
+    EXPECT_EQ(two.shard_events, (std::vector<std::uint64_t>{30, 10}));
+    EXPECT_EQ(two.events_executed, 40u);
+    ASSERT_EQ(merged.sched_stats.shard_loads.size(), 2u);
+    EXPECT_EQ(merged.sched_stats.shard_loads[0].events, 30u);
+    EXPECT_EQ(merged.sched_stats.shard_loads[1].events, 10u);
+    // max / mean = 30 / 20.
+    EXPECT_DOUBLE_EQ(merged.sched_stats.shard_imbalance(), 1.5);
 }
 
 }  // namespace

@@ -102,6 +102,39 @@ TEST(RunRequestValidationTest, ChaosOverrideIsValidatedAgainstTheEngine)
     EXPECT_NE(error.find("chaos"), std::string::npos) << error;
 }
 
+/** Scheduler values the NotebookOS engines divide by, re-arm a periodic
+ *  service on, or cannot place a kernel with are config errors on both
+ *  engines, named after the field — never a crash or a hang. */
+TEST(RunRequestValidationTest, RejectsSchedulerValuesTheEnginesCannotRun)
+{
+    const auto trace = test::tiny_trace(4);
+    using Apply = void (*)(sched::SchedulerConfig&);
+    const std::pair<const char*, Apply> cases[] = {
+        {"scheduler.autoscale_interval",
+         [](sched::SchedulerConfig& c) { c.autoscale_interval = 0; }},
+        {"scheduler.health_check_interval",
+         [](sched::SchedulerConfig& c) { c.health_check_interval = 0; }},
+        {"scheduler.prewarm_check_interval",
+         [](sched::SchedulerConfig& c) { c.prewarm_check_interval = 0; }},
+        {"scheduler.kernel.replica_count",
+         [](sched::SchedulerConfig& c) { c.kernel.replica_count = 0; }},
+    };
+    for (const auto& [field, apply] : cases) {
+        for (const char* engine : {kEnginePrototype, kEngineFast}) {
+            SCOPED_TRACE(std::string(field) + " on " + engine);
+            RunRequest request;
+            request.engine = engine;
+            request.trace = &trace;
+            request.config = test::platform_config(Policy::kNotebookOS);
+            apply(request.config.scheduler);
+            const std::string error = run_error(request);
+            const std::string prefix =
+                "PlatformConfig: " + std::string(field) + " ";
+            EXPECT_EQ(error.rfind(prefix, 0), 0u) << error;
+        }
+    }
+}
+
 TEST(RunApiEquivalenceTest, DerivedEngineMatchesTheNamedEngine)
 {
     const auto trace = test::tiny_trace();

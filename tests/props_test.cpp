@@ -21,7 +21,7 @@
 #include "harness.hpp"
 #include "metrics/percentiles.hpp"
 #include "metrics/stats.hpp"
-#include "sched/sharded_scheduler.hpp"
+#include "sched/shard_router.hpp"
 #include "workload/profiles.hpp"
 
 namespace nbos {
@@ -194,163 +194,54 @@ TEST(RunStatsProperty, CiShrinksAsNGrows)
 }
 
 /**
- * Sharding invariant: on a well-provisioned fleet (every shard slice can
- * host every kernel that hashes to it, autoscaler off, cell submissions
- * within a session spaced far enough apart that millisecond-scale latency
- * jitter cannot overlap them), the merged SchedulerStats are independent
- * of the shard count — partitioning the session space must not create or
- * destroy work. Random session/cell layouts probe the property; any
- * contention-coupling bug between shards (shared RNG, id collisions,
- * cross-shard routing) breaks the equality.
+ * The fleet split both shard types start from: for every total and shard
+ * count, ShardIdentity::share_of hands out shares that sum to the total
+ * and differ by at most one, with the remainder going to the lowest
+ * indices (shard i gets total / count, plus one while i < total % count).
  */
-TEST(ShardedSchedulerProperty, TotalStatsIndependentOfShardCount)
+TEST(ShardIdentityProperty, SharesSumToTotalAndDifferByAtMostOne)
 {
-    test::check_property(3, [](sim::Rng& rng, std::size_t) {
-        // A random mini-workload: sessions with distinct ids, 1-2 GPUs,
-        // and 1-3 cells spaced >= 60 s apart.
-        struct Cell
-        {
-            sim::Time at;
-            bool is_gpu;
-            sim::Time duration_s;
-        };
-        struct Session
-        {
-            std::int64_t id;
-            std::int32_t gpus;
-            std::vector<Cell> cells;
-        };
-        std::vector<Session> sessions;
-        const auto session_count =
-            static_cast<std::size_t>(3 + rng.uniform_int(0, 4));
-        for (std::size_t i = 0; i < session_count; ++i) {
-            Session session;
-            session.id =
-                static_cast<std::int64_t>(100 + rng.uniform_int(0, 5000)) +
-                static_cast<std::int64_t>(i) * 10000;
-            session.gpus = static_cast<std::int32_t>(rng.uniform_int(1, 2));
-            const auto cells = 1 + rng.uniform_int(0, 2);
-            sim::Time at = 200 * sim::kSecond +
-                           rng.uniform_int(0, 30) * sim::kSecond;
-            for (std::int64_t c = 0; c < cells; ++c) {
-                Cell cell;
-                cell.at = at;
-                cell.is_gpu = rng.uniform_int(0, 3) != 0;
-                cell.duration_s = rng.uniform_int(2, 6);
-                session.cells.push_back(cell);
-                at += 60 * sim::kSecond + rng.uniform_int(0, 20) * sim::kSecond;
+    for (std::int32_t count = 1; count <= 8; ++count) {
+        for (std::int32_t total = 0; total <= 64; ++total) {
+            SCOPED_TRACE("count=" + std::to_string(count) +
+                         " total=" + std::to_string(total));
+            const std::int32_t largest =
+                sched::ShardIdentity{0, count}.share_of(total);
+            std::int32_t sum = 0;
+            std::int32_t previous = largest;
+            for (std::int32_t index = 0; index < count; ++index) {
+                const sched::ShardIdentity identity{index, count};
+                const std::int32_t share = identity.share_of(total);
+                ASSERT_EQ(share, total / count +
+                                     (index < total % count ? 1 : 0));
+                // Non-increasing in the index, and within one of the
+                // first (largest) share.
+                ASSERT_LE(share, previous);
+                ASSERT_GE(share, largest - 1);
+                previous = share;
+                sum += share;
             }
-            sessions.push_back(std::move(session));
+            ASSERT_EQ(sum, total);
         }
-
-        sched::SchedulerStats reference{};
-        bool have_reference = false;
-        for (const std::int32_t shards : {1, 2, 4}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards));
-            sched::SchedulerConfig config;
-            // Ample, evenly divisible fleet: every shard slice (12/4 = 3
-            // servers minimum) can host a 3-replica kernel outright.
-            config.initial_servers = 12;
-            config.enable_autoscaler = false;
-            config.shards = shards;
-            // Test bookkeeping below is shared across shards: keep the
-            // windows serial (parallel bit-identity is determinism_test's
-            // job).
-            config.shard_parallel = false;
-            config.kernel.raft.election_timeout_min =
-                150 * sim::kMillisecond;
-            config.kernel.raft.election_timeout_max =
-                300 * sim::kMillisecond;
-            config.kernel.raft.heartbeat_interval = 50 * sim::kMillisecond;
-            config.kernel.raft.snapshot_threshold = 16;
-            sched::ShardedGlobalScheduler scheduler(config, 7);
-            scheduler.start();
-
-            std::map<std::int64_t, cluster::KernelId> kernels;
-            for (const Session& session : sessions) {
-                const cluster::ResourceSpec spec{
-                    4000 * session.gpus, 16384LL * session.gpus,
-                    session.gpus, 16.0 * session.gpus};
-                scheduler.start_kernel(
-                    session.id, spec,
-                    [&kernels, &session](cluster::KernelId id, bool ok) {
-                        ASSERT_TRUE(ok)
-                            << "session " << session.id << " not placed";
-                        kernels[session.id] = id;
-                    });
-            }
-            scheduler.run_until(180 * sim::kSecond);
-            ASSERT_EQ(kernels.size(), sessions.size());
-
-            sim::Time horizon = 0;
-            std::size_t completed = 0;
-            for (const Session& session : sessions) {
-                const std::size_t shard =
-                    scheduler.shard_of(session.id);
-                for (const Cell& cell : session.cells) {
-                    const std::string code =
-                        (cell.is_gpu ? "gpu_compute(" : "cpu_compute(") +
-                        std::to_string(cell.duration_s) + ")";
-                    horizon = std::max(horizon, cell.at);
-                    scheduler.simulation(shard).schedule_at(
-                        cell.at,
-                        [&scheduler, &kernels, &completed, &session, code,
-                         cell] {
-                            scheduler.submit_execute(
-                                kernels.at(session.id), code, cell.is_gpu,
-                                scheduler
-                                    .simulation(scheduler.shard_of(
-                                        session.id))
-                                    .now(),
-                                [&completed](
-                                    const kernel::ExecutionResult& r,
-                                    const sched::RequestTrace&) {
-                                    EXPECT_EQ(
-                                        r.status,
-                                        kernel::ExecutionStatus::kOk);
-                                    ++completed;
-                                });
-                        });
-                }
-            }
-            scheduler.run_until(horizon + 600 * sim::kSecond);
-
-            std::size_t total_cells = 0;
-            for (const Session& session : sessions) {
-                total_cells += session.cells.size();
-            }
-            ASSERT_EQ(completed, total_cells);
-            const sched::SchedulerStats merged = scheduler.stats();
-            if (!have_reference) {
-                reference = merged;
-                have_reference = true;
-            } else {
-                EXPECT_TRUE(merged == reference)
-                    << "total SchedulerStats changed with the shard "
-                       "count (completed="
-                    << merged.executions_completed << " vs "
-                    << reference.executions_completed << ", yields="
-                    << merged.yield_conversions << " vs "
-                    << reference.yield_conversions << ")";
-            }
-        }
-    });
+    }
 }
 
 /**
- * The same sharding invariant for the FAST analytic engine: on a
- * well-provisioned fleet (autoscaler off, every shard slice can host and
- * commit every kernel routed to it, a session's cells spaced so they
- * never overlap), the merged totals — SchedulerStats, task counts,
- * aborts — are independent of the shard count. Per-shard RNG streams
- * differ, so latency *values* legitimately move with the shard count;
- * anything count-shaped must not.
+ * Sharding invariant, on both NotebookOS engines: on a well-provisioned
+ * fleet (autoscaler off, every shard slice can host and commit every
+ * kernel routed to it, a session's cells spaced so they never overlap),
+ * the merged totals — SchedulerStats, task counts, aborts — are
+ * independent of the shard count. Partitioning the session space must
+ * not create or destroy work; any coupling bug between shards (shared
+ * RNG, id collisions, cross-shard routing) breaks the equality. Per-shard
+ * RNG streams differ, so latency *values* legitimately move with the
+ * shard count; anything count-shaped must not.
  */
-TEST(FastShardsProperty, TotalsIndependentOfShardCount)
+TEST(ShardsProperty, TotalsIndependentOfShardCount)
 {
     test::check_property(3, [](sim::Rng& rng, std::size_t) {
         workload::Trace trace;
-        trace.name = "props-fast-shards";
+        trace.name = "props-shards";
         trace.makespan = 2 * sim::kHour;
         const auto session_count =
             static_cast<std::size_t>(5 + rng.uniform_int(0, 6));
@@ -373,8 +264,13 @@ TEST(FastShardsProperty, TotalsIndependentOfShardCount)
                 task.session = session.id;
                 task.seq = static_cast<std::int32_t>(c);
                 task.submit_time = at;
-                task.duration = rng.uniform_int(2, 6) * sim::kSecond;
+                const std::int64_t seconds = rng.uniform_int(2, 6);
+                task.duration = seconds * sim::kSecond;
                 task.is_gpu = rng.uniform_int(0, 3) != 0;
+                // The prototype engine executes this for real.
+                task.code =
+                    (task.is_gpu ? "gpu_compute(" : "cpu_compute(") +
+                    std::to_string(seconds) + ")";
                 session.tasks.push_back(std::move(task));
                 // Next cell well after this one's end: sampled overheads
                 // are millisecond-scale, so executions never overlap.
@@ -384,39 +280,48 @@ TEST(FastShardsProperty, TotalsIndependentOfShardCount)
             trace.sessions.push_back(std::move(session));
         }
 
-        sched::SchedulerStats reference{};
-        std::size_t reference_tasks = 0;
-        std::size_t reference_aborted = 0;
-        bool have_reference = false;
-        for (const std::int32_t shards : {1, 2, 4}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards));
-            core::PlatformConfig config = test::platform_config(
-                core::Policy::kNotebookOS, /*seed=*/7, /*fast=*/true);
-            // Ample, evenly divisible fleet: every shard slice (16/4 = 4
-            // servers minimum) hosts and commits its kernels outright,
-            // so no scale-outs or migrations couple shards to capacity.
-            config.scheduler.initial_servers = 16;
-            config.scheduler.enable_autoscaler = false;
-            config.scheduler.shards = shards;
-            config.scheduler.shard_parallel = false;
-            const core::ExperimentResults results =
-                test::run_config(config, trace);
+        for (const bool fast : {false, true}) {
+            SCOPED_TRACE(fast ? "fast" : "prototype");
+            sched::SchedulerStats reference{};
+            std::size_t reference_tasks = 0;
+            std::size_t reference_aborted = 0;
+            bool have_reference = false;
+            for (const std::int32_t shards : {1, 2, 4}) {
+                SCOPED_TRACE("shards=" + std::to_string(shards));
+                core::PlatformConfig config = test::platform_config(
+                    core::Policy::kNotebookOS, /*seed=*/7, fast);
+                // Ample, evenly divisible fleet: every shard slice (16/4
+                // = 4 servers minimum) hosts and commits its kernels
+                // outright, so no scale-outs or migrations couple shards
+                // to capacity.
+                config.scheduler.initial_servers = 16;
+                config.scheduler.enable_autoscaler = false;
+                config.scheduler.shards = shards;
+                config.scheduler.shard_parallel = false;
+                const core::ExperimentResults results =
+                    test::run_config(config, trace);
 
-            if (!have_reference) {
-                reference = results.sched_stats;
-                reference_tasks = results.tasks.size();
-                reference_aborted = results.aborted_count();
-                have_reference = true;
-            } else {
-                EXPECT_TRUE(results.sched_stats == reference)
-                    << "fast-engine totals changed with the shard count "
-                       "(kernels=" << results.sched_stats.kernels_created
-                    << " vs " << reference.kernels_created
-                    << ", completed="
-                    << results.sched_stats.executions_completed << " vs "
-                    << reference.executions_completed << ")";
-                EXPECT_EQ(results.tasks.size(), reference_tasks);
-                EXPECT_EQ(results.aborted_count(), reference_aborted);
+                if (!have_reference) {
+                    reference = results.sched_stats;
+                    reference_tasks = results.tasks.size();
+                    reference_aborted = results.aborted_count();
+                    have_reference = true;
+                    EXPECT_EQ(reference.kernels_created,
+                              static_cast<std::uint64_t>(session_count));
+                    EXPECT_EQ(reference_aborted, 0u);
+                } else {
+                    EXPECT_TRUE(results.sched_stats == reference)
+                        << "totals changed with the shard count (kernels="
+                        << results.sched_stats.kernels_created << " vs "
+                        << reference.kernels_created << ", completed="
+                        << results.sched_stats.executions_completed
+                        << " vs " << reference.executions_completed
+                        << ", yields="
+                        << results.sched_stats.yield_conversions << " vs "
+                        << reference.yield_conversions << ")";
+                    EXPECT_EQ(results.tasks.size(), reference_tasks);
+                    EXPECT_EQ(results.aborted_count(), reference_aborted);
+                }
             }
         }
     });
