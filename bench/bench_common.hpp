@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -365,6 +366,29 @@ class InjectedSlowdown
   private:
     std::chrono::steady_clock::time_point start_;
 };
+
+/** Reset the kernel's peak-RSS mark (VmHWM) to the current RSS, so the
+ *  next peak_rss_mb() covers only what runs after this call. */
+inline void
+reset_peak_rss()
+{
+    std::ofstream("/proc/self/clear_refs") << "5";
+}
+
+/** Peak RSS (VmHWM) of this process in MB since it started or since the
+ *  last reset_peak_rss(); 0 when /proc is unavailable. */
+inline double
+peak_rss_mb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+        }
+    }
+    return 0.0;
+}
 
 /** Pure core of the NBOS_BENCH_POLICIES filter (testable without touching
  *  the environment): true when @p filter is null/empty or one of its

@@ -3,7 +3,8 @@
  * scale_profiles: the workload-profile generator family on the streamed
  * scale path (ROADMAP item 3).
  *
- * Phase 1 (memory proof, run first because ru_maxrss is monotonic):
+ * Phase 1 (memory proof, run first because the peak RSS it reports,
+ * VmHWM, never decreases unless reset):
  * stream-generate the `flash_crowd` profile at the million-session tier
  * straight into a counting/FNV-hashing sink — no trace, no file, O(live
  * session) memory — and report the byte count, content hash, and peak
@@ -29,8 +30,6 @@
  * cells in phase 2. Smoke tier (NBOS_BENCH_SMOKE=1, what `ctest -L
  * scale` and the CI bench gate run): 20,000 / 300, same shape.
  */
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -47,17 +46,6 @@
 namespace {
 
 using namespace nbos;
-
-/** Peak RSS of this process in MB (Linux ru_maxrss is in KB). */
-double
-peak_rss_mb()
-{
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) != 0) {
-        return 0.0;
-    }
-    return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 double
 elapsed_seconds(std::chrono::steady_clock::time_point since)
@@ -162,7 +150,7 @@ run_streaming_phase(bool smoke)
                 seconds,
                 seconds > 0.0 ? static_cast<double>(sessions) / seconds
                               : 0.0,
-                peak_rss_mb());
+                bench::peak_rss_mb());
 }
 
 /** Phase 2: every registered profile under every routing policy on the
@@ -219,7 +207,7 @@ run_grid_phase(bool smoke)
             std::printf("# TIMING profile=%s routing=%s seconds=%.4f "
                         "imbalance=%.3f peak_rss_mb=%.1f\n",
                         name.c_str(), sched::to_string(routing), seconds,
-                        stats.shard_imbalance(), peak_rss_mb());
+                        stats.shard_imbalance(), bench::peak_rss_mb());
         }
     }
 }
@@ -265,7 +253,7 @@ run_prototype_phase(bool smoke)
                 static_cast<unsigned long long>(
                     results.sched_stats.migrations));
     std::printf("# TIMING phase=prototype seconds=%.4f peak_rss_mb=%.1f\n",
-                seconds, peak_rss_mb());
+                seconds, bench::peak_rss_mb());
 }
 
 }  // namespace

@@ -20,13 +20,15 @@
  *
  * Output convention: table rows are fully deterministic and hashed by
  * bench/check_bench.py; wall-clock and memory figures go on `# TIMING`
- * lines, which the gate strips before hashing. Peak RSS comes from
- * getrusage(ru_maxrss), which is monotonic over the process lifetime —
- * shard counts run largest-allocation-first would mask each other, but
- * the figure is still reported per row for the operator's eyeball.
+ * lines, which the gate strips before hashing. The `examined` column is
+ * the placement work count (load-index entries examined by every
+ * placement, core::RunResponse::placement_servers_examined): three per
+ * session on this ample fleet at every shard count, so a return to
+ * whole-fleet placement scans changes the hash whatever the timing noise.
+ * Peak RSS is per row: the kernel's high-water mark (VmHWM) is reset
+ * before each run, and bytes_per_session divides it by the session count
+ * (the resident trace included).
  */
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -100,21 +102,11 @@ scale_trace(std::int64_t count)
     return trace;
 }
 
-/** Peak RSS of this process in MB (Linux ru_maxrss is in KB). */
-double
-peak_rss_mb()
-{
-    struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) != 0) {
-        return 0.0;
-    }
-    return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
-
 struct ScaleRunResult
 {
     core::ExperimentResults results;
     std::uint64_t sim_events = 0;
+    std::uint64_t placement_examined = 0;
     double seconds = 0.0;
 };
 
@@ -146,6 +138,7 @@ run_at(const workload::Trace& trace, std::int32_t shards)
     ScaleRunResult run;
     run.results = std::move(response.results);
     run.sim_events = response.events_executed;
+    run.placement_examined = response.placement_servers_examined;
     run.seconds =
         std::chrono::duration<double>(wall_end - wall_start).count();
     return run;
@@ -169,22 +162,26 @@ main()
         "scale_sessions: sharded fast engine at " +
         std::to_string(sessions) + " sessions / " + std::to_string(cells) +
         " cells over 24h" + (smoke ? " [smoke tier]" : ""));
-    std::printf("%-8s %10s %10s %10s %9s %11s %11s %12s\n", "shards",
-                "sessions", "tasks", "completed", "aborted", "migrations",
-                "scale_outs", "sim_events");
+    std::printf("%-8s %10s %10s %10s %9s %11s %11s %12s %10s\n",
+                "shards", "sessions", "tasks", "completed", "aborted",
+                "migrations", "scale_outs", "sim_events", "examined");
 
     double base_seconds = 0.0;
     for (const std::int32_t shards : {1, 2, 4, 8}) {
+        bench::reset_peak_rss();
         const ScaleRunResult run = run_at(trace, shards);
+        const double peak_mb = bench::peak_rss_mb();
         const sched::SchedulerStats& stats = run.results.sched_stats;
         std::printf(
-            "%-8d %10lld %10zu %10llu %9zu %11llu %11llu %12llu\n", shards,
-            static_cast<long long>(sessions), run.results.tasks.size(),
+            "%-8d %10lld %10zu %10llu %9zu %11llu %11llu %12llu %10llu\n",
+            shards, static_cast<long long>(sessions),
+            run.results.tasks.size(),
             static_cast<unsigned long long>(stats.executions_completed),
             run.results.aborted_count(),
             static_cast<unsigned long long>(stats.migrations),
             static_cast<unsigned long long>(stats.scale_outs),
-            static_cast<unsigned long long>(run.sim_events));
+            static_cast<unsigned long long>(run.sim_events),
+            static_cast<unsigned long long>(run.placement_examined));
         if (shards == 1) {
             base_seconds = run.seconds;
         }
@@ -193,7 +190,8 @@ main()
         // 0.0 for the shards=1 run, which has no shard view).
         std::printf("# TIMING shards=%d seconds=%.4f events_per_sec=%.0f "
                     "sessions_per_sec=%.0f speedup_vs_1=%.2f "
-                    "peak_rss_mb=%.1f imbalance=%.3f\n",
+                    "peak_rss_mb=%.1f bytes_per_session=%.0f "
+                    "imbalance=%.3f\n",
                     shards, run.seconds,
                     run.seconds > 0.0
                         ? static_cast<double>(run.sim_events) / run.seconds
@@ -204,7 +202,9 @@ main()
                     run.seconds > 0.0 && base_seconds > 0.0
                         ? base_seconds / run.seconds
                         : 0.0,
-                    peak_rss_mb(), stats.shard_imbalance());
+                    peak_mb,
+                    peak_mb * 1048576.0 / static_cast<double>(sessions),
+                    stats.shard_imbalance());
     }
     return 0;
 }

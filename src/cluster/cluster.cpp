@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace nbos::cluster {
 
@@ -31,8 +32,11 @@ Cluster::add_server(const ResourceSpec& shape)
     const ServerId id = next_id_++;
     auto server = std::make_unique<GpuServer>(id, shape);
     GpuServer& ref = *server;
+    ref.owner_ = this;
     ids_.push_back(id);
     nodes_.push_back(std::move(server));
+    by_load_.insert(LoadEntry{0, 0, id, &ref});
+    total_gpus_ += shape.gpus;
     return ref;
 }
 
@@ -43,6 +47,12 @@ Cluster::remove_server(ServerId id)
     if (index == kNpos) {
         return false;
     }
+    const GpuServer& server = *nodes_[index];
+    by_load_.erase(LoadEntry{server.committed_gpus(),
+                             server.subscribed_gpus(), id, &server});
+    total_gpus_ -= server.capacity().gpus;
+    total_subscribed_gpus_ -= server.subscribed_gpus();
+    total_committed_gpus_ -= server.committed_gpus();
     ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(index));
     nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(index));
     return true;
@@ -62,50 +72,23 @@ Cluster::find(ServerId id) const
     return index == kNpos ? nullptr : nodes_[index].get();
 }
 
-std::vector<ServerId>
-Cluster::server_ids() const
+void
+Cluster::on_load_change(const GpuServer& server, std::int32_t old_committed,
+                        std::int32_t old_subscribed)
 {
-    return ids_;
-}
-
-std::int32_t
-Cluster::total_gpus() const
-{
-    std::int32_t total = 0;
-    for (const auto& server : nodes_) {
-        total += server->capacity().gpus;
+    const std::int32_t committed = server.committed_gpus();
+    const std::int32_t subscribed = server.subscribed_gpus();
+    if (committed == old_committed && subscribed == old_subscribed) {
+        return;
     }
-    return total;
-}
-
-std::int32_t
-Cluster::total_subscribed_gpus() const
-{
-    std::int32_t total = 0;
-    for (const auto& server : nodes_) {
-        total += server->subscribed_gpus();
-    }
-    return total;
-}
-
-std::int32_t
-Cluster::total_committed_gpus() const
-{
-    std::int32_t total = 0;
-    for (const auto& server : nodes_) {
-        total += server->committed_gpus();
-    }
-    return total;
-}
-
-std::int64_t
-Cluster::total_committed_millicpus() const
-{
-    std::int64_t total = 0;
-    for (const auto& server : nodes_) {
-        total += server->committed().millicpus;
-    }
-    return total;
+    total_committed_gpus_ += committed - old_committed;
+    total_subscribed_gpus_ += subscribed - old_subscribed;
+    auto node = by_load_.extract(
+        LoadEntry{old_committed, old_subscribed, server.id(), &server});
+    assert(!node.empty());
+    node.value().committed_gpus = committed;
+    node.value().subscribed_gpus = subscribed;
+    by_load_.insert(std::move(node));
 }
 
 double

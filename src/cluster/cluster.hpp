@@ -2,12 +2,19 @@
  * @file
  * The elastic server fleet: server registry plus cluster-wide aggregates
  * used by placement (dynamic SR cap, §3.4.1) and the auto-scaler (§3.4.2).
+ *
+ * The fleet totals (sum G, sum S, sum C) and a load-ordered index of the
+ * servers are kept up to date as loads change: every subscribe,
+ * unsubscribe, commit and release on a server notifies its cluster, so
+ * the totals are O(1) reads and placement walks the least-loaded servers
+ * first instead of sorting the fleet.
  */
 #ifndef NBOS_CLUSTER_CLUSTER_HPP
 #define NBOS_CLUSTER_CLUSTER_HPP
 
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -24,9 +31,38 @@ double subscription_ratio(std::int64_t subscribed_gpus,
                           std::int64_t total_gpus,
                           std::int32_t replicas_per_kernel);
 
+/** One server's place in the load index: its load as of its last change. */
+struct LoadEntry
+{
+    std::int32_t committed_gpus = 0;
+    std::int32_t subscribed_gpus = 0;
+    ServerId id = kNoServer;
+    const GpuServer* server = nullptr;
+};
+
+/** Least loaded first: fewest committed GPUs, then fewest subscribed,
+ *  then lowest id — a total order, so the index is deterministic. */
+struct LoadOrder
+{
+    bool operator()(const LoadEntry& a, const LoadEntry& b) const
+    {
+        if (a.committed_gpus != b.committed_gpus) {
+            return a.committed_gpus < b.committed_gpus;
+        }
+        if (a.subscribed_gpus != b.subscribed_gpus) {
+            return a.subscribed_gpus < b.subscribed_gpus;
+        }
+        return a.id < b.id;
+    }
+};
+
+/** Every server of a cluster in LoadOrder. */
+using LoadIndex = std::set<LoadEntry, LoadOrder>;
+
 /**
  * Registry of GPU servers. Servers can be added (scale-out) and removed
- * (scale-in) at runtime.
+ * (scale-in) at runtime. Servers point back at their cluster, so a
+ * cluster is neither copyable nor movable.
  *
  * Layout: parallel arrays (ids, nodes) kept in id order — ids are handed
  * out monotonically, so scale-out is a push_back and the autoscaler /
@@ -90,6 +126,9 @@ class Cluster
 
     explicit Cluster(ResourceSpec server_shape = ResourceSpec::server_8gpu());
 
+    Cluster(const Cluster&) = delete;
+    Cluster& operator=(const Cluster&) = delete;
+
     /** Provision one server of the default shape. */
     GpuServer& add_server();
 
@@ -97,7 +136,7 @@ class Cluster
     GpuServer& add_server(const ResourceSpec& shape);
 
     /**
-     * Remove a server.
+     * Remove a server, and its current load from the totals.
      * @return false if the id is unknown.
      */
     bool remove_server(ServerId id);
@@ -114,20 +153,23 @@ class Cluster
     /** The dense id column (id order; parallel to the node column). */
     const std::vector<ServerId>& ids() const { return ids_; }
 
-    /** All server ids in id order. */
-    std::vector<ServerId> server_ids() const;
+    /** Every server, least loaded first (LoadOrder). */
+    const LoadIndex& by_load() const { return by_load_; }
 
     /** Total GPUs across all servers (sum G). */
-    std::int32_t total_gpus() const;
+    std::int32_t total_gpus() const { return total_gpus_; }
 
     /** Total subscribed GPUs across all servers (sum S). */
-    std::int32_t total_subscribed_gpus() const;
+    std::int32_t total_subscribed_gpus() const
+    {
+        return total_subscribed_gpus_;
+    }
 
     /** Total exclusively committed GPUs across all servers (sum C). */
-    std::int32_t total_committed_gpus() const;
-
-    /** Total committed millicpus across all servers. */
-    std::int64_t total_committed_millicpus() const;
+    std::int32_t total_committed_gpus() const
+    {
+        return total_committed_gpus_;
+    }
 
     /** This fleet's subscription_ratio(sum(S), sum(G), R). */
     double cluster_subscription_ratio(std::int32_t replicas_per_kernel) const;
@@ -136,6 +178,14 @@ class Cluster
     const ResourceSpec& server_shape() const { return server_shape_; }
 
   private:
+    friend class GpuServer;
+
+    /** @p server's GPU load just changed from (@p old_committed,
+     *  @p old_subscribed): update the totals and move it within the
+     *  index, reusing its node (no allocation). */
+    void on_load_change(const GpuServer& server, std::int32_t old_committed,
+                        std::int32_t old_subscribed);
+
     /** Index of @p id in the parallel arrays, or npos. */
     std::size_t index_of(ServerId id) const;
 
@@ -145,6 +195,10 @@ class Cluster
     ServerId next_id_ = 1;
     std::vector<ServerId> ids_;
     std::vector<std::unique_ptr<GpuServer>> nodes_;
+    LoadIndex by_load_;
+    std::int32_t total_gpus_ = 0;
+    std::int32_t total_subscribed_gpus_ = 0;
+    std::int32_t total_committed_gpus_ = 0;
 };
 
 /**

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "cluster/cluster.hpp"
+
 namespace nbos::cluster {
 
 const char*
@@ -33,28 +35,30 @@ GpuServer::GpuServer(ServerId id, ResourceSpec capacity)
 }
 
 void
+GpuServer::notify_owner(std::int32_t old_committed,
+                        std::int32_t old_subscribed)
+{
+    if (owner_ != nullptr) {
+        owner_->on_load_change(*this, old_committed, old_subscribed);
+    }
+}
+
+void
 GpuServer::subscribe(const ResourceSpec& spec)
 {
+    const std::int32_t old_subscribed = subscribed_.gpus;
     subscribed_ = subscribed_ + spec;
+    notify_owner(committed_.gpus, old_subscribed);
 }
 
 void
 GpuServer::unsubscribe(const ResourceSpec& spec)
 {
+    const std::int32_t old_subscribed = subscribed_.gpus;
     subscribed_ = subscribed_ - spec;
     assert(subscribed_.gpus >= 0 && subscribed_.millicpus >= 0 &&
            subscribed_.memory_mb >= 0);
-}
-
-double
-GpuServer::subscription_ratio(std::int32_t replicas_per_kernel) const
-{
-    if (capacity_.gpus <= 0 || replicas_per_kernel <= 0) {
-        return 0.0;
-    }
-    return static_cast<double>(subscribed_.gpus) /
-           (static_cast<double>(capacity_.gpus) *
-            static_cast<double>(replicas_per_kernel));
+    notify_owner(committed_.gpus, old_subscribed);
 }
 
 bool
@@ -69,16 +73,20 @@ GpuServer::commit(const ResourceSpec& spec)
     if (!can_commit(spec)) {
         return false;
     }
+    const std::int32_t old_committed = committed_.gpus;
     committed_ = committed_ + spec;
+    notify_owner(old_committed, subscribed_.gpus);
     return true;
 }
 
 void
 GpuServer::release(const ResourceSpec& spec)
 {
+    const std::int32_t old_committed = committed_.gpus;
     committed_ = committed_ - spec;
     assert(committed_.gpus >= 0 && committed_.millicpus >= 0 &&
            committed_.memory_mb >= 0);
+    notify_owner(old_committed, subscribed_.gpus);
 }
 
 std::optional<std::vector<std::int32_t>>

@@ -31,6 +31,8 @@ using ContainerId = std::int64_t;
 /** Identifier of a distributed kernel. */
 using KernelId = std::int64_t;
 
+class Cluster;
+
 /** Sentinel ids. */
 inline constexpr ServerId kNoServer = -1;
 inline constexpr KernelId kNoKernel = -1;
@@ -83,12 +85,18 @@ struct ContainerTimings
 
 /**
  * One GPU server. Pure bookkeeping: all timing behaviour lives in the
- * Local/Global schedulers.
+ * Local/Global schedulers. A server added through Cluster::add_server
+ * reports every subscription and commitment change to its cluster (fleet
+ * totals, load index); a standalone server has no owner. Its cluster
+ * holds its address, so a server is neither copyable nor movable.
  */
 class GpuServer
 {
   public:
     GpuServer(ServerId id, ResourceSpec capacity);
+
+    GpuServer(const GpuServer&) = delete;
+    GpuServer& operator=(const GpuServer&) = delete;
 
     ServerId id() const { return id_; }
     const ResourceSpec& capacity() const { return capacity_; }
@@ -99,12 +107,6 @@ class GpuServer
     void unsubscribe(const ResourceSpec& spec);
     std::int32_t subscribed_gpus() const { return subscribed_.gpus; }
     const ResourceSpec& subscribed() const { return subscribed_; }
-
-    /**
-     * Subscription ratio S / (G * R) from §3.4.1.
-     * @param replicas_per_kernel the R divisor (3 by default).
-     */
-    double subscription_ratio(std::int32_t replicas_per_kernel) const;
     ///@}
 
     /** @name Exclusive commitments (during cell execution) */
@@ -166,6 +168,13 @@ class GpuServer
     bool draining() const { return draining_; }
 
   private:
+    friend class Cluster;
+
+    /** Tell the owning cluster, if any, that the GPU load changed from
+     *  (@p old_committed, @p old_subscribed). */
+    void notify_owner(std::int32_t old_committed,
+                      std::int32_t old_subscribed);
+
     ServerId id_;
     ResourceSpec capacity_;
     /** Per-device busy flags (index = CUDA-style device id). */
@@ -174,6 +183,8 @@ class GpuServer
     ResourceSpec committed_{0, 0, 0, 0.0};
     std::map<ContainerId, Container> containers_;
     bool draining_ = false;
+    /** The cluster this server belongs to (set by Cluster::add_server). */
+    Cluster* owner_ = nullptr;
 };
 
 }  // namespace nbos::cluster

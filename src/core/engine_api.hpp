@@ -84,6 +84,9 @@ struct RunResponse
     ExperimentResults results;
     /** Simulation events executed across every shard. */
     std::uint64_t events_executed = 0;
+    /** Load-index entries examined by every shard's placements: a few
+     *  per placement, the whole shard fleet only when one fails. */
+    std::uint64_t placement_servers_examined = 0;
     /** Per-shard simulation events, in shard order. */
     std::vector<std::uint64_t> shard_events;
     /** Wall seconds advancing each shard's loop, in shard order. Serial

@@ -120,13 +120,14 @@ RunResponse
 FastRun::finish()
 {
     std::vector<ExperimentResults> parts;
-    std::vector<std::uint64_t> shard_events;
+    std::vector<ShardWork> work;
     parts.reserve(shards_.size());
     for (const auto& shard : shards_) {
-        shard_events.push_back(shard->events_executed());
+        work.push_back(ShardWork{shard->events_executed(),
+                                 shard->placement_servers_examined()});
         parts.push_back(shard->finish());
     }
-    RunResponse response = merge_shards(std::move(parts), shard_events);
+    RunResponse response = merge_shards(std::move(parts), work);
     ExperimentResults& results = response.results;
     results.policy = Policy::kNotebookOS;
     results.trace_name = trace_name_;

@@ -91,6 +91,12 @@ class FastEngineShard
     /** Simulation events executed so far (throughput accounting). */
     std::uint64_t events_executed() const;
 
+    /** Load-index entries this shard's placements examined so far. */
+    std::uint64_t placement_servers_examined() const
+    {
+        return placement_.servers_examined();
+    }
+
     /** Fleet-size changes as (time, ±gpus) deltas, for the driver-side
      *  merged provisioned_gpus series. */
     const std::vector<std::pair<sim::Time, double>>& gpu_deltas() const

@@ -133,7 +133,7 @@ class PrototypeRun
         // The outcome slots enter the merge as shard 0's tasks.
         std::vector<ExperimentResults> parts(shards_.size());
         parts.front().tasks = std::move(tasks_);
-        std::vector<std::uint64_t> shard_events;
+        std::vector<ShardWork> work;
         for (std::size_t i = 0; i < shards_.size(); ++i) {
             const sched::SchedulerShard& shard = shards_[i]->shard;
             ExperimentResults& part = parts[i];
@@ -144,9 +144,11 @@ class PrototypeRun
             part.write_ms = shard.store().write_latencies();
             part.store_bytes_written = shard.store().bytes_written();
             part.net_stats = shard.network_stats();
-            shard_events.push_back(shards_[i]->simulation.events_executed());
+            work.push_back(
+                ShardWork{shards_[i]->simulation.events_executed(),
+                          shard.placement_servers_examined()});
         }
-        RunResponse response = merge_shards(std::move(parts), shard_events);
+        RunResponse response = merge_shards(std::move(parts), work);
         ExperimentResults& results = response.results;
         results.policy = Policy::kNotebookOS;
         results.trace_name = trace_name_;

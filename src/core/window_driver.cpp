@@ -158,7 +158,7 @@ sort_tasks(std::vector<TaskOutcome>& tasks)
 
 RunResponse
 merge_shards(std::vector<ExperimentResults> parts,
-             const std::vector<std::uint64_t>& shard_events)
+             const std::vector<ShardWork>& work)
 {
     RunResponse response;
     ExperimentResults& merged = response.results;
@@ -186,8 +186,11 @@ merge_shards(std::vector<ExperimentResults> parts,
         std::vector<TaskOutcome> tasks = std::move(part.tasks);
         std::move(tasks.begin(), tasks.end(),
                   std::back_inserter(merged.tasks));
-        response.shard_events.push_back(shard_events.at(i));
-        response.events_executed += shard_events[i];
+        const ShardWork& shard = work.at(i);
+        response.shard_events.push_back(shard.events);
+        response.events_executed += shard.events;
+        response.placement_servers_examined +=
+            shard.placement_servers_examined;
     }
     merged.events = sched::merge_events(events);
     sort_tasks(merged.tasks);

@@ -218,20 +218,30 @@ drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine)
  *  left untouched. */
 void sort_tasks(std::vector<TaskOutcome>& tasks);
 
+/** One shard's deterministic work counts, as merge_shards folds them. */
+struct ShardWork
+{
+    /** Simulation events executed. */
+    std::uint64_t events = 0;
+    /** Load-index entries its placements examined
+     *  (sched::LeastLoadedPolicy::servers_examined). */
+    std::uint64_t placement_servers_examined = 0;
+};
+
 /**
  * The one cross-shard merge of both engines. @p parts holds each shard's
- * results and @p shard_events its executed simulation events, in shard
- * order. Counters, scheduler events (sched::merge_events), the sync /
- * read / write latency samples, store bytes and network stats are folded
- * in shard order; shard 0's tasks are kept, the others' are appended and
- * the whole vector is put in (submit, session, seq) order (sort_tasks).
- * The response also carries the per-shard events and their sum, and a
+ * results and @p work its work counts, in shard order. Counters,
+ * scheduler events (sched::merge_events), the sync / read / write latency
+ * samples, store bytes and network stats are folded in shard order;
+ * shard 0's tasks are kept, the others' are appended and the whole vector
+ * is put in (submit, session, seq) order (sort_tasks). The response also
+ * carries the per-shard events and the sums of both work counts, and a
  * sharded run gets one sched_stats.shard_loads sample per shard. Every
  * other field of the merged results is left for the caller: identity,
  * timelines, and finalize_tasks.
  */
 RunResponse merge_shards(std::vector<ExperimentResults> parts,
-                         const std::vector<std::uint64_t>& shard_events);
+                         const std::vector<ShardWork>& work);
 
 /** The shared tail of both engines: tasks that never saw a reply are
  *  aborted, and the committed-GPU step series is rebuilt from the

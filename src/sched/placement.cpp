@@ -9,70 +9,55 @@ LeastLoadedPolicy::LeastLoadedPolicy(double sr_watermark)
 {
 }
 
-double
-LeastLoadedPolicy::current_limit(const cluster::Cluster& cluster,
-                                 std::int32_t replicas_per_kernel) const
-{
-    return std::max(1.0,
-                    cluster.cluster_subscription_ratio(replicas_per_kernel));
-}
-
 std::vector<cluster::ServerId>
 LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
                         const cluster::ResourceSpec& spec, std::size_t count,
-                        std::int32_t replicas_per_kernel) const
+                        std::int32_t replicas_per_kernel)
 {
+    std::vector<cluster::ServerId> chosen;
+    if (count == 0) {
+        return chosen;
+    }
     // The dynamic limit includes the incoming subscription so that an
     // at-average server still qualifies as "preferred" while sum(S) grows.
     const double soft_limit = std::max(
         1.0, cluster::subscription_ratio(
                  cluster.total_subscribed_gpus() + spec.gpus,
                  cluster.total_gpus(), replicas_per_kernel));
-    struct Candidate
-    {
-        cluster::ServerId id;
-        bool over_soft_limit;
-        std::int32_t committed;
-        std::int32_t subscribed;
-    };
-    std::vector<Candidate> candidates;
-    for (const auto& [id, server] : cluster.servers()) {
-        if (server->draining() || !spec.fits_within(server->capacity())) {
+    // Servers over the dynamic limit, in walk order: they fill a
+    // shortfall only once every server under it has been seen.
+    std::vector<cluster::ServerId> over_limit;
+    chosen.reserve(count);
+    for (const cluster::LoadEntry& entry : cluster.by_load()) {
+        ++servers_examined_;
+        const cluster::GpuServer& server = *entry.server;
+        if (server.draining() || !spec.fits_within(server.capacity())) {
             continue;
         }
         const double new_sr =
-            static_cast<double>(server->subscribed_gpus() + spec.gpus) /
-            (static_cast<double>(server->capacity().gpus) *
+            static_cast<double>(server.subscribed_gpus() + spec.gpus) /
+            (static_cast<double>(server.capacity().gpus) *
              static_cast<double>(replicas_per_kernel));
         // Hard watermark: never oversubscribe a server past it.
         if (new_sr > sr_watermark_ + 1e-9) {
             continue;
         }
-        candidates.push_back(Candidate{id, new_sr > soft_limit + 1e-9,
-                                       server->committed_gpus(),
-                                       server->subscribed_gpus()});
+        if (new_sr > soft_limit + 1e-9) {
+            if (over_limit.size() < count) {
+                over_limit.push_back(entry.id);
+            }
+            continue;
+        }
+        chosen.push_back(entry.id);
+        if (chosen.size() == count) {
+            return chosen;
+        }
     }
-    // Prefer servers under the dynamic limit, then least-loaded: fewest
-    // actively used GPUs, then fewest subscribed, then id (determinism).
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                  if (a.over_soft_limit != b.over_soft_limit) {
-                      return !a.over_soft_limit;
-                  }
-                  if (a.committed != b.committed) {
-                      return a.committed < b.committed;
-                  }
-                  if (a.subscribed != b.subscribed) {
-                      return a.subscribed < b.subscribed;
-                  }
-                  return a.id < b.id;
-              });
-    std::vector<cluster::ServerId> chosen;
-    for (const Candidate& candidate : candidates) {
-        if (chosen.size() >= count) {
+    for (const cluster::ServerId id : over_limit) {
+        if (chosen.size() == count) {
             break;
         }
-        chosen.push_back(candidate.id);
+        chosen.push_back(id);
     }
     return chosen;
 }

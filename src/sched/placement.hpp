@@ -3,10 +3,17 @@
  * Kernel-replica placement (§3.4.1): the paper's least-loaded placement
  * with the dynamic cluster-wide subscription-ratio (SR) cap, the one
  * policy both NotebookOS engines' shards place through.
+ *
+ * pick() walks the cluster's load index (cluster::Cluster::by_load(),
+ * kept up to date as loads change) least loaded first and stops once it
+ * has enough servers under the dynamic limit, so a placement examines a
+ * handful of servers whatever the fleet size; only a placement that
+ * cannot be satisfied walks the whole fleet.
  */
 #ifndef NBOS_SCHED_PLACEMENT_HPP
 #define NBOS_SCHED_PLACEMENT_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -33,7 +40,9 @@ class LeastLoadedPolicy
 
     /**
      * Choose up to @p count distinct servers able to host a replica of a
-     * kernel requesting @p spec.
+     * kernel requesting @p spec: servers under the dynamic limit first,
+     * then the ones over it, each group least loaded first (committed
+     * GPUs, subscribed GPUs, id).
      *
      * @param replicas_per_kernel the R divisor in the SR.
      * @return chosen server ids (size < count means placement failed and a
@@ -41,17 +50,18 @@ class LeastLoadedPolicy
      */
     std::vector<cluster::ServerId>
     pick(const cluster::Cluster& cluster, const cluster::ResourceSpec& spec,
-         std::size_t count, std::int32_t replicas_per_kernel) const;
-
-    /** The dynamic cluster-wide SR limit, max(1, sum(S)/(sum(G)*R)). */
-    double current_limit(const cluster::Cluster& cluster,
-                         std::int32_t replicas_per_kernel) const;
+         std::size_t count, std::int32_t replicas_per_kernel);
 
     /** The hard per-server cap. */
     double watermark() const { return sr_watermark_; }
 
+    /** Load-index entries pick() has examined so far (deterministic work
+     *  count: a return to whole-fleet scans multiplies it). */
+    std::uint64_t servers_examined() const { return servers_examined_; }
+
   private:
     double sr_watermark_;
+    std::uint64_t servers_examined_ = 0;
 };
 
 }  // namespace nbos::sched

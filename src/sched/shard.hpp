@@ -173,6 +173,13 @@ class SchedulerShard
     cluster::Cluster& cluster() { return cluster_; }
     const cluster::Cluster& cluster() const { return cluster_; }
     const SchedulerStats& stats() const { return stats_; }
+    /** Load-index entries this shard's placements examined so far. Not
+     *  in SchedulerStats: it depends on each shard's fleet, so it is not
+     *  invariant across shard counts. */
+    std::uint64_t placement_servers_examined() const
+    {
+        return placement_.servers_examined();
+    }
     const std::vector<SchedulerEvent>& events() const { return events_; }
     storage::DataStore& store() { return *store_; }
     const storage::DataStore& store() const { return *store_; }

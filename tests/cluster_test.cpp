@@ -101,7 +101,9 @@ TEST(GpuServerTest, SubscriptionRatioMatchesPaperExample)
         server.subscribe(kernel_request(4));
     }
     EXPECT_EQ(server.subscribed_gpus(), 16);
-    EXPECT_NEAR(server.subscription_ratio(3), 0.667, 0.001);
+    EXPECT_NEAR(subscription_ratio(server.subscribed_gpus(),
+                                   server.capacity().gpus, 3),
+                0.667, 0.001);
 }
 
 TEST(GpuServerTest, UnsubscribeRestoresRatio)
@@ -110,7 +112,9 @@ TEST(GpuServerTest, UnsubscribeRestoresRatio)
     server.subscribe(kernel_request(4));
     server.unsubscribe(kernel_request(4));
     EXPECT_EQ(server.subscribed_gpus(), 0);
-    EXPECT_DOUBLE_EQ(server.subscription_ratio(3), 0.0);
+    EXPECT_DOUBLE_EQ(subscription_ratio(server.subscribed_gpus(),
+                                        server.capacity().gpus, 3),
+                     0.0);
 }
 
 TEST(GpuServerTest, SubscriptionIndependentOfCommitment)
@@ -230,7 +234,14 @@ TEST(ClusterTest, TotalsAggregate)
     EXPECT_EQ(cluster.total_subscribed_gpus(), 6);
     a.commit(kernel_request(3));
     EXPECT_EQ(cluster.total_committed_gpus(), 3);
-    EXPECT_EQ(cluster.total_committed_millicpus(), 12000);
+    // Removing a loaded server takes its current load out of the totals.
+    const ServerId a_id = a.id();
+    ASSERT_TRUE(cluster.remove_server(a_id));
+    EXPECT_EQ(cluster.total_gpus(), 8);
+    EXPECT_EQ(cluster.total_subscribed_gpus(), 2);
+    EXPECT_EQ(cluster.total_committed_gpus(), 0);
+    b.unsubscribe(kernel_request(2));
+    EXPECT_EQ(cluster.total_subscribed_gpus(), 0);
 }
 
 TEST(ClusterTest, ClusterSubscriptionRatio)

@@ -592,7 +592,7 @@ TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
 
     {
         SCOPED_TRACE("one part");
-        const RunResponse one = merge_shards({a}, {42});
+        const RunResponse one = merge_shards({a}, {{42, 7}});
         const ExperimentResults& merged = one.results;
         EXPECT_TRUE(merged.sched_stats == a.sched_stats);
         EXPECT_TRUE(merged.sched_stats.shard_loads.empty());
@@ -606,10 +606,11 @@ TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
         EXPECT_TRUE(merged.net_stats == a.net_stats);
         EXPECT_EQ(one.shard_events, (std::vector<std::uint64_t>{42}));
         EXPECT_EQ(one.events_executed, 42u);
+        EXPECT_EQ(one.placement_servers_examined, 7u);
     }
 
     SCOPED_TRACE("two parts");
-    const RunResponse two = merge_shards({a, b}, {30, 10});
+    const RunResponse two = merge_shards({a, b}, {{30, 6}, {10, 9}});
     const ExperimentResults& merged = two.results;
     EXPECT_EQ(merged.sched_stats.kernels_created, 3u);
     EXPECT_EQ(merged.sched_stats.executions_completed, 6u);
@@ -637,6 +638,7 @@ TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
     EXPECT_EQ(merged.write_ms.sorted(), (std::vector<double>{4.0, 8.0}));
     EXPECT_EQ(two.shard_events, (std::vector<std::uint64_t>{30, 10}));
     EXPECT_EQ(two.events_executed, 40u);
+    EXPECT_EQ(two.placement_servers_examined, 15u);
     ASSERT_EQ(merged.sched_stats.shard_loads.size(), 2u);
     EXPECT_EQ(merged.sched_stats.shard_loads[0].events, 30u);
     EXPECT_EQ(merged.sched_stats.shard_loads[1].events, 10u);

@@ -16,11 +16,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "harness.hpp"
 #include "metrics/percentiles.hpp"
 #include "metrics/stats.hpp"
+#include "sched/placement.hpp"
 #include "sched/shard_router.hpp"
 #include "workload/profiles.hpp"
 
@@ -415,6 +418,239 @@ TEST(RoutingPolicyProperty, InvariantTotalsIndependentOfPolicy)
                     EXPECT_EQ(results.tasks.size(), tasks);
                 }
             }
+        }
+    });
+}
+
+/** A kernel request of @p gpus GPUs (4 vCPUs, 16 GB and 16 GB VRAM each). */
+cluster::ResourceSpec
+gpu_request(std::int32_t gpus)
+{
+    return cluster::ResourceSpec{4000 * gpus, 16384LL * gpus, gpus,
+                                 16.0 * gpus};
+}
+
+/**
+ * The sort-based least-loaded scan that the indexed walk replaced, as
+ * the reference: filter every server, sort the candidates by (over the
+ * dynamic limit, committed, subscribed, id) and take the first @p count.
+ * The fleet totals are summed over servers() here, not read from the
+ * cluster's cached ones.
+ */
+std::vector<cluster::ServerId>
+sorted_scan_pick(const cluster::Cluster& cluster,
+                 const cluster::ResourceSpec& spec, std::size_t count,
+                 std::int32_t replicas_per_kernel, double sr_watermark)
+{
+    std::int32_t total_gpus = 0;
+    std::int32_t total_subscribed = 0;
+    for (const auto& [id, server] : cluster.servers()) {
+        total_gpus += server->capacity().gpus;
+        total_subscribed += server->subscribed_gpus();
+    }
+    const double soft_limit = std::max(
+        1.0, cluster::subscription_ratio(total_subscribed + spec.gpus,
+                                         total_gpus, replicas_per_kernel));
+    struct Candidate
+    {
+        cluster::ServerId id;
+        bool over_soft_limit;
+        std::int32_t committed;
+        std::int32_t subscribed;
+    };
+    std::vector<Candidate> candidates;
+    for (const auto& [id, server] : cluster.servers()) {
+        if (server->draining() || !spec.fits_within(server->capacity())) {
+            continue;
+        }
+        const double new_sr =
+            static_cast<double>(server->subscribed_gpus() + spec.gpus) /
+            (static_cast<double>(server->capacity().gpus) *
+             static_cast<double>(replicas_per_kernel));
+        if (new_sr > sr_watermark + 1e-9) {
+            continue;
+        }
+        candidates.push_back(Candidate{id, new_sr > soft_limit + 1e-9,
+                                       server->committed_gpus(),
+                                       server->subscribed_gpus()});
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& a, const Candidate& b) {
+                  if (a.over_soft_limit != b.over_soft_limit) {
+                      return !a.over_soft_limit;
+                  }
+                  if (a.committed != b.committed) {
+                      return a.committed < b.committed;
+                  }
+                  if (a.subscribed != b.subscribed) {
+                      return a.subscribed < b.subscribed;
+                  }
+                  return a.id < b.id;
+              });
+    std::vector<cluster::ServerId> chosen;
+    for (const Candidate& candidate : candidates) {
+        if (chosen.size() >= count) {
+            break;
+        }
+        chosen.push_back(candidate.id);
+    }
+    return chosen;
+}
+
+/** The cluster's cached totals and load index against values recomputed
+ *  from servers(), and pick() against the sorted scan for every request
+ *  shape, replica count, R and watermark. */
+void
+check_cluster_against_reference(const cluster::Cluster& cluster)
+{
+    std::int32_t total_gpus = 0;
+    std::int32_t total_subscribed = 0;
+    std::int32_t total_committed = 0;
+    std::vector<std::tuple<std::int32_t, std::int32_t, cluster::ServerId>>
+        expected_order;
+    for (const auto& [id, server] : cluster.servers()) {
+        total_gpus += server->capacity().gpus;
+        total_subscribed += server->subscribed_gpus();
+        total_committed += server->committed_gpus();
+        expected_order.emplace_back(server->committed_gpus(),
+                                    server->subscribed_gpus(), id);
+    }
+    ASSERT_EQ(cluster.total_gpus(), total_gpus);
+    ASSERT_EQ(cluster.total_subscribed_gpus(), total_subscribed);
+    ASSERT_EQ(cluster.total_committed_gpus(), total_committed);
+
+    std::sort(expected_order.begin(), expected_order.end());
+    std::vector<std::tuple<std::int32_t, std::int32_t, cluster::ServerId>>
+        index_order;
+    for (const cluster::LoadEntry& entry : cluster.by_load()) {
+        ASSERT_EQ(entry.server, cluster.find(entry.id));
+        index_order.emplace_back(entry.committed_gpus,
+                                 entry.subscribed_gpus, entry.id);
+    }
+    ASSERT_EQ(index_order, expected_order);
+
+    for (const double watermark : {1.0, 3.0}) {
+        sched::LeastLoadedPolicy policy(watermark);
+        for (const std::int32_t gpus : {1, 2, 4, 8, 16}) {
+            const cluster::ResourceSpec spec = gpu_request(gpus);
+            for (const std::int32_t replicas : {1, 3, 5}) {
+                for (std::size_t count = 0; count <= 4; ++count) {
+                    ASSERT_EQ(policy.pick(cluster, spec, count, replicas),
+                              sorted_scan_pick(cluster, spec, count,
+                                               replicas, watermark))
+                        << "gpus=" << gpus << " count=" << count
+                        << " R=" << replicas << " watermark=" << watermark;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Placement walks a load index the cluster keeps up to date instead of
+ * sorting the fleet. Over random fleets of 0-64 servers (some with a
+ * custom shape, some draining) and random subscribe / unsubscribe /
+ * commit / release / add / remove sequences, after every step: the
+ * cached totals equal the recomputed sums, the index is the servers in
+ * (committed, subscribed, id) order, and pick() chooses exactly what the
+ * sort-based scan chooses.
+ */
+TEST(PlacementProperty, IndexedPickMatchesSortedScan)
+{
+    const std::array<cluster::ResourceSpec, 4> shapes = {
+        cluster::ResourceSpec{8000, 32768, 1, 16.0},
+        cluster::ResourceSpec{16000, 65536, 2, 32.0},
+        cluster::ResourceSpec{32000, 131072, 4, 64.0},
+        cluster::ResourceSpec{128000, 1048576, 16, 256.0},
+    };
+    test::check_property(kStreams, [&shapes](sim::Rng& rng, std::size_t) {
+        cluster::Cluster cluster;
+        // Each live server's outstanding subscriptions and commitments,
+        // so unsubscribe and release only undo what was done.
+        std::map<cluster::ServerId, std::vector<cluster::ResourceSpec>>
+            subscribed;
+        std::map<cluster::ServerId, std::vector<cluster::ResourceSpec>>
+            committed;
+        const auto random_request = [&rng] {
+            return gpu_request(
+                std::int32_t{1} << rng.uniform_int(0, 3));  // 1, 2, 4, 8
+        };
+        // A new server starts with 0-4 subscriptions, so fleet SRs range
+        // from idle to past the dynamic limit and the watermark.
+        const auto add = [&] {
+            cluster::GpuServer& server =
+                rng.uniform_int(0, 3) == 0
+                    ? cluster.add_server(shapes[static_cast<std::size_t>(
+                          rng.uniform_int(0, shapes.size() - 1))])
+                    : cluster.add_server();
+            server.set_draining(rng.uniform_int(0, 5) == 0);
+            std::vector<cluster::ResourceSpec>& specs =
+                subscribed[server.id()];
+            for (std::int64_t k = rng.uniform_int(0, 4); k > 0; --k) {
+                specs.push_back(random_request());
+                server.subscribe(specs.back());
+            }
+            committed[server.id()];
+        };
+        // Takes one spec, at random, out of @p specs.
+        const auto take = [&rng](std::vector<cluster::ResourceSpec>& specs) {
+            const auto i = static_cast<std::size_t>(
+                rng.uniform_int(0, specs.size() - 1));
+            const cluster::ResourceSpec spec = specs[i];
+            specs[i] = specs.back();
+            specs.pop_back();
+            return spec;
+        };
+
+        const std::int64_t initial = rng.uniform_int(0, 64);
+        for (std::int64_t i = 0; i < initial; ++i) {
+            add();
+        }
+        ASSERT_NO_FATAL_FAILURE(check_cluster_against_reference(cluster));
+        for (int step = 0; step < 120; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            const std::int64_t op = rng.uniform_int(0, 5);
+            if (op == 4) {
+                if (cluster.size() < 64) {
+                    add();
+                }
+            } else if (cluster.size() > 0) {
+                const cluster::ServerId id =
+                    cluster.ids()[static_cast<std::size_t>(
+                        rng.uniform_int(0, cluster.size() - 1))];
+                cluster::GpuServer& server = *cluster.find(id);
+                switch (op) {
+                  case 0: {
+                    const cluster::ResourceSpec spec = random_request();
+                    server.subscribe(spec);
+                    subscribed[id].push_back(spec);
+                    break;
+                  }
+                  case 1:
+                    if (!subscribed[id].empty()) {
+                        server.unsubscribe(take(subscribed[id]));
+                    }
+                    break;
+                  case 2: {
+                    const cluster::ResourceSpec spec = random_request();
+                    if (server.commit(spec)) {
+                        committed[id].push_back(spec);
+                    }
+                    break;
+                  }
+                  case 3:
+                    if (!committed[id].empty()) {
+                        server.release(take(committed[id]));
+                    }
+                    break;
+                  default:
+                    ASSERT_TRUE(cluster.remove_server(id));
+                    subscribed.erase(id);
+                    committed.erase(id);
+                    break;
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(check_cluster_against_reference(cluster));
         }
     });
 }

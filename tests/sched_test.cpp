@@ -95,7 +95,7 @@ TEST(PlacementTest, DynamicLimitRisesWithClusterSr)
     // Cluster SR = 128/(16*3) = 2.67: the dynamic limit follows it upward.
     // Server a would land above the hard watermark (3.04 > 3) and is
     // rejected outright; b (2.38) is accepted.
-    EXPECT_NEAR(policy.current_limit(cluster, 3), 128.0 / 48.0, 1e-9);
+    EXPECT_NEAR(cluster.cluster_subscription_ratio(3), 128.0 / 48.0, 1e-9);
     const auto picked = policy.pick(cluster, kernel_request(1), 2, 3);
     ASSERT_EQ(picked.size(), 1u);
     EXPECT_EQ(picked[0], b.id());
