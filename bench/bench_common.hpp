@@ -9,9 +9,12 @@
 #define NBOS_BENCH_COMMON_HPP
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -33,16 +36,21 @@ namespace nbos::bench {
 /** Fixed seed so every bench is reproducible run-to-run. */
 inline constexpr std::uint64_t kSeed = 2026;
 
-/** Raw values of the five NBOS_BENCH_* knobs (null = unset). Captured as
- *  a struct so parsing is a pure, testable function of its inputs. */
+/** Raw values of the NBOS_BENCH_* and NBOS_CHAOS_* knobs (null = unset).
+ *  Captured as a struct so parsing is a pure, testable function of its
+ *  inputs. */
 struct BenchEnv
 {
-    const char* smoke = nullptr;     ///< NBOS_BENCH_SMOKE
-    const char* profile = nullptr;   ///< NBOS_BENCH_PROFILE
-    const char* seeds = nullptr;     ///< NBOS_BENCH_SEEDS
-    const char* shards = nullptr;    ///< NBOS_BENCH_SHARDS
-    const char* routing = nullptr;   ///< NBOS_BENCH_ROUTING
-    const char* policies = nullptr;  ///< NBOS_BENCH_POLICIES
+    const char* smoke = nullptr;         ///< NBOS_BENCH_SMOKE
+    const char* profile = nullptr;       ///< NBOS_BENCH_PROFILE
+    const char* seeds = nullptr;         ///< NBOS_BENCH_SEEDS
+    const char* shards = nullptr;        ///< NBOS_BENCH_SHARDS
+    const char* routing = nullptr;       ///< NBOS_BENCH_ROUTING
+    const char* policies = nullptr;      ///< NBOS_BENCH_POLICIES
+    const char* chaos_seed = nullptr;    ///< NBOS_CHAOS_SEED
+    const char* chaos_rate = nullptr;    ///< NBOS_CHAOS_RATE
+    const char* chaos_record = nullptr;  ///< NBOS_CHAOS_RECORD
+    const char* chaos_replay = nullptr;  ///< NBOS_CHAOS_REPLAY
 
     static BenchEnv capture()
     {
@@ -53,15 +61,20 @@ struct BenchEnv
         env.shards = std::getenv("NBOS_BENCH_SHARDS");
         env.routing = std::getenv("NBOS_BENCH_ROUTING");
         env.policies = std::getenv("NBOS_BENCH_POLICIES");
+        env.chaos_seed = std::getenv("NBOS_CHAOS_SEED");
+        env.chaos_rate = std::getenv("NBOS_CHAOS_RATE");
+        env.chaos_record = std::getenv("NBOS_CHAOS_RECORD");
+        env.chaos_replay = std::getenv("NBOS_CHAOS_REPLAY");
         return env;
     }
 };
 
 /**
- * The validated bench option set: every NBOS_BENCH_* knob parsed once,
- * in one place. Malformed values are a hard error with the offending
- * variable named — historically a bad NBOS_BENCH_SHARDS silently fell
- * back to 1 and an unknown profile only warned, so a typo could pass as
+ * The validated bench option set: every NBOS_BENCH_* and NBOS_CHAOS_*
+ * knob parsed once, in one place. Malformed values are a hard error with
+ * the offending variable named — historically a bad NBOS_BENCH_SHARDS
+ * silently fell back to 1, an unknown profile only warned and a bad
+ * NBOS_CHAOS_SEED or NBOS_CHAOS_RATE was ignored, so a typo could pass as
  * a measurement of the default scenario.
  */
 struct BenchOptions
@@ -80,6 +93,24 @@ struct BenchOptions
     sched::RoutingPolicyKind routing = sched::RoutingPolicyKind::kStaticHash;
     /** Raw engine filter (comma-separated names); empty = run all. */
     std::string policies;
+    /** @name Chaos tier (bench/chaos_raft; see README "Chaos tier")
+     *
+     * Empty record / replay paths mean no schedule file.
+     */
+    ///@{
+    /** Chaos plan seed (`NBOS_CHAOS_SEED`, a whole unsigned 64-bit
+     *  integer); 0 derives it from the engine seed. */
+    std::uint64_t chaos_seed = 0;
+    /** Multiplier on every fault-class rate (`NBOS_CHAOS_RATE`, a finite
+     *  number >= 0). */
+    double chaos_rate = 1.0;
+    /** `NBOS_CHAOS_RECORD`: run only the canonical chaos row and save its
+     *  injected schedule here. */
+    std::string chaos_record;
+    /** `NBOS_CHAOS_REPLAY`: run only the canonical chaos row,
+     *  re-executing the schedule saved here. */
+    std::string chaos_replay;
+    ///@}
 };
 
 /** Parse @p env into @p out. Pure (no process state, no exit).
@@ -145,15 +176,42 @@ parse_bench_options(const BenchEnv& env, BenchOptions& out,
     if (env.policies != nullptr) {
         out.policies = env.policies;
     }
+    // from_chars takes no space, '+' or trailing text, and no '-' for an
+    // unsigned target, so " 7", "-3" and "12abc" are errors rather than a
+    // trimmed, wrapped or cut number.
+    const auto parse_all = [](const char* raw, auto& value) {
+        const char* end = raw + std::strlen(raw);
+        const auto [ptr, ec] = std::from_chars(raw, end, value);
+        return ec == std::errc{} && ptr == end;
+    };
+    if (env.chaos_seed != nullptr && env.chaos_seed[0] != '\0' &&
+        !parse_all(env.chaos_seed, out.chaos_seed)) {
+        error = std::string("NBOS_CHAOS_SEED='") + env.chaos_seed +
+                "' is not a whole unsigned 64-bit integer";
+        return false;
+    }
+    if (env.chaos_rate != nullptr && env.chaos_rate[0] != '\0' &&
+        (!parse_all(env.chaos_rate, out.chaos_rate) ||
+         !std::isfinite(out.chaos_rate) || out.chaos_rate < 0.0)) {
+        error = std::string("NBOS_CHAOS_RATE='") + env.chaos_rate +
+                "' is not a finite number >= 0";
+        return false;
+    }
+    if (env.chaos_record != nullptr) {
+        out.chaos_record = env.chaos_record;
+    }
+    if (env.chaos_replay != nullptr) {
+        out.chaos_replay = env.chaos_replay;
+    }
     return true;
 }
 
 /**
- * The process's active bench options: the five NBOS_BENCH_* variables
- * parsed and validated together. A malformed value prints the error and
- * exits 2 (a typo must never pass as a measurement of the default); the
- * first call prints the active option set once, to stderr so the
- * hash-pinned stdout of every bench is unaffected.
+ * The process's active bench options: the NBOS_BENCH_* and NBOS_CHAOS_*
+ * variables parsed and validated together. A malformed value prints the
+ * error and exits 2 (a typo must never pass as a measurement of the
+ * default); the first call prints the active NBOS_BENCH_* options once,
+ * to stderr so the hash-pinned stdout of every bench is unaffected.
  */
 inline BenchOptions
 options_or_exit()

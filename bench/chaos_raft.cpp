@@ -8,9 +8,11 @@
  * analytic baselines have no network to break, so their rows double as the
  * chaos-free reference at every rate.
  *
- * Env knobs (see README "Chaos tier"):
+ * Env knobs (see README "Chaos tier"; parsed and validated with the
+ * NBOS_BENCH_* knobs by bench::options_or_exit, so a malformed value
+ * exits 2 naming the variable):
  *   NBOS_CHAOS_SEED=<u64>    chaos plan seed (0 = derive from engine seed)
- *   NBOS_CHAOS_RATE=<f>      multiply every fault-class rate
+ *   NBOS_CHAOS_RATE=<f>      multiply every fault-class rate (finite, >= 0)
  *   NBOS_CHAOS_RECORD=<path> run only the canonical chaos row and save its
  *                            injected schedule to <path>
  *   NBOS_CHAOS_REPLAY=<path> run only the canonical chaos row, re-executing
@@ -27,7 +29,6 @@
 
 #include "bench_common.hpp"
 #include "chaos/config.hpp"
-#include "chaos/env.hpp"
 #include "chaos/fault_plan.hpp"
 #include "chaos/generator.hpp"
 
@@ -46,9 +47,9 @@ main()
 {
     using namespace nbos;
     const auto wall_start = std::chrono::steady_clock::now();
-    const chaos::EnvKnobs knobs = chaos::read_env_knobs();
-    const bool record_mode = !knobs.record_path.empty();
-    const bool replay_mode = !knobs.replay_path.empty();
+    const bench::BenchOptions knobs = bench::options_or_exit();
+    const bool record_mode = !knobs.chaos_record.empty();
+    const bool replay_mode = !knobs.chaos_replay.empty();
 
     workload::WorkloadGenerator generator{sim::Rng(bench::kSeed)};
     workload::GeneratorOptions options;
@@ -64,7 +65,7 @@ main()
     chaos_options.horizon = trace.makespan - trace.makespan / 4;
     chaos_options.rates = chaos::ChaosRates{3.0, 2.0, 1.0, 1.0, 1.0};
 
-    const double canonical_scale = 1.0 * knobs.rate_scale;
+    const double canonical_scale = 1.0 * knobs.chaos_rate;
     std::vector<SweepRow> rows;
     if (record_mode || replay_mode) {
         // RECORD/REPLAY pin down one canonical run; the schedule file is
@@ -75,7 +76,7 @@ main()
             for (const core::Policy policy :
                  {core::Policy::kReservation, core::Policy::kBatch,
                   core::Policy::kNotebookOS, core::Policy::kNotebookOSLCP}) {
-                rows.push_back({policy, scale * knobs.rate_scale});
+                rows.push_back({policy, scale * knobs.chaos_rate});
             }
         }
     }
@@ -83,7 +84,7 @@ main()
     std::shared_ptr<const chaos::ScheduleFile> replay_schedule;
     if (replay_mode) {
         replay_schedule = std::make_shared<const chaos::ScheduleFile>(
-            chaos::load_schedule_file(knobs.replay_path));
+            chaos::load_schedule_file(knobs.chaos_replay));
     }
 
     // One record sink per chaos-enabled run; the canonical row's schedule
@@ -105,7 +106,7 @@ main()
             (row.rate_scale > 0.0 || replay_mode)) {
             chaos::ChaosConfig& chaos_config = spec.config.scheduler.chaos;
             chaos_config.enabled = true;
-            chaos_config.seed = knobs.seed;
+            chaos_config.seed = knobs.chaos_seed;
             chaos_config.options = chaos_options;
             chaos_config.options.rates =
                 chaos_options.rates.scaled(row.rate_scale);
@@ -154,17 +155,17 @@ main()
                 schedule = sinks[i]->merged();
             }
         }
-        if (!chaos::save_schedule_file(knobs.record_path, schedule)) {
+        if (!chaos::save_schedule_file(knobs.chaos_record, schedule)) {
             std::fprintf(stderr, "[bench] cannot write schedule to %s\n",
-                         knobs.record_path.c_str());
+                         knobs.chaos_record.c_str());
             return 1;
         }
         std::printf("# TIMING mode=record schedule=%s\n",
-                    knobs.record_path.c_str());
+                    knobs.chaos_record.c_str());
     }
     if (replay_mode) {
         std::printf("# TIMING mode=replay schedule=%s\n",
-                    knobs.replay_path.c_str());
+                    knobs.chaos_replay.c_str());
     }
 
     const double seconds =

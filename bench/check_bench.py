@@ -106,12 +106,21 @@ def run_bench(build_dir: str, name: str) -> dict:
     env = dict(os.environ)
     env["NBOS_BENCH_SMOKE"] = "1"
     # The gate measures the deterministic single-seed tier, each bench at
-    # its own shard count, routing policy and workload profile.
-    env.pop("NBOS_BENCH_SEEDS", None)
-    env.pop("NBOS_BENCH_POLICIES", None)
-    env.pop("NBOS_BENCH_SHARDS", None)
-    env.pop("NBOS_BENCH_ROUTING", None)
-    env.pop("NBOS_BENCH_PROFILE", None)
+    # its own shard count, routing policy and workload profile, and
+    # chaos_raft's canonical fault sweep (no seed, rate or schedule file
+    # from the caller's shell).
+    for knob in (
+        "NBOS_BENCH_SEEDS",
+        "NBOS_BENCH_POLICIES",
+        "NBOS_BENCH_SHARDS",
+        "NBOS_BENCH_ROUTING",
+        "NBOS_BENCH_PROFILE",
+        "NBOS_CHAOS_SEED",
+        "NBOS_CHAOS_RATE",
+        "NBOS_CHAOS_RECORD",
+        "NBOS_CHAOS_REPLAY",
+    ):
+        env.pop(knob, None)
     path = os.path.join(build_dir, "bench", name)
     start = time.monotonic()
     proc = subprocess.run(

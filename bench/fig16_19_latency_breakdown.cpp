@@ -31,21 +31,22 @@ breakdown(const char* name, const core::ExperimentResults& results)
         if (task.aborted || !task.is_gpu) {
             continue;
         }
-        const auto& t = task.trace;
         e2e.add(sim::to_millis(task.reply - task.submit));
         exec.add(sim::to_millis(task.exec_end - task.exec_start));
-        post.add(sim::to_millis(task.reply > t.replica_replied &&
-                                        t.replica_replied > 0
-                                    ? t.replica_replied - task.exec_end
+        post.add(sim::to_millis(task.reply > task.replica_replied &&
+                                        task.replica_replied > 0
+                                    ? task.replica_replied - task.exec_end
                                     : task.reply - task.exec_end));
-        if (t.gs_received > 0) {  // prototype engines fill the full trace
-            gs_pre.add(sim::to_millis(t.gs_dispatched - t.gs_received));
-            hops.add(sim::to_millis(t.replica_received - t.gs_dispatched));
-            election.add(sim::to_millis(t.election_latency));
-            pre_exec.add(sim::to_millis(t.execution_started -
-                                        t.replica_received -
-                                        t.election_latency));
-            reply.add(sim::to_millis(t.client_replied - t.replica_replied));
+        if (task.gs_received > 0) {  // the prototype fills every step
+            gs_pre.add(
+                sim::to_millis(task.gs_dispatched - task.gs_received));
+            hops.add(
+                sim::to_millis(task.replica_received - task.gs_dispatched));
+            election.add(sim::to_millis(task.election_latency));
+            pre_exec.add(sim::to_millis(task.exec_start -
+                                        task.replica_received -
+                                        task.election_latency));
+            reply.add(sim::to_millis(task.reply - task.replica_replied));
         } else {
             // Baselines: everything before execution is step 1.
             gs_pre.add(sim::to_millis(task.exec_start - task.submit));

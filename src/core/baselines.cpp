@@ -213,7 +213,6 @@ class BaselineEngine
         outcome.is_gpu = task.is_gpu;
         outcome.gpus = session.resources.gpus;
         outcome.submit = task.submit_time;
-        outcome.trace.submitted_at = task.submit_time;
         return outcome;
     }
 
@@ -324,10 +323,7 @@ class ReservationEngine : public BaselineEngine
                 done.exec_start = start;
                 done.exec_end = end;
                 done.reply = simulation_.now();
-                done.trace.execution_started = start;
-                done.trace.execution_finished = end;
-                done.trace.replica_replied = end;
-                done.trace.client_replied = done.reply;
+                done.replica_replied = end;
             });
         });
     }
@@ -467,19 +463,16 @@ class QueueEngine : public BaselineEngine
             load_artifacts(*session, [this, index, session, task, host_id] {
                 TaskOutcome& outcome = results_.tasks[index];
                 outcome.exec_start = simulation_.now();
-                outcome.trace.execution_started = outcome.exec_start;
                 simulation_.schedule_after(
                     task->duration, [this, index, session, host_id] {
                         TaskOutcome& done = results_.tasks[index];
                         done.exec_end = simulation_.now();
-                        done.trace.execution_finished = done.exec_end;
                         // Mandatory post-processing I/O before the reply.
                         writeback_model(*session, [this, index, session,
                                                    host_id] {
                             TaskOutcome& finished = results_.tasks[index];
                             finished.reply = simulation_.now();
-                            finished.trace.replica_replied = finished.reply;
-                            finished.trace.client_replied = finished.reply;
+                            finished.replica_replied = finished.reply;
                             record_release(session->resources.gpus);
                             if (cluster::GpuServer* server =
                                     cluster_.find(host_id)) {

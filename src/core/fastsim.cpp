@@ -24,7 +24,8 @@ namespace nbos::core {
 
 FastEngineShard::FastEngineShard(const PlatformConfig& config,
                                  sim::Time makespan, std::uint64_t seed,
-                                 sched::ShardIdentity identity)
+                                 sched::ShardIdentity identity,
+                                 std::vector<TaskOutcome>& tasks)
     : config_(config),
       makespan_(makespan),
       identity_(identity),
@@ -39,7 +40,8 @@ FastEngineShard::FastEngineShard(const PlatformConfig& config,
       placement_(config.scheduler.sr_watermark),
       prewarm_(config.scheduler.prewarm_per_server),
       track_window_load_(config.scheduler.routing ==
-                         sched::RoutingPolicyKind::kRebalance)
+                         sched::RoutingPolicyKind::kRebalance),
+      tasks_(tasks)
 {
 }
 
@@ -221,26 +223,11 @@ FastEngineShard::end_session(const workload::SessionSpec& session)
     kernel.alive = false;
 }
 
-TaskOutcome&
-FastEngineShard::new_outcome(const workload::SessionSpec& session,
-                             const workload::CellTask& task)
-{
-    results_.tasks.push_back(TaskOutcome{});
-    TaskOutcome& outcome = results_.tasks.back();
-    outcome.session = session.id;
-    outcome.seq = task.seq;
-    outcome.is_gpu = task.is_gpu;
-    outcome.gpus = session.resources.gpus;
-    outcome.submit = task.submit_time;
-    return outcome;
-}
-
 void
-FastEngineShard::run_task(const workload::SessionSpec& session,
+FastEngineShard::run_task(std::size_t index,
+                          const workload::SessionSpec& session,
                           const workload::CellTask& task)
 {
-    new_outcome(session, task);
-    const std::size_t index = results_.tasks.size() - 1;
     FastKernel& kernel = kernel_at(session.id);
     if (track_window_load_) {
         if (kernel.window_tasks == 0) {
@@ -252,7 +239,7 @@ FastEngineShard::run_task(const workload::SessionSpec& session,
         // Kernel still waiting for placement: treat as queued until
         // the next tick re-attempts; abort for simplicity if it never
         // placed (counted, excluded from latency stats).
-        results_.tasks[index].aborted = true;
+        tasks_[index].aborted = true;
         return;
     }
     if (!task.is_gpu) {
@@ -303,7 +290,7 @@ FastEngineShard::run_task(const workload::SessionSpec& session,
     // No replica has GPUs: failed election -> migration (§3.2.3).
     results_.sched_stats.gpu_executions += 1;
     results_.sched_stats.elections_failed += 1;
-    migrate_and_run(index, session.id, task, 0);
+    migrate_and_run(index, session.id, task.duration, 0);
 }
 
 void
@@ -317,9 +304,7 @@ FastEngineShard::begin_execution(std::size_t index,
     if (server == nullptr || !server->commit(kernel.spec)) {
         // Raced out; go through migration.
         results_.sched_stats.elections_failed += 1;
-        migrate_and_run(index, session_id,
-                        workload::CellTask{},  // duration passed below
-                        0, duration);
+        migrate_and_run(index, session_id, duration, 0);
         return;
     }
     kernel.last_executor = server_id;
@@ -337,12 +322,9 @@ FastEngineShard::begin_execution(std::size_t index,
 void
 FastEngineShard::migrate_and_run(std::size_t index,
                                  workload::SessionId session_id,
-                                 const workload::CellTask& task,
-                                 int retries, sim::Time duration_override)
+                                 sim::Time duration, int retries)
 {
     FastKernel& kernel = kernel_at(session_id);
-    const sim::Time duration =
-        duration_override >= 0 ? duration_override : task.duration;
     // Migration target: any server outside the kernel with capacity.
     cluster::ServerId target = cluster::kNoServer;
     std::int32_t best_idle = -1;
@@ -361,7 +343,7 @@ FastEngineShard::migrate_and_run(std::size_t index,
         if (retries >= config_.scheduler.migration_max_retries &&
             provisioning_ == 0) {
             results_.sched_stats.migrations_aborted += 1;
-            results_.tasks[index].aborted = true;
+            tasks_[index].aborted = true;
             if (kernel.inflight > 0) {
                 kernel.inflight -= 1;
             }
@@ -372,9 +354,8 @@ FastEngineShard::migrate_and_run(std::size_t index,
         }
         simulation_.schedule_after(
             config_.scheduler.migration_retry,
-            [this, index, session_id, task, retries, duration] {
-                migrate_and_run(index, session_id, task, retries + 1,
-                                duration);
+            [this, index, session_id, duration, retries] {
+                migrate_and_run(index, session_id, duration, retries + 1);
             });
         return;
     }
@@ -425,8 +406,7 @@ FastEngineShard::migrate_and_run(std::size_t index,
                 simulation_.schedule_after(
                     reconfig, [this, index, session_id, target,
                                duration] {
-                        TaskOutcome& outcome = results_.tasks[index];
-                        outcome.migrated = true;
+                        tasks_[index].migrated = true;
                         begin_execution(index, session_id, target,
                                         simulation_.now() +
                                             sample(config_.scheduler
@@ -447,7 +427,7 @@ FastEngineShard::complete(std::size_t index, sim::Time start, sim::Time end,
                           sim::Time extra_reply,
                           workload::SessionId session_id)
 {
-    TaskOutcome& outcome = results_.tasks[index];
+    TaskOutcome& outcome = tasks_[index];
     outcome.exec_start = start;
     outcome.exec_end = end;
     outcome.reply = end + extra_reply +
@@ -548,9 +528,11 @@ FastEngineShard::inject(const Injection& event)
             break;
         case Injection::kTask: {
             const workload::CellTask* task = event.task;
-            simulation_.schedule_at(event.time, [this, session, task] {
-                run_task(*session, *task);
-            });
+            const std::size_t index = event.row;
+            simulation_.schedule_at(event.time,
+                                    [this, index, session, task] {
+                                        run_task(index, *session, *task);
+                                    });
             break;
         }
     }

@@ -15,7 +15,8 @@
  * input and free drained specs; each shard injects its queued events
  * window by window on its own.
  *
- * Shards share nothing, so parallel windows (SchedulerConfig::
+ * Shards share nothing but the run's outcome table, where each writes
+ * only its own cells' rows, so parallel windows (SchedulerConfig::
  * shard_parallel, persistent sim::Lockstep workers) are bit-identical to
  * serial ones.
  */
@@ -41,8 +42,10 @@ constexpr sim::Time kPinnedStopSpan = sim::kHour;
 class FastRun
 {
   public:
-    FastRun(const PlatformConfig& config, const SessionFeed& feed)
+    FastRun(const PlatformConfig& config, const SessionFeed& feed,
+            std::vector<TaskOutcome>& tasks)
         : config_(config),
+          tasks_(tasks),
           trace_name_(feed.trace_name()),
           makespan_(feed.makespan()),
           router_(config.scheduler.routing, config.scheduler.shards),
@@ -53,7 +56,7 @@ class FastRun
         for (std::int32_t i = 0; i < count; ++i) {
             shards_.push_back(std::make_unique<FastEngineShard>(
                 config, makespan_, sched::shard_seed(config.seed, i),
-                sched::ShardIdentity{i, count}));
+                sched::ShardIdentity{i, count}, tasks));
             shards_.back()->start();
         }
     }
@@ -108,6 +111,7 @@ class FastRun
 
   private:
     const PlatformConfig& config_;
+    std::vector<TaskOutcome>& tasks_;
     std::string trace_name_;
     sim::Time makespan_;
     sched::SessionRouter router_;
@@ -132,6 +136,7 @@ FastRun::finish()
     results.policy = Policy::kNotebookOS;
     results.trace_name = trace_name_;
     results.makespan = makespan_;
+    results.tasks = std::move(tasks_);
     response.shard_busy_seconds = lockstep_.busy_seconds();
     response.sessions_rebalanced = router_.sessions_rebalanced();
 
@@ -179,8 +184,9 @@ RunResponse
 drive_fast(workload::SessionSource& source, const PlatformConfig& config)
 {
     SessionFeed feed(source, config.scheduler.autoscale_interval);
-    FastRun run(config, feed);
-    drive_windows(feed, run.stride(), run);
+    std::vector<TaskOutcome> tasks;
+    FastRun run(config, feed, tasks);
+    drive_windows(feed, run.stride(), run, tasks);
     return run.finish();
 }
 

@@ -4,8 +4,10 @@
  *
  * FastEngineShard runs the analytic model over the sessions the fast
  * driver (fastsim_driver.cpp) routes to it, on its own event loop, with
- * its share of the initial fleet and a per-shard seed. The driver merges
- * the per-shard aggregates deterministically in shard order.
+ * its share of the initial fleet and a per-shard seed. It fills its cells'
+ * rows of the run's one outcome table in place, by the index the driver
+ * loop (core::drive_windows) created them at; the driver merges the
+ * per-shard aggregates deterministically in shard order.
  *
  * This header is internal to nbos_core; callers use core::run.
  */
@@ -61,9 +63,12 @@ class FastEngineShard
     /** @param makespan the trace's; autoscaler ticks stop after it.
      *  @param seed this shard's seed (sched::shard_seed).
      *  @param identity its position, which fixes its share of
-     *         SchedulerConfig::initial_servers. */
+     *         SchedulerConfig::initial_servers.
+     *  @param tasks the run's outcome table; the shard writes only the
+     *         rows of the cells it is given, by Injection::row. */
     FastEngineShard(const PlatformConfig& config, sim::Time makespan,
-                    std::uint64_t seed, sched::ShardIdentity identity);
+                    std::uint64_t seed, sched::ShardIdentity identity,
+                    std::vector<TaskOutcome>& tasks);
 
     FastEngineShard(const FastEngineShard&) = delete;
     FastEngineShard& operator=(const FastEngineShard&) = delete;
@@ -85,7 +90,9 @@ class FastEngineShard
     /** Run the event loop to @p t without injecting (the drain). */
     void run_until(sim::Time t);
 
-    /** Finalize and move out this shard's results (call once, last). */
+    /** Finalize and move out this shard's aggregates — everything but
+     *  the tasks, which are already in the run's table (call once,
+     *  last). */
     ExperimentResults finish();
 
     /** Simulation events executed so far (throughput accounting). */
@@ -177,16 +184,13 @@ class FastEngineShard
     void place_kernel(workload::SessionId id);
     void place_pending_kernels();
     void end_session(const workload::SessionSpec& session);
-    TaskOutcome& new_outcome(const workload::SessionSpec& session,
-                             const workload::CellTask& task);
-    void run_task(const workload::SessionSpec& session,
+    void run_task(std::size_t index, const workload::SessionSpec& session,
                   const workload::CellTask& task);
     void begin_execution(std::size_t index, workload::SessionId session_id,
                          cluster::ServerId server_id, sim::Time start,
                          sim::Time duration);
     void migrate_and_run(std::size_t index, workload::SessionId session_id,
-                         const workload::CellTask& task, int retries,
-                         sim::Time duration_override = -1);
+                         sim::Time duration, int retries);
     void complete(std::size_t index, sim::Time start, sim::Time end,
                   sim::Time extra_reply, workload::SessionId session_id);
     void schedule_tick();
@@ -228,6 +232,8 @@ class FastEngineShard
     double last_total_gpus_ = 0.0;
     std::vector<std::pair<sim::Time, double>> gpu_deltas_;
     std::vector<FastTickSample> tick_samples_;
+    /** The run's outcome table; rows are indexed by Injection::row. */
+    std::vector<TaskOutcome>& tasks_;
     ExperimentResults results_;
 };
 

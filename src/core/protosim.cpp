@@ -15,7 +15,8 @@
  *
  * Determinism: admission and the rebalance plan are pure functions of
  * the admitted sessions and shard-order-merged loads, events are injected
- * in the feed's canonical order, and every cross-shard sum walks shards
+ * in the feed's canonical order, each shard writes only its own cells'
+ * rows of the run's outcome table, and every cross-shard sum walks shards
  * in index order (finish() through core::merge_shards), so parallel
  * windows are bit-identical to serial ones.
  */
@@ -35,8 +36,10 @@ namespace {
 class PrototypeRun
 {
   public:
-    PrototypeRun(const PlatformConfig& config, const SessionFeed& feed)
-        : replicas_(config.scheduler.kernel.replica_count),
+    PrototypeRun(const PlatformConfig& config, const SessionFeed& feed,
+                 std::vector<TaskOutcome>& tasks)
+        : tasks_(tasks),
+          replicas_(config.scheduler.kernel.replica_count),
           trace_name_(feed.trace_name()),
           makespan_(feed.makespan()),
           router_(config.scheduler.routing, config.scheduler.shards),
@@ -116,8 +119,7 @@ class PrototypeRun
     RunResponse finish()
     {
         // Drop the cells no shard accepted (submitted after their
-        // session ended). Slots were created in injection order, which is
-        // already (submit, session, seq) order.
+        // session ended); the rest keep the table's order.
         std::size_t kept = 0;
         for (std::size_t i = 0; i < tasks_.size(); ++i) {
             if (!submitted_[i]) {
@@ -130,9 +132,7 @@ class PrototypeRun
         }
         tasks_.resize(kept);
 
-        // The outcome slots enter the merge as shard 0's tasks.
         std::vector<ExperimentResults> parts(shards_.size());
-        parts.front().tasks = std::move(tasks_);
         std::vector<ShardWork> work;
         for (std::size_t i = 0; i < shards_.size(); ++i) {
             const sched::SchedulerShard& shard = shards_[i]->shard;
@@ -153,6 +153,7 @@ class PrototypeRun
         results.policy = Policy::kNotebookOS;
         results.trace_name = trace_name_;
         results.makespan = makespan_;
+        results.tasks = std::move(tasks_);
         results.provisioned_gpus = std::move(provisioned_gpus_);
         results.subscription_ratio = std::move(subscription_ratio_);
         finalize_tasks(results);
@@ -179,31 +180,24 @@ class PrototypeRun
         sched::SchedulerShard shard;
     };
 
-    /** Schedule one cell on its owner. The outcome slot is appended now,
-     *  on the driving thread; the closures hold an index, so later growth
-     *  of the vector between windows is safe. */
+    /** Schedule one cell on its owner. Its row already exists (the driver
+     *  loop appended it); the closures hold the row's index, so later
+     *  growth of the table between windows is safe. */
     void submit(ShardUnit& unit, const Injection& event)
     {
         const workload::SessionSpec* session = event.session;
         const workload::CellTask* task = event.task;
-        TaskOutcome& outcome = tasks_.emplace_back();
-        outcome.session = session->id;
-        outcome.seq = task->seq;
-        outcome.is_gpu = task->is_gpu;
-        outcome.gpus = session->resources.gpus;
-        submitted_.push_back(0);
-        const std::size_t index = tasks_.size() - 1;
+        const std::size_t index = event.row;
+        submitted_.resize(tasks_.size());
         sched::SchedulerShard* shard = &unit.shard;
         sim::Simulation* simulation = &unit.simulation;
         simulation->schedule_at(event.time, [this, shard, simulation,
                                              session, task, index] {
-            tasks_[index].submit = simulation->now();
             const bool accepted = shard->submit_session(
                 session->id, task->code, task->is_gpu, simulation->now(),
                 [this, index](const kernel::ExecutionResult& result,
                               const sched::RequestTrace& request_trace) {
                     TaskOutcome& done = tasks_[index];
-                    done.trace = request_trace;
                     done.exec_start = request_trace.execution_started;
                     done.exec_end = request_trace.execution_finished;
                     done.reply = request_trace.client_replied;
@@ -211,9 +205,11 @@ class PrototypeRun
                     done.aborted =
                         request_trace.aborted ||
                         result.status == kernel::ExecutionStatus::kError;
-                    if (done.aborted) {
-                        done.error = result.error;
-                    }
+                    done.gs_received = request_trace.gs_received;
+                    done.gs_dispatched = request_trace.gs_dispatched;
+                    done.replica_received = request_trace.replica_received;
+                    done.replica_replied = request_trace.replica_replied;
+                    done.election_latency = request_trace.election_latency;
                 });
             if (accepted) {
                 submitted_[index] = 1;
@@ -221,15 +217,15 @@ class PrototypeRun
         });
     }
 
+    /** The run's outcome table, one row per injected cell. */
+    std::vector<TaskOutcome>& tasks_;
     std::int32_t replicas_;
     std::string trace_name_;
     sim::Time makespan_;
     sched::SessionRouter router_;
     sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<ShardUnit>> shards_;
-    /** Outcome slots, one per injected cell, in injection order. */
-    std::vector<TaskOutcome> tasks_;
-    /** Per outcome slot: did the owning shard accept the cell? */
+    /** Per row of tasks_: did the owning shard accept the cell? */
     std::vector<char> submitted_;
     metrics::TimeSeries provisioned_gpus_;
     metrics::TimeSeries subscription_ratio_;
@@ -241,8 +237,9 @@ RunResponse
 drive_prototype(workload::SessionSource& source, const PlatformConfig& config)
 {
     SessionFeed feed(source, config.sample_interval);
-    PrototypeRun run(config, feed);
-    drive_windows(feed, config.sample_interval, run);
+    std::vector<TaskOutcome> tasks;
+    PrototypeRun run(config, feed, tasks);
+    drive_windows(feed, config.sample_interval, run, tasks);
     return run.finish();
 }
 

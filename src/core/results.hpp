@@ -36,23 +36,37 @@ const char* to_string(Policy policy);
  *  @return std::nullopt for unknown names. */
 std::optional<Policy> policy_from_string(std::string_view name);
 
-/** Outcome of one cell task under some policy. */
+/**
+ * Outcome of one cell task under some policy: one row per submitted cell,
+ * each fact held once. In a NotebookOS run the windowed driver
+ * (core::drive_windows) creates the row as it hands the cell out and the
+ * engine fills the rest in place; the baselines fill their own.
+ */
 struct TaskOutcome
 {
     workload::SessionId session = -1;
     std::int32_t seq = 0;
-    bool is_gpu = true;
     std::int32_t gpus = 0;
+    bool is_gpu = true;
+    bool migrated = false;
+    bool aborted = false;
     sim::Time submit = 0;
     sim::Time exec_start = 0;
     sim::Time exec_end = 0;
     sim::Time reply = 0;
-    bool migrated = false;
-    bool aborted = false;
-    /** Error text when aborted (diagnostics). */
-    std::string error;
-    /** Full request breakdown (populated by the prototype engines). */
-    sched::RequestTrace trace{};
+    /** @name Fig. 15 step stamps (Figs. 16-19 breakdown)
+     *
+     * The prototype copies them from its sched::RequestTrace, whose other
+     * fields are the row's own times and flags; the baselines set only
+     * replica_replied, and the fast engine none.
+     */
+    ///@{
+    sim::Time gs_received = 0;
+    sim::Time gs_dispatched = 0;
+    sim::Time replica_received = 0;
+    sim::Time replica_replied = 0;
+    sim::Time election_latency = 0;
+    ///@}
 
     /** §5.3.2: interval between submission and execution start. */
     sim::Time interactivity_delay() const { return exec_start - submit; }

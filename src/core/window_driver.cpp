@@ -1,6 +1,5 @@
 #include "core/window_driver.hpp"
 
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -109,69 +108,12 @@ SessionFeed::next_due(sim::Time t, Injection& out)
     return true;
 }
 
-void
-sort_tasks(std::vector<TaskOutcome>& tasks)
-{
-    const auto before = [](const TaskOutcome& a, const TaskOutcome& b) {
-        return std::tie(a.submit, a.session, a.seq) <
-               std::tie(b.submit, b.session, b.seq);
-    };
-    if (std::is_sorted(tasks.begin(), tasks.end(), before)) {
-        return;
-    }
-    struct Key
-    {
-        sim::Time submit;
-        workload::SessionId session;
-        std::int32_t seq;
-        std::size_t from;
-    };
-    std::vector<Key> keys;
-    keys.reserve(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        keys.push_back(
-            Key{tasks[i].submit, tasks[i].session, tasks[i].seq, i});
-    }
-    // The position tie-break makes this exactly the stable order.
-    std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-        return std::tie(a.submit, a.session, a.seq, a.from) <
-               std::tie(b.submit, b.session, b.seq, b.from);
-    });
-    // Apply the permutation one cycle at a time: slot i takes the task at
-    // keys[i].from, and a placed slot is marked by from == i.
-    for (std::size_t start = 0; start < tasks.size(); ++start) {
-        if (keys[start].from == start) {
-            continue;
-        }
-        TaskOutcome held = std::move(tasks[start]);
-        std::size_t slot = start;
-        while (keys[slot].from != start) {
-            const std::size_t from = keys[slot].from;
-            tasks[slot] = std::move(tasks[from]);
-            keys[slot].from = slot;
-            slot = from;
-        }
-        tasks[slot] = std::move(held);
-        keys[slot].from = slot;
-    }
-}
-
 RunResponse
 merge_shards(std::vector<ExperimentResults> parts,
              const std::vector<ShardWork>& work)
 {
     RunResponse response;
     ExperimentResults& merged = response.results;
-    std::size_t total_tasks = 0;
-    for (const ExperimentResults& part : parts) {
-        total_tasks += part.tasks.size();
-    }
-    // Tasks: one shard's outcomes are already in order, so shard 0's
-    // vector is the answer as it stands. The others are appended, each
-    // freed once moved, and ordered in place — one copy of the tasks at
-    // a time.
-    merged.tasks = std::move(parts.front().tasks);
-    merged.tasks.reserve(total_tasks);
     std::vector<std::vector<sched::SchedulerEvent>> events;
     events.reserve(parts.size());
     for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -183,9 +125,6 @@ merge_shards(std::vector<ExperimentResults> parts,
         merged.write_ms.add_all(part.write_ms.sorted());
         merged.store_bytes_written += part.store_bytes_written;
         merged.net_stats += part.net_stats;
-        std::vector<TaskOutcome> tasks = std::move(part.tasks);
-        std::move(tasks.begin(), tasks.end(),
-                  std::back_inserter(merged.tasks));
         const ShardWork& shard = work.at(i);
         response.shard_events.push_back(shard.events);
         response.events_executed += shard.events;
@@ -193,7 +132,6 @@ merge_shards(std::vector<ExperimentResults> parts,
             shard.placement_servers_examined;
     }
     merged.events = sched::merge_events(events);
-    sort_tasks(merged.tasks);
     // Only a sharded run has a shard view.
     if (parts.size() > 1) {
         for (const std::uint64_t executed : response.shard_events) {

@@ -12,10 +12,12 @@
  * engine advance its shards to the stop, and retires every session whose
  * last event has executed — the engine drops its route and the feed frees
  * its spec — so memory tracks the live session population, not the trace
- * length. The engine decides which shard an event goes to (both engines
- * through one sched::SessionRouter) and what happens when a window closes
- * (sampling, rebalancing). One shard is simply the one-shard case of the
- * same loop.
+ * length. It is also the only place a cell's outcome row is created: one
+ * row of the run's table per cell, appended as the cell is handed out, so
+ * the table needs no merge or sort. The engine decides which shard an
+ * event goes to (both engines through one sched::SessionRouter) and what
+ * happens when a window closes (sampling, rebalancing). One shard is
+ * simply the one-shard case of the same loop.
  *
  * Internal to nbos_core; callers use core::run (core/engine_api.hpp).
  */
@@ -64,6 +66,9 @@ struct Injection
     /** Admission order: breaks the one tie (time, session, kind) leaves —
      *  two cells of one session submitted in the same tick. */
     std::uint64_t seq = 0;
+    /** The cell's row in the run's outcome table (kTask only), set by
+     *  drive_windows as it hands the cell out. */
+    std::size_t row = 0;
 };
 
 /**
@@ -161,13 +166,23 @@ SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
  * The one NotebookOS driver loop. @p engine provides
  *
  *   - `admit(const workload::SessionSpec&)`: a session entered the feed;
- *   - `inject(const Injection&)`: route one due event to its shard;
+ *   - `inject(const Injection&)`: route one due event to its shard; a
+ *     cell arrives with its row already in @p tasks;
  *   - `advance(sim::Time stop)`: run every shard to @p stop;
  *   - `close_window(sim::Time stop, bool last)`: the shards reached
  *     @p stop (sample, and rebalance unless @p last);
  *   - `retire(workload::SessionId id)`: the session's last event has
  *     run (fired once per session, as the feed frees its spec);
  *   - `drain(sim::Time horizon)`: run every shard to the drain horizon.
+ *
+ * For each cell the loop appends a row to @p tasks — session, seq,
+ * is_gpu, gpus and submit (the event's time) — before the engine sees it,
+ * and passes its index in Injection::row. Rows are appended only here, on
+ * the driving thread, before the advance that runs them, so shard threads
+ * may write distinct rows by index as long as they hold no reference to
+ * one across a stop. Rows come out in the feed's (time, session, kind,
+ * admission) order, which is (submit, session, seq) order whenever each
+ * session lists its cells in seq order.
  *
  * The loop stops on the feed's window grid, @p stride apart, and always
  * at the last window, the first grid point at or after the makespan;
@@ -181,7 +196,8 @@ SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
  */
 template <typename Engine>
 void
-drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine)
+drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine,
+              std::vector<TaskOutcome>& tasks)
 {
     const sim::Time makespan = feed.makespan();
     const sim::Time window = feed.window();
@@ -195,6 +211,15 @@ drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine)
         }
         Injection event;
         while (feed.next_due(stop, event)) {
+            if (event.kind == Injection::kTask) {
+                const workload::SessionSpec& session = *event.session;
+                event.row = tasks.size();
+                tasks.push_back(TaskOutcome{.session = session.id,
+                                            .seq = event.task->seq,
+                                            .gpus = session.resources.gpus,
+                                            .is_gpu = event.task->is_gpu,
+                                            .submit = event.time});
+            }
             engine.inject(event);
         }
         engine.advance(stop);
@@ -212,12 +237,6 @@ drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine)
     engine.drain(makespan + kDrainWindow);
 }
 
-/** Order @p tasks by (submit, session, seq), keeping equal keys in their
- *  current order. Sorts small keys and permutes the tasks in place, so no
- *  second task vector is ever allocated; an already ordered vector is
- *  left untouched. */
-void sort_tasks(std::vector<TaskOutcome>& tasks);
-
 /** One shard's deterministic work counts, as merge_shards folds them. */
 struct ShardWork
 {
@@ -232,13 +251,12 @@ struct ShardWork
  * The one cross-shard merge of both engines. @p parts holds each shard's
  * results and @p work its work counts, in shard order. Counters,
  * scheduler events (sched::merge_events), the sync / read / write latency
- * samples, store bytes and network stats are folded in shard order;
- * shard 0's tasks are kept, the others' are appended and the whole vector
- * is put in (submit, session, seq) order (sort_tasks). The response also
- * carries the per-shard events and the sums of both work counts, and a
- * sharded run gets one sched_stats.shard_loads sample per shard. Every
- * other field of the merged results is left for the caller: identity,
- * timelines, and finalize_tasks.
+ * samples, store bytes and network stats are folded in shard order. The
+ * response also carries the per-shard events and the sums of both work
+ * counts, and a sharded run gets one sched_stats.shard_loads sample per
+ * shard. Tasks are not merged: the run's one table (drive_windows) is
+ * already complete. Every other field of the merged results is left for
+ * the caller: identity, tasks, timelines, and finalize_tasks.
  */
 RunResponse merge_shards(std::vector<ExperimentResults> parts,
                          const std::vector<ShardWork>& work);

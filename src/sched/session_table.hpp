@@ -2,9 +2,9 @@
  * @file
  * Dense structure-of-arrays session table for the per-window hot scans.
  *
- * The schedulers walk every resident session at each lockstep window
- * boundary (harvest_window_load, session_count) but only read two hot
- * scalars per session: the window weight and the state flags. The old
+ * The scheduler shard walks every resident session at each lockstep
+ * window boundary (harvest_window_load) but reads only its window weight
+ * there; the state flags are the other hot scalar. The old
  * `std::map<id, Record>` layout paid a pointer chase plus a whole cache
  * line of cold record (spec, buffered deque, kernel binding) per visited
  * session. Here the hot scalars live in parallel arrays the scan streams

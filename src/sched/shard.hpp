@@ -188,10 +188,6 @@ class SchedulerShard
         return sync_latencies_ms_;
     }
     double cluster_sr() const;
-    std::int32_t replicas_per_kernel() const
-    {
-        return config_.kernel.replica_count;
-    }
     /** Access a replica (tests / fault injection). */
     kernel::KernelReplica* replica(cluster::KernelId kernel_id,
                                    std::int32_t index);

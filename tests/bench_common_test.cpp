@@ -112,6 +112,10 @@ TEST(BenchOptionsTest, ParsesEveryKnob)
     env.shards = "4";
     env.routing = "rebalance";
     env.policies = "notebookos,batch";
+    env.chaos_seed = "18446744073709551615";
+    env.chaos_rate = "2.5";
+    env.chaos_record = "/tmp/run.sched";
+    env.chaos_replay = "/tmp/other.sched";
     BenchOptions options;
     std::string error;
     ASSERT_TRUE(parse_bench_options(env, options, error)) << error;
@@ -121,6 +125,23 @@ TEST(BenchOptionsTest, ParsesEveryKnob)
     EXPECT_EQ(options.shards, 4);
     EXPECT_EQ(options.routing, sched::RoutingPolicyKind::kRebalance);
     EXPECT_EQ(options.policies, "notebookos,batch");
+    EXPECT_EQ(options.chaos_seed, 18446744073709551615ULL);
+    EXPECT_EQ(options.chaos_rate, 2.5);
+    EXPECT_EQ(options.chaos_record, "/tmp/run.sched");
+    EXPECT_EQ(options.chaos_replay, "/tmp/other.sched");
+
+    // A zero rate (no faults) and a plain seed are valid too; unset chaos
+    // knobs keep the defaults: seed 0 (derived), rate 1, no schedule file.
+    env.chaos_seed = "12";
+    env.chaos_rate = "0";
+    ASSERT_TRUE(parse_bench_options(env, options, error)) << error;
+    EXPECT_EQ(options.chaos_seed, 12u);
+    EXPECT_EQ(options.chaos_rate, 0.0);
+    ASSERT_TRUE(parse_bench_options(BenchEnv{}, options, error)) << error;
+    EXPECT_EQ(options.chaos_seed, 0u);
+    EXPECT_EQ(options.chaos_rate, 1.0);
+    EXPECT_TRUE(options.chaos_record.empty());
+    EXPECT_TRUE(options.chaos_replay.empty());
 }
 
 TEST(BenchOptionsTest, EmptyValuesMeanUnset)
@@ -160,6 +181,26 @@ TEST(BenchOptionsTest, MalformedCountsAreRejectedWithTheVariableNamed)
     std::string error;
     EXPECT_FALSE(parse_bench_options(env, options, error));
     EXPECT_NE(error.find("NBOS_BENCH_SEEDS"), std::string::npos) << error;
+
+    // The chaos knobs used to swallow parse errors: a bad seed or rate ran
+    // the default plan, and "12abc" ran as seed 12.
+    for (const char* bad : {"abc", "12abc", "-3", " 7", "1.5",
+                            "18446744073709551616"}) {
+        BenchEnv chaos;
+        chaos.chaos_seed = bad;
+        EXPECT_FALSE(parse_bench_options(chaos, options, error))
+            << "value '" << bad << "'";
+        EXPECT_NE(error.find("NBOS_CHAOS_SEED"), std::string::npos) << error;
+        EXPECT_NE(error.find(bad), std::string::npos) << error;
+    }
+    for (const char* bad : {"-3", "fast", "2x", "inf", "nan", "1e999"}) {
+        BenchEnv chaos;
+        chaos.chaos_rate = bad;
+        EXPECT_FALSE(parse_bench_options(chaos, options, error))
+            << "value '" << bad << "'";
+        EXPECT_NE(error.find("NBOS_CHAOS_RATE"), std::string::npos) << error;
+        EXPECT_NE(error.find(bad), std::string::npos) << error;
+    }
 }
 
 TEST(BenchOptionsTest, UnknownProfileAndRoutingAreRejected)

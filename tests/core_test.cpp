@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -407,13 +406,16 @@ TEST(ReservationEngineTest, CommittedEqualsReservedShape)
               1.5 * oracle.integrate_hours(0, trace.makespan));
 }
 
-/** A fake engine for drive_windows: it checks what the loop hands it and
- *  routes sessions through a least_loaded SessionRouter the way both
+/** A fake engine for drive_windows: it checks what the loop hands it —
+ *  each cell with the next row of @p tasks, already filled from the cell —
+ *  and routes sessions through a least_loaded SessionRouter the way both
  *  NotebookOS engines do. */
 class RecordingEngine
 {
   public:
-    explicit RecordingEngine(const workload::Trace& trace)
+    RecordingEngine(const workload::Trace& trace,
+                    const std::vector<TaskOutcome>& tasks)
+        : tasks_(tasks)
     {
         for (const workload::SessionSpec& session : trace.sessions) {
             Session& s = sessions_[session.id];
@@ -443,6 +445,18 @@ class RecordingEngine
         EXPECT_EQ(s.retired, 0) << "event after retire";
         ++s.injected;
         EXPECT_LT(router_.shard_of(event.session->id), 3u);
+        if (event.kind != Injection::kTask) {
+            return;
+        }
+        EXPECT_EQ(event.row, next_row_++);
+        ASSERT_EQ(tasks_.size(), next_row_);
+        const TaskOutcome& row = tasks_.back();
+        EXPECT_EQ(row.session, event.session->id);
+        EXPECT_EQ(row.seq, event.task->seq);
+        EXPECT_EQ(row.submit, event.time);
+        EXPECT_EQ(row.submit, event.task->submit_time);
+        EXPECT_EQ(row.gpus, event.session->resources.gpus);
+        EXPECT_EQ(row.is_gpu, event.task->is_gpu);
     }
 
     void advance(sim::Time stop) { now_ = stop; }
@@ -484,6 +498,8 @@ class RecordingEngine
     };
 
     std::map<workload::SessionId, Session> sessions_;
+    const std::vector<TaskOutcome>& tasks_;
+    std::size_t next_row_ = 0;
     sched::SessionRouter router_{sched::RoutingPolicyKind::kLeastLoaded, 3};
     sim::Time now_ = 0;
     std::size_t peak_overrides_ = 0;
@@ -492,7 +508,9 @@ class RecordingEngine
 /** The windowed driver retires every admitted session exactly once, after
  *  its last event has run — at every window and on a pinned stride that
  *  admits ahead — so a router fed through admit/retire ends the run
- *  holding no overrides. */
+ *  holding no overrides. It also creates the run's one outcome table: a
+ *  row per cell, handed out with its cell, in (submit, session, seq)
+ *  order. */
 TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
 {
     workload::Trace trace;
@@ -525,21 +543,22 @@ TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
         SCOPED_TRACE("stride " + std::to_string(stride / kMinute) + " min");
         workload::TraceSessionSource source(trace);
         SessionFeed feed(source, window);
-        RecordingEngine engine(trace);
-        drive_windows(feed, stride, engine);
+        std::vector<TaskOutcome> tasks;
+        RecordingEngine engine(trace, tasks);
+        drive_windows(feed, stride, engine, tasks);
         engine.expect_each_retired_once();
         EXPECT_GT(engine.peak_overrides(), 0u);
         EXPECT_EQ(engine.router().table().overrides(), 0u);
+        EXPECT_EQ(tasks.size(), trace.task_count());
+        EXPECT_TRUE(test::in_submit_order(tasks));
     }
 }
 
-/** One shard's part for the merge tests: two tasks, two events (the
- *  second, of @p kind, at 20 s), samples in every distribution and a
- *  count in every counter, all scaled by @p k so the parts are told
- *  apart. */
+/** One shard's part for the merge tests: two events (the second, of
+ *  @p kind, at 20 s), samples in every distribution and a count in every
+ *  counter, all scaled by @p k so the parts are told apart. */
 ExperimentResults
-merge_part(std::int64_t k, sim::Time first_submit,
-           sched::SchedulerEvent::Kind kind)
+merge_part(std::int64_t k, sched::SchedulerEvent::Kind kind)
 {
     ExperimentResults part;
     part.sched_stats.kernels_created = static_cast<std::uint64_t>(k);
@@ -548,12 +567,6 @@ merge_part(std::int64_t k, sim::Time first_submit,
         sched::SchedulerEvent{sched::SchedulerEvent::Kind::kKernelCreated,
                               k * kSecond});
     part.events.push_back(sched::SchedulerEvent{kind, 20 * kSecond});
-    for (std::int32_t seq = 0; seq < 2; ++seq) {
-        TaskOutcome& task = part.tasks.emplace_back();
-        task.session = k;
-        task.seq = seq;
-        task.submit = first_submit + seq * 20 * kSecond;
-    }
     part.sync_ms.add(3.0 * static_cast<double>(k));
     part.sync_ms.add(1.0 * static_cast<double>(k));
     part.read_ms.add(2.0 * static_cast<double>(k));
@@ -567,21 +580,13 @@ merge_part(std::int64_t k, sim::Time first_submit,
 /** merge_shards is the one cross-shard fold of both engines. One part
  *  comes back as it went in with no shard view (shards=1 is the
  *  monolithic scheduler); several are summed in shard order, with events
- *  and tasks put in order and the imbalance computed from the per-shard
- *  event counts. */
+ *  put in order and the imbalance computed from the per-shard event
+ *  counts. */
 TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
 {
     using Kind = sched::SchedulerEvent::Kind;
-    const ExperimentResults a = merge_part(1, 10 * kSecond, Kind::kMigration);
-    const ExperimentResults b = merge_part(2, 20 * kSecond, Kind::kScaleOut);
-    const auto task_keys = [](const ExperimentResults& results) {
-        std::vector<std::tuple<sim::Time, workload::SessionId, std::int32_t>>
-            keys;
-        for (const TaskOutcome& task : results.tasks) {
-            keys.emplace_back(task.submit, task.session, task.seq);
-        }
-        return keys;
-    };
+    const ExperimentResults a = merge_part(1, Kind::kMigration);
+    const ExperimentResults b = merge_part(2, Kind::kScaleOut);
     const auto event_keys = [](const ExperimentResults& results) {
         std::vector<std::pair<sim::Time, sched::SchedulerEvent::Kind>> keys;
         for (const sched::SchedulerEvent& event : results.events) {
@@ -598,7 +603,6 @@ TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
         EXPECT_TRUE(merged.sched_stats.shard_loads.empty());
         EXPECT_EQ(merged.sched_stats.shard_imbalance(), 0.0);
         EXPECT_EQ(event_keys(merged), event_keys(a));
-        EXPECT_EQ(task_keys(merged), task_keys(a));
         EXPECT_EQ(merged.sync_ms.sorted(), a.sync_ms.sorted());
         EXPECT_EQ(merged.read_ms.sorted(), a.read_ms.sorted());
         EXPECT_EQ(merged.write_ms.sorted(), a.write_ms.sorted());
@@ -624,13 +628,6 @@ TEST(WindowDriverTest, MergeShardsFoldsInShardOrder)
                   {2 * kSecond, Kind::kKernelCreated},
                   {20 * kSecond, Kind::kMigration},
                   {20 * kSecond, Kind::kScaleOut}}));
-    // (submit, session, seq) order across the two parts.
-    EXPECT_EQ(task_keys(merged),
-              (std::vector<std::tuple<sim::Time, workload::SessionId,
-                                      std::int32_t>>{{10 * kSecond, 1, 0},
-                                                     {20 * kSecond, 2, 0},
-                                                     {30 * kSecond, 1, 1},
-                                                     {40 * kSecond, 2, 1}}));
     // Samples are concatenated in shard order, each part's sorted.
     EXPECT_EQ(merged.sync_ms.count(), 4u);
     EXPECT_EQ(merged.sync_ms.sum(), 1.0 + 3.0 + 2.0 + 6.0);

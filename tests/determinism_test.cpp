@@ -747,7 +747,8 @@ expect_runs_identical(const core::RunResponse& a, const core::RunResponse& b)
  * driver behind core::run; for every routing policy and shard count it
  * must give bit-identical results (telemetry counters included) for a
  * trace and for a TraceSessionSource over it — two same-seed runs — and
- * for parallel and serial shards.
+ * for parallel and serial shards. Every run's one outcome table comes out
+ * in (submit, session, seq) order with no merge or sort.
  */
 TEST(DriverDeterminismTest, TraceSourceParallelAndSerialRunsAgree)
 {
@@ -771,6 +772,7 @@ TEST(DriverDeterminismTest, TraceSourceParallelAndSerialRunsAgree)
                 request.trace = &trace;
                 const core::RunResponse serial = core::run(request);
                 ASSERT_GT(serial.results.tasks.size(), 0u);
+                EXPECT_TRUE(test::in_submit_order(serial.results.tasks));
 
                 workload::TraceSessionSource source(trace);
                 request.trace = nullptr;

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -79,6 +81,20 @@ check_property(std::size_t iterations, Property&& property)
 }
 
 ///@}
+
+/** Whether @p tasks is strictly in (submit, session, seq) order — the
+ *  order the windowed driver creates a run's outcome rows in when each
+ *  session lists its cells in seq order — so no cell has two rows. */
+inline bool
+in_submit_order(const std::vector<core::TaskOutcome>& tasks)
+{
+    return std::adjacent_find(
+               tasks.begin(), tasks.end(),
+               [](const core::TaskOutcome& a, const core::TaskOutcome& b) {
+                   return std::tie(b.submit, b.session, b.seq) <=
+                          std::tie(a.submit, a.session, a.seq);
+               }) == tasks.end();
+}
 
 /** A small generated AdobeTrace-profile workload that runs in well under a
  *  second on every engine. Shared by the core/sim/integration suites. */
