@@ -40,7 +40,7 @@ main()
         std::printf("--- cell %zu (t=%s, %.0f s of GPU work) ---\n%s", i,
                     sim::format_time(first.tasks[i].submit_time).c_str(),
                     sim::to_seconds(first.tasks[i].duration),
-                    first.tasks[i].code.c_str());
+                    workload::cell_code(first, first.tasks[i]).c_str());
     }
 
     // Run the same session stream under Reservation and NotebookOS

@@ -194,7 +194,10 @@ class PrototypeRun
         simulation->schedule_at(event.time, [this, shard, simulation,
                                              session, task, index] {
             const bool accepted = shard->submit_session(
-                session->id, task->code, task->is_gpu, simulation->now(),
+                session->id,
+                task->code.empty() ? workload::cell_code(*session, *task)
+                                   : task->code,
+                task->is_gpu, simulation->now(),
                 [this, index](const kernel::ExecutionResult& result,
                               const sched::RequestTrace& request_trace) {
                     TaskOutcome& done = tasks_[index];

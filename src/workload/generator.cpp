@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace nbos::workload {
 
@@ -12,14 +11,6 @@ constexpr double kMaxDurationSeconds = 6.0 * 3600.0;  // clamp pathological tail
 
 /** GPU request options matching the paper's 1-8 GPU server shapes. */
 constexpr std::int32_t kGpuOptions[] = {1, 2, 4, 8};
-
-std::string
-format_seconds(double seconds)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", seconds);
-    return buf;
-}
 
 }  // namespace
 
@@ -215,7 +206,6 @@ WorkloadGenerator::make_session(const TraceProfile& profile, SessionId id,
                              profile.duration_floor_s, kMaxDurationSeconds);
         task.duration = sim::from_seconds(duration_s);
         task.is_gpu = rng_.bernoulli(profile.gpu_task_fraction);
-        task.code = synthesize_cell_code(session, task);
         session.tasks.push_back(std::move(task));
 
         double gap_s =
@@ -239,52 +229,6 @@ WorkloadGenerator::make_session(const TraceProfile& profile, SessionId id,
         submit += sim::from_seconds(gap_s);
     }
     return session;
-}
-
-std::string
-WorkloadGenerator::synthesize_cell_code(const SessionSpec& session,
-                                        const CellTask& task) const
-{
-    const auto model = nblang::find_model(session.model);
-    const double model_mb =
-        model ? static_cast<double>(model->param_bytes) / (1024.0 * 1024.0)
-              : 100.0;
-    const double vram_mb =
-        std::min(16384.0 * session.resources.gpus, model_mb + 2048.0);
-    const double duration_s = sim::to_seconds(task.duration);
-
-    std::string code;
-    if (!task.is_gpu) {
-        // CPU-only cell: light bookkeeping state plus CPU compute.
-        code += "note_" + std::to_string(task.seq) + " = \"edit\"\n";
-        code += "cpu_compute(" + format_seconds(duration_s) + ")\n";
-        return code;
-    }
-    if (task.seq == 0) {
-        // First cell: set up the session's model/dataset/state.
-        code += "model = load_model(\"" + session.model + "\")\n";
-        code += "data = load_dataset(\"" + session.dataset + "\")\n";
-        code += "step = 0\n";
-    } else {
-        code += "step = step + 1\n";
-    }
-    // Small state (goes through Raft SMR) ...
-    code += "loss_" + std::to_string(task.seq) + " = " +
-            format_seconds(1.0 / (1.0 + task.seq)) + "\n";
-    // ... the training itself, with the trace-calibrated duration ...
-    code += "gpu_compute(" + format_seconds(duration_s) + ", vram_mb=" +
-            format_seconds(vram_mb) + ")\n";
-    // ... and large state (checkpointed to the Distributed Data Store).
-    // Periodically the cell *reads* the previous weights (fine-tuning from
-    // the last checkpoint), forcing a data-store page-in whenever a
-    // different replica became the executor (Fig. 11 "Reads").
-    if (task.seq > 0 && task.seq % 7 == 3) {
-        code += "weights = weights + tensor(" + format_seconds(model_mb) +
-                ")\n";
-    } else {
-        code += "weights = tensor(" + format_seconds(model_mb) + ")\n";
-    }
-    return code;
 }
 
 Trace

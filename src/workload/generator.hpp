@@ -173,9 +173,6 @@ class WorkloadGenerator
     sim::Rng& rng() { return rng_; }
 
   private:
-    std::string synthesize_cell_code(const SessionSpec& session,
-                                     const CellTask& task) const;
-
     sim::Rng rng_;
     /** Derived stream for hot-tenant skew draws, split off rng_ lazily on
      *  the first draw (TraceProfile::hot_session_fraction > 0) so

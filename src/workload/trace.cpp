@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace nbos::workload {
 
@@ -81,6 +82,56 @@ Trace::session_busy_fractions() const
                                 sim::to_seconds(lifetime)));
     }
     return p;
+}
+
+std::string
+cell_code(const SessionSpec& session, const CellTask& task)
+{
+    const auto model = nblang::find_model(session.model);
+    const double model_mb =
+        model ? static_cast<double>(model->param_bytes) / (1024.0 * 1024.0)
+              : 100.0;
+    const double vram_mb =
+        std::min(16384.0 * session.resources.gpus, model_mb + 2048.0);
+    const double duration_s = sim::to_seconds(task.duration);
+    char buf[64];
+    std::string code;
+    if (!task.is_gpu) {
+        // CPU-only cell: light bookkeeping state plus CPU compute.
+        code += "note_" + std::to_string(task.seq) + " = \"edit\"\n";
+        std::snprintf(buf, sizeof(buf), "cpu_compute(%.3f)\n", duration_s);
+        code += buf;
+        return code;
+    }
+    if (task.seq == 0) {
+        // First cell: set up the session's model/dataset/state.
+        code += "model = load_model(\"" + session.model + "\")\n";
+        code += "data = load_dataset(\"" + session.dataset + "\")\n";
+        code += "step = 0\n";
+    } else {
+        code += "step = step + 1\n";
+    }
+    // Small state (goes through Raft SMR) ...
+    std::snprintf(buf, sizeof(buf), "loss_%d = %.3f\n", task.seq,
+                  1.0 / (1.0 + task.seq));
+    code += buf;
+    // ... the training itself, with the trace-calibrated duration ...
+    std::snprintf(buf, sizeof(buf), "gpu_compute(%.3f, vram_mb=%.3f)\n",
+                  duration_s, vram_mb);
+    code += buf;
+    // ... and large state (checkpointed to the Distributed Data Store).
+    // Periodically the cell *reads* the previous weights (fine-tuning from
+    // the last checkpoint), forcing a data-store page-in whenever a
+    // different replica became the executor (Fig. 11 "Reads").
+    if (task.seq > 0 && task.seq % 7 == 3) {
+        std::snprintf(buf, sizeof(buf),
+                      "weights = weights + tensor(%.3f)\n", model_mb);
+    } else {
+        std::snprintf(buf, sizeof(buf), "weights = tensor(%.3f)\n",
+                      model_mb);
+    }
+    code += buf;
+    return code;
 }
 
 }  // namespace nbos::workload

@@ -32,7 +32,10 @@ struct CellTask
     sim::Time duration = 0;
     /** True if the task requires GPUs (an IDLT task). */
     bool is_gpu = true;
-    /** NbLang source the kernel executes for this cell. */
+    /** Explicit NbLang source for this cell; empty means the session's
+     *  generated program, cell_code(session, *this). Generation and trace
+     *  loading leave it empty: only the prototype's kernels execute a
+     *  cell, and it derives the program when it submits the cell. */
     std::string code;
 };
 
@@ -74,6 +77,16 @@ struct Trace
      *  (Fig. 2c, "Frac. GPU Utilized"). */
     metrics::Percentiles session_busy_fractions() const;
 };
+
+/**
+ * The NbLang program a generated cell executes: a pure function of the
+ * session's model, dataset and GPU count and of the cell's seq, duration
+ * and kind. A GPU session's first cell loads the model and dataset and
+ * sets `step = 0`, later cells advance `step`; every GPU cell writes a
+ * small `loss_<seq>` (Raft SMR) and a large `weights` tensor (the data
+ * store), reading the previous weights on every seventh cell from seq 3.
+ */
+std::string cell_code(const SessionSpec& session, const CellTask& task);
 
 }  // namespace nbos::workload
 

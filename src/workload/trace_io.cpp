@@ -1,6 +1,7 @@
 #include "workload/trace_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -94,19 +95,28 @@ parse_u64(const ParseContext& ctx, const char* field, const std::string& raw)
     }
 }
 
-std::int32_t
-parse_i32(const ParseContext& ctx, const char* field, const std::string& raw)
+/** An integer field that must lie in [@p lo, @p hi]. The bounds reject
+ *  what no trace can mean (a negative resource amount or duration, an
+ *  unknown domain, an end before the start): the engines would otherwise
+ *  place, run or strand such a session without a word. */
+template <typename T>
+T
+parse_int(const ParseContext& ctx, const char* field, const std::string& raw,
+          T lo = std::numeric_limits<T>::min(),
+          T hi = std::numeric_limits<T>::max())
 {
     const std::int64_t value = parse_i64(ctx, field, raw);
-    if (value < std::numeric_limits<std::int32_t>::min() ||
-        value > std::numeric_limits<std::int32_t>::max()) {
-        ctx.fail(field, "out of range: '" + raw + "'");
+    if (value < lo || value > hi) {
+        ctx.fail(field, "out of range [" + std::to_string(lo) + ", " +
+                            std::to_string(hi) + "]: '" + raw + "'");
     }
-    return static_cast<std::int32_t>(value);
+    return static_cast<T>(value);
 }
 
+/** A finite, non-negative real field: std::stod also accepts "nan" and
+ *  "inf", and a session asking for NaN GB of VRAM fits no server. */
 double
-parse_double(const ParseContext& ctx, const char* field,
+parse_amount(const ParseContext& ctx, const char* field,
              const std::string& raw)
 {
     try {
@@ -115,55 +125,15 @@ parse_double(const ParseContext& ctx, const char* field,
         if (consumed != raw.size()) {
             ctx.fail(field, "trailing garbage in '" + raw + "'");
         }
+        if (!std::isfinite(value) || value < 0.0) {
+            ctx.fail(field, "not a finite amount >= 0: '" + raw + "'");
+        }
         return value;
     } catch (const std::invalid_argument&) {
         ctx.fail(field, "not a number: '" + raw + "'");
     } catch (const std::out_of_range&) {
         ctx.fail(field, "out of range: '" + raw + "'");
     }
-}
-
-/** Re-synthesize the deterministic cell code (mirrors the generator). */
-std::string
-resynthesize_code(const SessionSpec& session, const CellTask& task)
-{
-    const auto model = nblang::find_model(session.model);
-    const double model_mb =
-        model ? static_cast<double>(model->param_bytes) / (1024.0 * 1024.0)
-              : 100.0;
-    const double vram_mb =
-        std::min(16384.0 * session.resources.gpus, model_mb + 2048.0);
-    const double duration_s = sim::to_seconds(task.duration);
-    char buf[64];
-    std::string code;
-    if (!task.is_gpu) {
-        code += "note_" + std::to_string(task.seq) + " = \"edit\"\n";
-        std::snprintf(buf, sizeof(buf), "cpu_compute(%.3f)\n", duration_s);
-        code += buf;
-        return code;
-    }
-    if (task.seq == 0) {
-        code += "model = load_model(\"" + session.model + "\")\n";
-        code += "data = load_dataset(\"" + session.dataset + "\")\n";
-        code += "step = 0\n";
-    } else {
-        code += "step = step + 1\n";
-    }
-    std::snprintf(buf, sizeof(buf), "loss_%d = %.3f\n", task.seq,
-                  1.0 / (1.0 + task.seq));
-    code += buf;
-    std::snprintf(buf, sizeof(buf), "gpu_compute(%.3f, vram_mb=%.3f)\n",
-                  duration_s, vram_mb);
-    code += buf;
-    if (task.seq > 0 && task.seq % 7 == 3) {
-        std::snprintf(buf, sizeof(buf),
-                      "weights = weights + tensor(%.3f)\n", model_mb);
-    } else {
-        std::snprintf(buf, sizeof(buf), "weights = tensor(%.3f)\n",
-                      model_mb);
-    }
-    code += buf;
-    return code;
 }
 
 }  // namespace
@@ -252,16 +222,21 @@ TraceReader::next(SessionSpec& out)
             SessionSpec session;
             session.id = parse_i64(ctx, "session_id", fields[1]);
             session.start_time = parse_i64(ctx, "start_time", fields[2]);
-            session.end_time = parse_i64(ctx, "end_time", fields[3]);
+            session.end_time = parse_int<sim::Time>(
+                ctx, "end_time", fields[3], session.start_time);
             session.resources.millicpus =
-                parse_i32(ctx, "millicpus", fields[4]);
+                parse_int<std::int32_t>(ctx, "millicpus", fields[4], 0);
             session.resources.memory_mb =
-                parse_i64(ctx, "memory_mb", fields[5]);
-            session.resources.gpus = parse_i32(ctx, "gpus", fields[6]);
+                parse_int<std::int64_t>(ctx, "memory_mb", fields[5], 0);
+            session.resources.gpus =
+                parse_int<std::int32_t>(ctx, "gpus", fields[6], 0);
             session.resources.vram_gb =
-                parse_double(ctx, "vram_gb", fields[7]);
+                parse_amount(ctx, "vram_gb", fields[7]);
             session.domain = static_cast<nblang::Domain>(
-                parse_i32(ctx, "domain", fields[8]));
+                parse_int<std::int32_t>(
+                    ctx, "domain", fields[8], 0,
+                    static_cast<std::int32_t>(
+                        nblang::Domain::kSpeechRecognition)));
             session.model = fields[9];
             session.dataset = fields[10];
             expected_tasks_ = parse_u64(ctx, "task_count", fields[11]);
@@ -279,11 +254,11 @@ TraceReader::next(SessionSpec& out)
             }
             CellTask task;
             task.session = current_.id;
-            task.seq = parse_i32(ctx, "seq", fields[1]);
+            task.seq = parse_int<std::int32_t>(ctx, "seq", fields[1]);
             task.submit_time = parse_i64(ctx, "submit_time", fields[2]);
-            task.duration = parse_i64(ctx, "duration", fields[3]);
+            task.duration =
+                parse_int<sim::Time>(ctx, "duration", fields[3], 0);
             task.is_gpu = fields[4] == "1";
-            task.code = resynthesize_code(current_, task);
             current_.tasks.push_back(std::move(task));
         } else {
             ctx.fail("row_type", "unknown row type: " + line);

@@ -5,8 +5,10 @@
  * paper's artifact ships its trace as files; this is our equivalent).
  *
  * Format: a header line, one `S` row per session, one `T` row per task.
- * Cell code is not stored — it is re-synthesized deterministically from
- * the session metadata on load.
+ * Cell code is neither stored nor rebuilt on load: a cell's program is a
+ * pure function of what the rows hold (workload::cell_code), and the
+ * prototype engine, the only one that executes cells, derives it when it
+ * submits the cell.
  */
 #ifndef NBOS_WORKLOAD_TRACE_IO_HPP
 #define NBOS_WORKLOAD_TRACE_IO_HPP
@@ -111,8 +113,11 @@ class TraceReader
 
     /** Parse the next complete session into @p out.
      *  @return false when the stream is exhausted (@p out untouched).
-     *  @throws TraceParseError on malformed rows, task-count mismatches,
-     *          and a final session tally differing from the header. */
+     *  @throws TraceParseError on malformed rows, values no trace can mean
+     *          (a negative resource amount or duration, a VRAM size that
+     *          is not finite, an unknown domain, an end_time before the
+     *          start_time), task-count mismatches, and a final session
+     *          tally differing from the header. */
     bool next(SessionSpec& out);
 
   private:

@@ -788,6 +788,31 @@ TEST(DriverDeterminismTest, TraceSourceParallelAndSerialRunsAgree)
     }
 }
 
+/** A cell with no explicit program runs its session's generated one, so
+ *  spelling that program out in every cell changes nothing: the
+ *  prototype derives at submit exactly the text it is otherwise handed. */
+TEST(DriverDeterminismTest, ExplicitGeneratedProgramRunsIdentically)
+{
+    const auto derived = test::tiny_trace(8, 2 * sim::kHour);
+    workload::Trace spelled_out = derived;
+    for (workload::SessionSpec& session : spelled_out.sessions) {
+        for (workload::CellTask& task : session.tasks) {
+            ASSERT_TRUE(task.code.empty());
+            task.code = workload::cell_code(session, task);
+        }
+    }
+    core::RunRequest request;
+    request.engine = core::kEnginePrototype;
+    request.config = core::PlatformConfig::prototype_defaults();
+    request.seed = 21;
+    request.trace = &derived;
+    const core::RunResponse run = core::run(request);
+    ASSERT_EQ(run.results.tasks.size(), derived.task_count());
+    ASSERT_GT(run.results.tasks.size(), 0u);
+    request.trace = &spelled_out;
+    expect_runs_identical(run, core::run(request));
+}
+
 /** Where the fast driver stops decides only when sessions are admitted
  *  and their events handed over, never what runs. On one shard nothing
  *  can move, so a pinned policy — admitting ahead, then hourly once more

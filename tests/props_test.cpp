@@ -707,7 +707,9 @@ TEST(WorkloadProfileProperty, EveryProfileStreamSortedAndConsistent)
                     ASSERT_GE(task.submit_time, at);
                     at = task.submit_time;
                     ASSERT_GT(task.duration, 0);
-                    ASSERT_FALSE(task.code.empty());
+                    // Streams store no program; the prototype derives it.
+                    ASSERT_TRUE(task.code.empty());
+                    ASSERT_FALSE(workload::cell_code(session, task).empty());
                 }
             }
         }

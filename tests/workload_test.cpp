@@ -164,7 +164,7 @@ TEST(SkewKnobTest, DisabledSkewLeavesTraceByteIdentical)
             ASSERT_EQ(sa.tasks[t].submit_time, sb.tasks[t].submit_time);
             ASSERT_EQ(sa.tasks[t].duration, sb.tasks[t].duration);
             ASSERT_EQ(sa.tasks[t].is_gpu, sb.tasks[t].is_gpu);
-            ASSERT_EQ(sa.tasks[t].code, sb.tasks[t].code);
+            ASSERT_EQ(cell_code(sa, sa.tasks[t]), cell_code(sb, sb.tasks[t]));
         }
     }
 }
@@ -214,14 +214,14 @@ TEST(TraceCodeTest, GeneratedCodeExecutes)
     const SessionSpec& session = trace.sessions.front();
     nblang::Namespace ns;
     for (const CellTask& task : session.tasks) {
-        const nblang::Effect effect =
-            nblang::execute_source(task.code, ns);
+        const std::string code = cell_code(session, task);
+        const nblang::Effect effect = nblang::execute_source(code, ns);
         if (task.is_gpu) {
-            EXPECT_TRUE(effect.used_gpu()) << task.code;
+            EXPECT_TRUE(effect.used_gpu()) << code;
             // The NbLang GPU time matches the trace-assigned duration.
             EXPECT_NEAR(effect.gpu_seconds, sim::to_seconds(task.duration),
                         0.01)
-                << task.code;
+                << code;
         }
     }
     // Session state accumulated across cells.
@@ -238,13 +238,54 @@ TEST(TraceCodeTest, LargeAndSmallStateBothPresent)
     const SessionSpec& session = trace.sessions.front();
     nblang::Namespace ns;
     for (const CellTask& task : session.tasks) {
-        nblang::execute_source(task.code, ns);
+        nblang::execute_source(cell_code(session, task), ns);
     }
     // "weights" is a large tensor (data-store path); "loss_*" are small
     // numbers (Raft SMR path).
     EXPECT_GT(ns["weights"].size_bytes, 10ULL * 1024 * 1024);
     EXPECT_TRUE(ns.count("loss_1"));
     EXPECT_LT(ns["loss_1"].size_bytes, 1024u);
+}
+
+/** The program text is pinned: the prototype executes it, so a change to
+ *  it moves every prototype figure. */
+TEST(TraceCodeTest, CellCodeTextIsPinned)
+{
+    SessionSpec session;
+    session.id = 4;
+    session.model = "gpt2";  // 548 MB of parameters
+    session.dataset = "cola";
+    session.resources.gpus = 1;  // VRAM min(16 GB, 548 MB + 2 GB)
+    CellTask task;
+    task.session = session.id;
+    task.duration = 120 * sim::kSecond;
+    EXPECT_EQ(cell_code(session, task),
+              "model = load_model(\"gpt2\")\n"
+              "data = load_dataset(\"cola\")\n"
+              "step = 0\n"
+              "loss_0 = 1.000\n"
+              "gpu_compute(120.000, vram_mb=2596.000)\n"
+              "weights = tensor(548.000)\n");
+    task.seq = 1;
+    task.duration = sim::from_seconds(90.5);
+    EXPECT_EQ(cell_code(session, task),
+              "step = step + 1\n"
+              "loss_1 = 0.500\n"
+              "gpu_compute(90.500, vram_mb=2596.000)\n"
+              "weights = tensor(548.000)\n");
+    task.seq = 3;  // every seventh cell from seq 3 reads the last weights
+    task.duration = 15 * sim::kSecond;
+    EXPECT_EQ(cell_code(session, task),
+              "step = step + 1\n"
+              "loss_3 = 0.250\n"
+              "gpu_compute(15.000, vram_mb=2596.000)\n"
+              "weights = weights + tensor(548.000)\n");
+    task.seq = 2;
+    task.is_gpu = false;
+    task.duration = sim::from_seconds(30.25);
+    EXPECT_EQ(cell_code(session, task),
+              "note_2 = \"edit\"\n"
+              "cpu_compute(30.250)\n");
 }
 
 TEST(CalibrationTest, AdobeDurationPercentiles)
@@ -371,8 +412,10 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
             EXPECT_EQ(a.tasks[j].submit_time, b.tasks[j].submit_time);
             EXPECT_EQ(a.tasks[j].duration, b.tasks[j].duration);
             EXPECT_EQ(a.tasks[j].is_gpu, b.tasks[j].is_gpu);
-            // Cell code is re-synthesized deterministically.
-            EXPECT_EQ(a.tasks[j].code, b.tasks[j].code)
+            // The program is derived from what the trace stores, and
+            // loading does not build it.
+            EXPECT_TRUE(b.tasks[j].code.empty());
+            EXPECT_EQ(cell_code(a, a.tasks[j]), cell_code(b, b.tasks[j]))
                 << "session " << i << " task " << j;
         }
     }
@@ -437,19 +480,53 @@ TEST(TraceIoTest, GarbageNumericFieldReportsLocation)
 
 TEST(TraceIoTest, OutOfRangeNumericFieldThrowsParseError)
 {
-    std::stringstream buffer;
-    buffer << "#nbos-trace-v1,adobe,1000,1\n";
-    // memory_mb far beyond int64: previously escaped as raw
-    // std::out_of_range from std::stoll.
-    buffer << "S,1,0,900,1000,99999999999999999999999999,1,16,0,"
-              "gpt2,wikitext,0\n";
-    try {
-        load_trace(buffer);
-        FAIL() << "expected TraceParseError";
-    } catch (const TraceParseError& e) {
-        EXPECT_EQ(e.field(), "memory_mb");
-        EXPECT_EQ(e.line(), 2u);
+    // memory_mb far beyond int64 must not escape as a raw
+    // std::out_of_range from std::stoll. The other rows parse as numbers
+    // that no trace can mean: loaded, the engines would strand the session
+    // (a NaN or infinite VRAM size fits no server) or run it anyway.
+    struct Case
+    {
+        const char* rows;
+        const char* field;
+        std::size_t line;
+    };
+    const Case cases[] = {
+        {"S,1,0,900,1000,99999999999999999999999999,1,16,0,gpt2,wikitext,0\n",
+         "memory_mb", 2},
+        {"S,1,0,900,1000,2048,1,nan,0,gpt2,wikitext,0\n", "vram_gb", 2},
+        {"S,1,0,900,1000,2048,1,inf,0,gpt2,wikitext,0\n", "vram_gb", 2},
+        {"S,1,0,900,1000,2048,1,-inf,0,gpt2,wikitext,0\n", "vram_gb", 2},
+        {"S,1,0,900,1000,2048,1,-0.5,0,gpt2,wikitext,0\n", "vram_gb", 2},
+        {"S,1,0,900,-1000,2048,1,16,0,gpt2,wikitext,0\n", "millicpus", 2},
+        {"S,1,0,900,1000,-2048,1,16,0,gpt2,wikitext,0\n", "memory_mb", 2},
+        {"S,1,0,900,1000,2048,-1,16,0,gpt2,wikitext,0\n", "gpus", 2},
+        {"S,1,0,900,1000,2048,1,16,9,gpt2,wikitext,0\n", "domain", 2},
+        {"S,1,0,900,1000,2048,1,16,-1,gpt2,wikitext,0\n", "domain", 2},
+        {"S,1,900,0,1000,2048,1,16,0,gpt2,wikitext,0\n", "end_time", 2},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,5,-5000000000,1\n",
+         "duration", 3},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.rows);
+        std::stringstream buffer;
+        buffer << "#nbos-trace-v1,adobe,1000,1\n" << c.rows;
+        try {
+            load_trace(buffer);
+            FAIL() << "expected TraceParseError";
+        } catch (const TraceParseError& e) {
+            EXPECT_EQ(e.field(), c.field);
+            EXPECT_EQ(e.line(), c.line);
+        }
     }
+    // Every bound is inclusive: zero resources, the last domain, a
+    // session ending as it starts and a zero-length cell all load.
+    std::stringstream edge;
+    edge << "#nbos-trace-v1,adobe,1000,1\n"
+         << "S,1,900,900,0,0,0,0,2,deepspeech2,librispeech,1\n"
+         << "T,0,900,0,0\n";
+    const Trace loaded = load_trace(edge);
+    ASSERT_EQ(loaded.task_count(), 1u);
+    EXPECT_EQ(loaded.sessions[0].domain, nblang::Domain::kSpeechRecognition);
 }
 
 TEST(TraceIoTest, TruncatedSessionRowThrowsParseError)
@@ -581,7 +658,9 @@ TEST_P(ProfileProperty, StructurallyValid)
     for (const SessionSpec& session : trace.sessions) {
         for (const CellTask& task : session.tasks) {
             EXPECT_GT(task.duration, 0);
-            EXPECT_FALSE(task.code.empty());
+            // Generation stores no program; the prototype derives it.
+            EXPECT_TRUE(task.code.empty());
+            EXPECT_FALSE(cell_code(session, task).empty());
         }
     }
 }
