@@ -13,6 +13,14 @@
  * moves whole sessions between shards, so a session's events always go to
  * the shard that owns it for the whole window.
  *
+ * After the last window the drain keeps stepping the same grid until every
+ * shard is settled (sched::SchedulerShard::settled: no cell still owed a
+ * reply, no kernel creation or server provisioning in flight), at most
+ * kDrainWindow past the makespan. Sessions that outlive the trace keep
+ * their kernels, and without the early stop their idle Raft heartbeats
+ * would run the whole 12 h. Every cell the driver hands out keeps its
+ * row; one its shard refused ends aborted.
+ *
  * Determinism: admission and the rebalance plan are pure functions of
  * the admitted sessions and shard-order-merged loads, events are injected
  * in the feed's canonical order, each shard writes only its own cells'
@@ -20,6 +28,7 @@
  * in index order (finish() through core::merge_shards), so parallel
  * windows are bit-identical to serial ones.
  */
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,6 +49,7 @@ class PrototypeRun
                  std::vector<TaskOutcome>& tasks)
         : tasks_(tasks),
           replicas_(config.scheduler.kernel.replica_count),
+          window_(config.sample_interval),
           trace_name_(feed.trace_name()),
           makespan_(feed.makespan()),
           router_(config.scheduler.routing, config.scheduler.shards),
@@ -91,6 +101,7 @@ class PrototypeRun
         lockstep_.run([this, stop](std::size_t i) {
             shards_[i]->simulation.run_until(stop);
         });
+        reached_ = stop;
     }
 
     void close_window(sim::Time stop, bool last)
@@ -114,24 +125,22 @@ class PrototypeRun
 
     void retire(workload::SessionId id) { router_.forget(id); }
 
-    void drain(sim::Time horizon) { advance(horizon); }
+    /** Keep stepping the window grid past the last window until every
+     *  shard is settled, or to @p horizon. Once settled no outcome row can
+     *  change; what is left is idle upkeep after the makespan (mostly Raft
+     *  heartbeats of kernels whose sessions outlive the trace), outside
+     *  the GPU-hour integrals and the fleet series. The check runs on the
+     *  driving thread between steps and reads only shard state, so
+     *  parallel and serial runs stop at the same boundary. */
+    void drain(sim::Time horizon)
+    {
+        while (reached_ < horizon && !settled()) {
+            advance(std::min(reached_ + window_, horizon));
+        }
+    }
 
     RunResponse finish()
     {
-        // Drop the cells no shard accepted (submitted after their
-        // session ended); the rest keep the table's order.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < tasks_.size(); ++i) {
-            if (!submitted_[i]) {
-                continue;
-            }
-            if (kept != i) {
-                tasks_[kept] = std::move(tasks_[i]);
-            }
-            ++kept;
-        }
-        tasks_.resize(kept);
-
         std::vector<ExperimentResults> parts(shards_.size());
         std::vector<ShardWork> work;
         for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -163,6 +172,14 @@ class PrototypeRun
     }
 
   private:
+    bool settled() const
+    {
+        return std::all_of(shards_.begin(), shards_.end(),
+                           [](const std::unique_ptr<ShardUnit>& unit) {
+                               return unit->shard.settled();
+                           });
+    }
+
     /** One shard and the event loop it runs on. */
     struct ShardUnit
     {
@@ -182,18 +199,19 @@ class PrototypeRun
 
     /** Schedule one cell on its owner. Its row already exists (the driver
      *  loop appended it); the closures hold the row's index, so later
-     *  growth of the table between windows is safe. */
+     *  growth of the table between windows is safe. A cell its shard
+     *  refuses (its session has ended or failed) never gets a reply, so
+     *  finalize_tasks marks its row aborted, as the fast engine does. */
     void submit(ShardUnit& unit, const Injection& event)
     {
         const workload::SessionSpec* session = event.session;
         const workload::CellTask* task = event.task;
         const std::size_t index = event.row;
-        submitted_.resize(tasks_.size());
         sched::SchedulerShard* shard = &unit.shard;
         sim::Simulation* simulation = &unit.simulation;
         simulation->schedule_at(event.time, [this, shard, simulation,
                                              session, task, index] {
-            const bool accepted = shard->submit_session(
+            shard->submit_session(
                 session->id,
                 task->code.empty() ? workload::cell_code(*session, *task)
                                    : task->code,
@@ -214,22 +232,20 @@ class PrototypeRun
                     done.replica_replied = request_trace.replica_replied;
                     done.election_latency = request_trace.election_latency;
                 });
-            if (accepted) {
-                submitted_[index] = 1;
-            }
         });
     }
 
     /** The run's outcome table, one row per injected cell. */
     std::vector<TaskOutcome>& tasks_;
     std::int32_t replicas_;
+    sim::Time window_;
     std::string trace_name_;
     sim::Time makespan_;
     sched::SessionRouter router_;
     sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<ShardUnit>> shards_;
-    /** Per row of tasks_: did the owning shard accept the cell? */
-    std::vector<char> submitted_;
+    /** The time every shard has run to. */
+    sim::Time reached_ = 0;
     metrics::TimeSeries provisioned_gpus_;
     metrics::TimeSeries subscription_ratio_;
 };

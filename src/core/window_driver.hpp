@@ -38,8 +38,10 @@
 
 namespace nbos::core {
 
-/** Simulated time both drivers keep running after the makespan so that
- *  in-flight cells can finish. */
+/** The most simulated time either driver runs after the makespan so that
+ *  in-flight cells can finish: an upper bound, since the prototype stops
+ *  its drain at the first window boundary where every shard is settled
+ *  (the fast engine's queue empties by itself). */
 inline constexpr sim::Time kDrainWindow = 12 * sim::kHour;
 
 /** Live sessions below which a run whose sessions never move admits ahead
@@ -173,7 +175,8 @@ SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
  *     @p stop (sample, and rebalance unless @p last);
  *   - `retire(workload::SessionId id)`: the session's last event has
  *     run (fired once per session, as the feed frees its spec);
- *   - `drain(sim::Time horizon)`: run every shard to the drain horizon.
+ *   - `drain(sim::Time horizon)`: let in-flight work finish, running no
+ *     shard past @p horizon (the prototype stops once it is settled).
  *
  * For each cell the loop appends a row to @p tasks — session, seq,
  * is_gpu, gpus and submit (the event's time) — before the engine sees it,

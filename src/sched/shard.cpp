@@ -245,6 +245,29 @@ SchedulerShard::live_kernels() const
     return count;
 }
 
+bool
+SchedulerShard::settled() const
+{
+    if (replies_in_flight_ > 0 || servers_provisioning_ > 0 ||
+        !pending_kernels_.empty()) {
+        return false;
+    }
+    for (const auto& [id, record] : kernels_) {
+        if (record.alive && (!record.created || !record.pending.empty())) {
+            return false;
+        }
+    }
+    const auto& flags = sessions_.flags();
+    for (std::size_t row = 0; row < flags.size(); ++row) {
+        if ((flags[row] & kSessionFailed) == 0 &&
+            !sessions_.cold_at(static_cast<std::int32_t>(row))
+                 .buffered.empty()) {
+            return false;
+        }
+    }
+    return true;
+}
+
 kernel::KernelReplica*
 SchedulerShard::replica(cluster::KernelId kernel_id, std::int32_t index)
 {
@@ -984,8 +1007,18 @@ SchedulerShard::on_result(cluster::KernelId kernel_id,
         config_.ls_processing +
         sample(config_.hops.gs_to_ls_min, config_.hops.gs_to_ls_max) +
         sample(config_.hops.client_to_gs_min, config_.hops.client_to_gs_max);
+    send_reply(back, result, std::move(pending));
+}
+
+void
+SchedulerShard::send_reply(sim::Time delay, kernel::ExecutionResult result,
+                           PendingExecution pending)
+{
+    ++replies_in_flight_;
     simulation_.schedule_after(
-        back, [this, result, pending = std::move(pending)]() mutable {
+        delay, [this, result = std::move(result),
+                pending = std::move(pending)]() mutable {
+            --replies_in_flight_;
             pending.trace.client_replied = simulation_.now();
             if (pending.callback) {
                 pending.callback(result, pending.trace);
@@ -1394,13 +1427,7 @@ SchedulerShard::abort_execution(cluster::KernelId kernel_id,
     pending.trace.aborted = true;
     const sim::Time back = sample(config_.hops.client_to_gs_min,
                                   config_.hops.client_to_gs_max);
-    simulation_.schedule_after(
-        back, [this, result, pending = std::move(pending)]() mutable {
-            pending.trace.client_replied = simulation_.now();
-            if (pending.callback) {
-                pending.callback(result, pending.trace);
-            }
-        });
+    send_reply(back, std::move(result), std::move(pending));
 }
 
 void

@@ -203,6 +203,17 @@ class SchedulerShard
     }
     /** Number of kernels still alive. */
     std::size_t live_kernels() const;
+    /**
+     * True when the shard owes no cell an outcome: no live kernel has a
+     * pending execution, no reply is on its way to a client, no session
+     * that has not failed holds buffered cells, and no kernel creation or
+     * server provisioning is in flight. Cells dropped by end_session or
+     * stop_kernel, and cells stranded by a failed kernel creation, never
+     * get an outcome and so count as settled. What runs after this turns
+     * true is idle upkeep (Raft heartbeats, health checks, auto-scaler
+     * and pre-warm ticks), which no cell's outcome depends on.
+     */
+    bool settled() const;
     /** Device ids currently bound to a replica's execution (§3.3). */
     std::vector<std::int32_t> bound_devices(cluster::KernelId kernel_id,
                                             std::int32_t index);
@@ -313,6 +324,9 @@ class SchedulerShard
     void abort_execution(cluster::KernelId kernel_id,
                          kernel::ElectionId election,
                          const std::string& reason);
+    /** Deliver @p pending's reply to its client @p delay from now. */
+    void send_reply(sim::Time delay, kernel::ExecutionResult result,
+                    PendingExecution pending);
     void run_autoscaler();
     void run_prewarmer();
     void run_health_check();
@@ -351,6 +365,9 @@ class SchedulerShard
     cluster::ContainerId next_container_id_ = 1;
     net::NodeId next_raft_id_ = 1000;
     std::int32_t servers_provisioning_ = 0;
+    /** Replies send_reply has scheduled but not yet delivered: the cell
+     *  has left `pending` but its client has no reply. */
+    std::int32_t replies_in_flight_ = 0;
 
     SchedulerStats stats_;
     std::vector<SchedulerEvent> events_;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -28,16 +27,21 @@ namespace {
 
 constexpr const char* kMagic = "#nbos-trace-v1";
 
+/** Every comma-separated field of @p line, a trailing empty one too:
+ *  "T,0,5,12," is five fields with an empty `is_gpu`, not four. */
 std::vector<std::string>
 split_csv(const std::string& line)
 {
     std::vector<std::string> fields;
-    std::string field;
-    std::stringstream stream(line);
-    while (std::getline(stream, field, ',')) {
-        fields.push_back(field);
+    std::size_t begin = 0;
+    for (;;) {
+        const std::size_t comma = line.find(',', begin);
+        fields.push_back(line.substr(begin, comma - begin));
+        if (comma == std::string::npos) {
+            return fields;
+        }
+        begin = comma + 1;
     }
-    return fields;
 }
 
 /** Parse position of one row, threaded through the field parsers so every
@@ -193,7 +197,7 @@ TraceReader::TraceReader(std::istream& in, std::string source_name)
         ctx.fail("header", "bad trace header: " + line);
     }
     name_ = header[1];
-    makespan_ = parse_i64(ctx, "makespan", header[2]);
+    makespan_ = parse_int<sim::Time>(ctx, "makespan", header[2], 0);
     session_count_ = parse_u64(ctx, "session_count", header[3]);
 }
 
@@ -222,6 +226,13 @@ TraceReader::next(SessionSpec& out)
             SessionSpec session;
             session.id = parse_i64(ctx, "session_id", fields[1]);
             session.start_time = parse_i64(ctx, "start_time", fields[2]);
+            // Both engines stop injecting at the makespan, so such a
+            // session would never run.
+            if (session.start_time >= makespan_) {
+                ctx.fail("start_time", "at or after the makespan " +
+                                           std::to_string(makespan_) +
+                                           ": '" + fields[2] + "'");
+            }
             session.end_time = parse_int<sim::Time>(
                 ctx, "end_time", fields[3], session.start_time);
             session.resources.millicpus =
@@ -252,12 +263,28 @@ TraceReader::next(SessionSpec& out)
             if (!has_current_ || fields.size() != 5) {
                 ctx.fail("task_row", "orphan/bad task row: " + line);
             }
+            // A cell is its session's next one: its seq is its position
+            // (the program is derived from it), and it is submitted in
+            // submit order within the session's lifetime.
+            const std::size_t position = current_.tasks.size();
+            const sim::Time earliest =
+                current_.tasks.empty() ? current_.start_time
+                                       : current_.tasks.back().submit_time;
             CellTask task;
             task.session = current_.id;
-            task.seq = parse_int<std::int32_t>(ctx, "seq", fields[1]);
-            task.submit_time = parse_i64(ctx, "submit_time", fields[2]);
+            task.seq = parse_int<std::int32_t>(ctx, "seq", fields[1], 0);
+            if (static_cast<std::size_t>(task.seq) != position) {
+                ctx.fail("seq", "not the cell's position " +
+                                    std::to_string(position) + ": '" +
+                                    fields[1] + "'");
+            }
+            task.submit_time = parse_int<sim::Time>(
+                ctx, "submit_time", fields[2], earliest, current_.end_time);
             task.duration =
                 parse_int<sim::Time>(ctx, "duration", fields[3], 0);
+            if (fields[4] != "0" && fields[4] != "1") {
+                ctx.fail("is_gpu", "not 0 or 1: '" + fields[4] + "'");
+            }
             task.is_gpu = fields[4] == "1";
             current_.tasks.push_back(std::move(task));
         } else {

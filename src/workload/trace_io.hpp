@@ -100,7 +100,8 @@ class TraceReader
   public:
     /** Parse the header from @p in.
      *  @param source_name label used in parse errors.
-     *  @throws TraceParseError on a malformed header. */
+     *  @throws TraceParseError on a malformed header or a negative
+     *          makespan. */
     explicit TraceReader(std::istream& in,
                          std::string source_name = "<stream>");
 
@@ -116,8 +117,13 @@ class TraceReader
      *  @throws TraceParseError on malformed rows, values no trace can mean
      *          (a negative resource amount or duration, a VRAM size that
      *          is not finite, an unknown domain, an end_time before the
-     *          start_time), task-count mismatches, and a final session
-     *          tally differing from the header. */
+     *          start_time, an is_gpu other than 0 or 1), rows that
+     *          contradict their session or the header (a session starting
+     *          at or after the makespan; a cell whose seq is not its
+     *          position, or submitted before the previous cell, before its
+     *          session's start_time or after its end_time), task-count
+     *          mismatches, and a final session tally differing from the
+     *          header. */
     bool next(SessionSpec& out);
 
   private:

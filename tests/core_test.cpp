@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -368,6 +369,49 @@ TEST(FastEngineTest, HandlesSessionsEndingMidTrace)
         }
     }
     EXPECT_TRUE(scale_in);
+}
+
+/** A cell no shard can run — submitted after its session ended, or
+ *  before it started — still has its one row on both NotebookOS engines,
+ *  aborted, so they count the same cells. */
+TEST(NotebookEnginesTest, RefusedCellKeepsAnAbortedRow)
+{
+    struct Case
+    {
+        const char* name;
+        sim::Time start;
+        sim::Time end;
+        sim::Time submit;
+    };
+    const Case cases[] = {
+        {"after end_time", 0, 30 * kMinute, 60 * kMinute},
+        {"before start_time", 60 * kMinute, 3 * kHour, 30 * kMinute},
+    };
+    for (const Case& c : cases) {
+        workload::Trace trace;
+        trace.name = "refused";
+        trace.makespan = 2 * kHour;
+        workload::SessionSpec session;
+        session.id = 7;
+        session.start_time = c.start;
+        session.end_time = c.end;
+        session.resources = cluster::ResourceSpec{4000, 16384, 1, 16.0};
+        workload::CellTask task;
+        task.session = session.id;
+        task.submit_time = c.submit;
+        task.duration = 2 * kMinute;
+        session.tasks.push_back(task);
+        trace.sessions.push_back(session);
+        for (const bool fast : {false, true}) {
+            SCOPED_TRACE(std::string(c.name) + (fast ? " fast" : " proto"));
+            const ExperimentResults results = test::run_config(
+                test::platform_config(Policy::kNotebookOS, 17, fast), trace);
+            ASSERT_EQ(results.tasks.size(), 1u);
+            EXPECT_EQ(results.tasks[0].session, session.id);
+            EXPECT_EQ(results.tasks[0].submit, c.submit);
+            EXPECT_TRUE(results.tasks[0].aborted);
+        }
+    }
 }
 
 TEST(BatchEngineTest, ColdStartDominatesDelay)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
@@ -857,6 +858,126 @@ TEST(DriverDeterminismTest, PinnedStopsMatchStoppingEveryWindow)
     const core::RunResponse every_window = core::run(request);
     ASSERT_EQ(pinned.results.tasks.size(), trace.task_count());
     expect_runs_identical(pinned, every_window);
+}
+
+/** Append @p word to @p bytes, low byte first. */
+void
+append_word(std::string& bytes, std::int64_t word)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        bytes.push_back(static_cast<char>(
+            (static_cast<std::uint64_t>(word) >> (8 * byte)) & 0xff));
+    }
+}
+
+std::uint64_t
+rows_fingerprint(const std::vector<core::TaskOutcome>& tasks)
+{
+    std::string bytes;
+    for (const core::TaskOutcome& t : tasks) {
+        for (const std::int64_t word :
+             {t.session, std::int64_t{t.seq}, std::int64_t{t.gpus},
+              std::int64_t{t.is_gpu}, std::int64_t{t.migrated},
+              std::int64_t{t.aborted}, t.submit, t.exec_start, t.exec_end,
+              t.reply, t.gs_received, t.gs_dispatched, t.replica_received,
+              t.replica_replied, t.election_latency}) {
+            append_word(bytes, word);
+        }
+    }
+    return trace_bytes_fnv1a(bytes);
+}
+
+std::uint64_t
+series_fingerprint(const metrics::TimeSeries& series)
+{
+    std::string bytes;
+    for (const metrics::Sample& sample : series.samples()) {
+        append_word(bytes, sample.time);
+        append_word(bytes, std::bit_cast<std::int64_t>(sample.value));
+    }
+    return trace_bytes_fnv1a(bytes);
+}
+
+/**
+ * The prototype's drain stops at the first window boundary where every
+ * shard is settled, instead of running kDrainWindow of idle Raft
+ * heartbeats for the kernels of sessions that outlive the trace. Nothing
+ * an output reads may move: the outcome rows, the fleet series, the
+ * scheduler counters and the latency sample counts equal the values of
+ * the full 12 h drain (captured before the early stop), and the cell
+ * still running at the makespan completes. Only the idle work shrinks: fewer messages and events than
+ * the full drain's 613,288 and 776,606.
+ */
+TEST(DriverDeterminismTest, DrainStopsOnceSettledWithoutMovingOutputs)
+{
+    workload::Trace trace;
+    trace.name = "outlive";
+    trace.makespan = 2 * sim::kHour;
+    for (workload::SessionId id = 0; id < 4; ++id) {
+        workload::SessionSpec session;
+        session.id = id;
+        session.start_time = id * 10 * sim::kMinute;
+        // Session 1 ends mid-trace; the others outlive the makespan.
+        session.end_time = id == 1 ? 90 * sim::kMinute : 10 * sim::kHour;
+        session.resources = cluster::ResourceSpec{4000, 16384, 1, 16.0};
+        session.model = "resnet18";
+        session.dataset = "cifar10";
+        for (std::int32_t seq = 0; seq < 3; ++seq) {
+            workload::CellTask task;
+            task.session = id;
+            task.seq = seq;
+            task.submit_time =
+                session.start_time + (seq + 1) * 20 * sim::kMinute;
+            task.duration = 2 * sim::kMinute;
+            task.is_gpu = !(id == 2 && seq == 1);
+            session.tasks.push_back(task);
+        }
+        trace.sessions.push_back(std::move(session));
+    }
+    workload::CellTask running;
+    running.session = 3;
+    running.seq = 3;
+    running.submit_time = trace.makespan - 5 * sim::kMinute;
+    running.duration = 30 * sim::kMinute;
+    trace.sessions[3].tasks.push_back(running);
+
+    core::RunRequest request;
+    request.engine = core::kEnginePrototype;
+    request.config = core::PlatformConfig::prototype_defaults();
+    request.seed = 21;
+    request.trace = &trace;
+    const core::RunResponse run = core::run(request);
+    const core::ExperimentResults& results = run.results;
+    ASSERT_EQ(results.tasks.size(), trace.task_count());
+    const core::TaskOutcome& last = results.tasks.back();
+    ASSERT_EQ(last.session, 3);
+    ASSERT_EQ(last.seq, 3);
+    EXPECT_FALSE(last.aborted);
+    EXPECT_GT(last.exec_end, trace.makespan);
+    EXPECT_GE(last.reply, last.exec_end);
+    EXPECT_EQ(results.aborted_count(), 0u);
+
+    EXPECT_EQ(rows_fingerprint(results.tasks), 11411902862403599810ULL);
+    EXPECT_EQ(series_fingerprint(results.provisioned_gpus),
+              9987263711016108997ULL);
+    EXPECT_EQ(series_fingerprint(results.subscription_ratio),
+              17220897904256717778ULL);
+    EXPECT_EQ(series_fingerprint(results.committed_gpus),
+              14348952181591902454ULL);
+    EXPECT_EQ(results.sync_ms.count(), 9u);
+    EXPECT_EQ(results.read_ms.count(), 1u);
+    EXPECT_EQ(results.write_ms.count(), 20u);
+    const sched::SchedulerStats want{.kernels_created = 4,
+                                     .executions_completed = 13,
+                                     .scale_ins = 1,
+                                     .yield_conversions = 12,
+                                     .immediate_commits = 12,
+                                     .executor_reuses = 8,
+                                     .gpu_executions = 12,
+                                     .cold_starts = 12};
+    EXPECT_TRUE(results.sched_stats == want);
+    EXPECT_LT(results.net_stats.sent, 613288u);
+    EXPECT_LT(run.events_executed, 776606u);
 }
 
 }  // namespace

@@ -861,6 +861,81 @@ TEST(GlobalSchedulerTest, EventsRecorded)
     EXPECT_TRUE(created);
 }
 
+/** settled() is the prototype drain's stop rule. It must stay false while
+ *  any cell can still get an outcome (buffered behind its kernel's
+ *  creation, pending, or replied to but with the reply still on its way
+ *  to the client) and turn true once none can: after the reply, after
+ *  end_session drops a pending cell, and after a failed kernel creation
+ *  strands a buffered cell. */
+TEST(GlobalSchedulerTest, SettledOnlyWhenNoCellIsOwedAnOutcome)
+{
+    SchedFixture f;
+    EXPECT_TRUE(f.scheduler.settled());
+    const auto never = [](const kernel::ExecutionResult&,
+                          const RequestTrace&) {
+        FAIL() << "callback for a cell that gets no outcome";
+    };
+
+    f.scheduler.begin_session(1, kernel_request(1));
+    EXPECT_FALSE(f.scheduler.settled());
+    bool replied = false;
+    ASSERT_TRUE(f.scheduler.submit_session(
+        1, "gpu_compute(5)", true, f.simulation.now(),
+        [&replied](const kernel::ExecutionResult& result,
+                   const RequestTrace&) {
+            EXPECT_EQ(result.status, kernel::ExecutionStatus::kOk);
+            replied = true;
+        }));
+    // Event by event: unsettled until the callback has run, the stretch
+    // where on_result has counted the cell but the reply is in flight
+    // included.
+    bool reply_in_flight = false;
+    while (!replied) {
+        ASSERT_FALSE(f.scheduler.settled()) << "at " << f.simulation.now();
+        ASSERT_LT(f.simulation.now(), 300 * sim::kSecond);
+        ASSERT_TRUE(f.simulation.step());
+        reply_in_flight = reply_in_flight ||
+                          (!replied &&
+                           f.scheduler.stats().executions_completed == 1);
+    }
+    EXPECT_TRUE(reply_in_flight);
+    EXPECT_TRUE(f.scheduler.settled());
+
+    // end_session drops a pending cell: it is owed nothing.
+    ASSERT_TRUE(f.scheduler.submit_session(1, "gpu_compute(60)", true,
+                                           f.simulation.now(), never));
+    f.run_for(10 * sim::kSecond);
+    EXPECT_FALSE(f.scheduler.settled());
+    f.scheduler.end_session(1);
+    EXPECT_TRUE(f.scheduler.settled());
+    f.run_for(120 * sim::kSecond);
+    EXPECT_TRUE(f.scheduler.settled());
+
+    // A creation that fails strands the session's buffered cell. Stop the
+    // kernel once its replicas run but before the creation poll has seen
+    // a leader; the next poll reports the failure.
+    f.scheduler.begin_session(2, kernel_request(1));
+    ASSERT_TRUE(f.scheduler.submit_session(2, "gpu_compute(5)", true,
+                                           f.simulation.now(), never));
+    cluster::KernelId kernel = cluster::kNoKernel;
+    while (kernel == cluster::kNoKernel ||
+           f.scheduler.replica(kernel, 0) == nullptr) {
+        ASSERT_FALSE(f.scheduler.settled());
+        ASSERT_TRUE(f.simulation.step());
+        for (const auto& [id, server] : f.scheduler.cluster().servers()) {
+            for (const auto& [cid, container] : server->containers()) {
+                kernel = container.kernel;
+            }
+        }
+    }
+    f.scheduler.stop_kernel(kernel);
+    EXPECT_FALSE(f.scheduler.settled());
+    f.run_for(sim::kSecond);
+    EXPECT_TRUE(f.scheduler.settled());
+    EXPECT_FALSE(f.scheduler.submit_session(2, "gpu_compute(5)", true,
+                                            f.simulation.now(), never));
+}
+
 /** The route is a pure function of (session id, shard count): identical
  *  across router instances, repeated calls, and — because it never touches
  *  an RNG — across runs and seeds. */

@@ -481,14 +481,18 @@ TEST(TraceIoTest, GarbageNumericFieldReportsLocation)
 TEST(TraceIoTest, OutOfRangeNumericFieldThrowsParseError)
 {
     // memory_mb far beyond int64 must not escape as a raw
-    // std::out_of_range from std::stoll. The other rows parse as numbers
+    // std::out_of_range from std::stoll. The other rows parse as values
     // that no trace can mean: loaded, the engines would strand the session
-    // (a NaN or infinite VRAM size fits no server) or run it anyway.
+    // (a NaN or infinite VRAM size fits no server), run it anyway, or run
+    // something else (an is_gpu of "x" was a CPU cell; a cell out of its
+    // session's order or lifetime ran a program derived for another seq,
+    // or was refused).
     struct Case
     {
         const char* rows;
         const char* field;
         std::size_t line;
+        const char* header = "#nbos-trace-v1,adobe,1000,1\n";
     };
     const Case cases[] = {
         {"S,1,0,900,1000,99999999999999999999999999,1,16,0,gpt2,wikitext,0\n",
@@ -505,11 +509,34 @@ TEST(TraceIoTest, OutOfRangeNumericFieldThrowsParseError)
         {"S,1,900,0,1000,2048,1,16,0,gpt2,wikitext,0\n", "end_time", 2},
         {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,5,-5000000000,1\n",
          "duration", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,5,10,x\n",
+         "is_gpu", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,5,10,2\n",
+         "is_gpu", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,5,10,true\n",
+         "is_gpu", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,5,10,\n",
+         "is_gpu", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,1,5,10,1\n",
+         "seq", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,2\nT,0,5,10,1\n"
+         "T,0,6,10,1\n",
+         "seq", 4},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,2\nT,0,50,10,1\n"
+         "T,1,40,10,1\n",
+         "submit_time", 4},
+        {"S,1,100,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,50,10,1\n",
+         "submit_time", 3},
+        {"S,1,0,900,1000,2048,1,16,0,gpt2,wikitext,1\nT,0,901,10,1\n",
+         "submit_time", 3},
+        {"S,1,1000,1900,1000,2048,1,16,0,gpt2,wikitext,0\n", "start_time",
+         2},
+        {"", "makespan", 1, "#nbos-trace-v1,adobe,-1,0\n"},
     };
     for (const Case& c : cases) {
         SCOPED_TRACE(c.rows);
         std::stringstream buffer;
-        buffer << "#nbos-trace-v1,adobe,1000,1\n" << c.rows;
+        buffer << c.header << c.rows;
         try {
             load_trace(buffer);
             FAIL() << "expected TraceParseError";
@@ -519,14 +546,20 @@ TEST(TraceIoTest, OutOfRangeNumericFieldThrowsParseError)
         }
     }
     // Every bound is inclusive: zero resources, the last domain, a
-    // session ending as it starts and a zero-length cell all load.
+    // session starting just before the makespan and ending as it starts,
+    // two cells at that one instant and a zero-length cell all load, and
+    // so does an empty trace of zero makespan.
     std::stringstream edge;
     edge << "#nbos-trace-v1,adobe,1000,1\n"
-         << "S,1,900,900,0,0,0,0,2,deepspeech2,librispeech,1\n"
-         << "T,0,900,0,0\n";
+         << "S,1,999,999,0,0,0,0,2,deepspeech2,librispeech,2\n"
+         << "T,0,999,0,0\nT,1,999,0,1\n";
     const Trace loaded = load_trace(edge);
-    ASSERT_EQ(loaded.task_count(), 1u);
+    ASSERT_EQ(loaded.task_count(), 2u);
     EXPECT_EQ(loaded.sessions[0].domain, nblang::Domain::kSpeechRecognition);
+    EXPECT_FALSE(loaded.sessions[0].tasks[0].is_gpu);
+    EXPECT_TRUE(loaded.sessions[0].tasks[1].is_gpu);
+    std::stringstream empty("#nbos-trace-v1,adobe,0,0\n");
+    EXPECT_TRUE(load_trace(empty).sessions.empty());
 }
 
 TEST(TraceIoTest, TruncatedSessionRowThrowsParseError)
@@ -663,6 +696,11 @@ TEST_P(ProfileProperty, StructurallyValid)
             EXPECT_FALSE(cell_code(session, task).empty());
         }
     }
+    // And the reader, which rejects every cell out of its session's order
+    // or lifetime, loads it back whole.
+    std::stringstream buffer;
+    save_trace(trace, buffer);
+    EXPECT_EQ(load_trace(buffer).task_count(), trace.task_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, ProfileProperty,
