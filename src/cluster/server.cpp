@@ -1,29 +1,10 @@
 #include "cluster/server.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "cluster/cluster.hpp"
 
 namespace nbos::cluster {
-
-const char*
-to_string(ContainerState state)
-{
-    switch (state) {
-      case ContainerState::kProvisioning:
-        return "provisioning";
-      case ContainerState::kWarm:
-        return "warm";
-      case ContainerState::kIdle:
-        return "idle";
-      case ContainerState::kRunning:
-        return "running";
-      case ContainerState::kTerminated:
-        return "terminated";
-    }
-    return "unknown";
-}
 
 GpuServer::GpuServer(ServerId id, ResourceSpec capacity)
     : id_(id),
@@ -149,29 +130,6 @@ GpuServer::find_container(ContainerId id)
 {
     const auto it = containers_.find(id);
     return it == containers_.end() ? nullptr : &it->second;
-}
-
-std::size_t
-GpuServer::count_replicas_of(KernelId kernel) const
-{
-    std::size_t count = 0;
-    for (const auto& [id, container] : containers_) {
-        if (container.kernel == kernel &&
-            container.state != ContainerState::kTerminated) {
-            ++count;
-        }
-    }
-    return count;
-}
-
-bool
-GpuServer::is_idle() const
-{
-    return std::none_of(containers_.begin(), containers_.end(),
-                        [](const auto& kv) {
-                            return kv.second.state ==
-                                   ContainerState::kRunning;
-                        });
 }
 
 }  // namespace nbos::cluster

@@ -37,33 +37,16 @@ class Cluster;
 inline constexpr ServerId kNoServer = -1;
 inline constexpr KernelId kNoKernel = -1;
 
-/** Lifecycle of a kernel-replica container. */
-enum class ContainerState
-{
-    kProvisioning,  ///< Cold start in progress.
-    kWarm,          ///< Pre-warmed, unassigned (in the prewarm pool).
-    kIdle,          ///< Hosting a replica that is not executing.
-    kRunning,       ///< Hosting the executor replica of an active task.
-    kTerminated,
-};
-
-/** Human-readable container-state name. */
-const char* to_string(ContainerState state);
-
-/** A kernel-replica container resident on one server. */
+/**
+ * A kernel-replica container resident on one server. A server with no
+ * containers is idle (the auto-scaler may release it); a migration's
+ * placeholder on its target is a container too, so that server stays.
+ */
 struct Container
 {
     ContainerId id = -1;
     ServerId server = kNoServer;
-    ContainerState state = ContainerState::kProvisioning;
     KernelId kernel = kNoKernel;
-    std::int32_t replica_index = -1;
-    /** Resources the resident replica subscribed to. */
-    ResourceSpec subscribed{};
-    /** True if this container came from the pre-warm pool. */
-    bool from_prewarm_pool = false;
-    /** Provisioning completion time (for diagnostics). */
-    sim::Time ready_at = 0;
 };
 
 /** Provisioning / data-movement latencies for containers and GPU binding. */
@@ -156,16 +139,7 @@ class GpuServer
     {
         return containers_;
     }
-    /** Number of containers hosting replicas of @p kernel. */
-    std::size_t count_replicas_of(KernelId kernel) const;
     ///@}
-
-    /** True if no container is in the kRunning state. */
-    bool is_idle() const;
-
-    /** Mark the server as draining (excluded from placement). */
-    void set_draining(bool draining) { draining_ = draining; }
-    bool draining() const { return draining_; }
 
   private:
     friend class Cluster;
@@ -182,7 +156,6 @@ class GpuServer
     ResourceSpec subscribed_{0, 0, 0, 0.0};
     ResourceSpec committed_{0, 0, 0, 0.0};
     std::map<ContainerId, Container> containers_;
-    bool draining_ = false;
     /** The cluster this server belongs to (set by Cluster::add_server). */
     Cluster* owner_ = nullptr;
 };

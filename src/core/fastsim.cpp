@@ -325,20 +325,22 @@ FastEngineShard::migrate_and_run(std::size_t index,
                                  sim::Time duration, int retries)
 {
     FastKernel& kernel = kernel_at(session_id);
-    // Migration target: any server outside the kernel with capacity.
-    cluster::ServerId target = cluster::kNoServer;
-    std::int32_t best_idle = -1;
-    for (const auto& [id, server] : cluster_.servers()) {
-        if (std::find(kernel.servers.begin(), kernel.servers.end(), id) !=
-            kernel.servers.end()) {
-            continue;
+    if (!kernel.alive) {
+        // The session ended while the cell waited for a server: its
+        // replicas are unsubscribed, so the cell ends aborted, as the
+        // prototype drops the cells of a stopped kernel.
+        tasks_[index].aborted = true;
+        if (kernel.inflight > 0) {
+            kernel.inflight -= 1;
         }
-        if (server->can_commit(kernel.spec) &&
-            server->idle_gpus() > best_idle) {
-            best_idle = server->idle_gpus();
-            target = id;
-        }
+        return;
     }
+    const cluster::ResourceSpec& spec = kernel.spec;
+    const cluster::ServerId target =
+        sched::pick_target(cluster_, kernel.servers,
+                           [&spec](const cluster::GpuServer& server) {
+                               return server.can_commit(spec);
+                           });
     if (target == cluster::kNoServer) {
         if (retries >= config_.scheduler.migration_max_retries &&
             provisioning_ == 0) {
@@ -362,23 +364,12 @@ FastEngineShard::migrate_and_run(std::size_t index,
     results_.sched_stats.migrations += 1;
     record_event(sched::SchedulerEvent::Kind::kMigration);
 
-    // Victim: the kernel server with the fewest idle GPUs.
-    cluster::ServerId victim = kernel.servers.front();
-    std::int32_t worst = 1 << 30;
-    for (const cluster::ServerId id : kernel.servers) {
-        const cluster::GpuServer* server = cluster_.find(id);
-        const std::int32_t idle =
-            server != nullptr ? server->idle_gpus() : 0;
-        if (idle < worst) {
-            worst = idle;
-            victim = id;
-        }
-    }
+    cluster::ServerId& victim =
+        kernel.servers[sched::pick_victim(cluster_, kernel.servers)];
     if (cluster::GpuServer* old_server = cluster_.find(victim)) {
         old_server->unsubscribe(kernel.spec);
     }
-    std::replace(kernel.servers.begin(), kernel.servers.end(), victim,
-                 target);
+    victim = target;
     cluster_.find(target)->subscribe(kernel.spec);
 
     // Migration latency: checkpoint write + container + state read +

@@ -673,38 +673,52 @@ RaftNode::append_local(LogEntry entry)
     advance_commit();  // Single-node groups commit immediately.
 }
 
+Index
+quorum_index(std::vector<Index>& match, std::size_t majority)
+{
+    if (majority == 0 || match.size() < majority) {
+        return 0;
+    }
+    const auto quorum = match.begin() + static_cast<std::ptrdiff_t>(
+                                            majority - 1);
+    std::nth_element(match.begin(), quorum, match.end(),
+                     std::greater<Index>());
+    return *quorum;
+}
+
 void
 RaftNode::advance_commit()
 {
-    if (role_ != Role::kLeader) {
+    const Index last = last_log_index();
+    if (role_ != Role::kLeader || last <= commit_index_) {
         return;
     }
-    for (Index n = last_log_index(); n > commit_index_; --n) {
-        if (term_at(n) != current_term_) {
-            break;  // Only entries from the current term commit by count.
+    // The leader holds its whole log; a member it has no match for holds
+    // nothing it knows of.
+    commit_match_.clear();
+    for (const net::NodeId peer : members_) {
+        if (peer == id_) {
+            commit_match_.push_back(last);
+            continue;
         }
-        std::size_t replicated = 0;
-        for (const net::NodeId peer : members_) {
-            if (peer == id_) {
-                ++replicated;
-            } else if (const auto it = match_index_.find(peer);
-                       it != match_index_.end() && it->second >= n) {
-                ++replicated;
-            }
-        }
-        if (replicated >= majority()) {
-            commit_index_ = n;
-            apply_committed();
-            // Propagate the new commit index immediately instead of
-            // waiting for the next heartbeat: follower state machines
-            // (e.g. kernel executor elections and state sync) apply with
-            // round-trip latency rather than heartbeat latency.
-            for (const net::NodeId peer : members_) {
-                if (peer != id_) {
-                    replicate_to(peer);
-                }
-            }
-            break;
+        const auto it = match_index_.find(peer);
+        commit_match_.push_back(it != match_index_.end() ? it->second : 0);
+    }
+    const Index n = std::min(quorum_index(commit_match_, majority()), last);
+    // Only an entry from the current term commits by count (§5.4.2);
+    // the entries before it commit with it.
+    if (n <= commit_index_ || term_at(n) != current_term_) {
+        return;
+    }
+    commit_index_ = n;
+    apply_committed();
+    // Propagate the new commit index immediately instead of waiting for
+    // the next heartbeat: follower state machines (e.g. kernel executor
+    // elections and state sync) apply with round-trip latency rather than
+    // heartbeat latency.
+    for (const net::NodeId peer : members_) {
+        if (peer != id_) {
+            replicate_to(peer);
         }
     }
 }

@@ -51,6 +51,14 @@ enum class Role
 /** Human-readable role name. */
 const char* to_string(Role role);
 
+/**
+ * The largest log index that a majority of a group's members hold: the
+ * @p majority-th largest of @p match, one match index per member (etcd
+ * raft's MajorityConfig.CommittedIndex). 0 when @p match has fewer than
+ * @p majority entries. Reorders @p match.
+ */
+Index quorum_index(std::vector<Index>& match, std::size_t majority);
+
 /** One replicated log entry. */
 struct LogEntry
 {
@@ -318,6 +326,9 @@ class RaftNode
     Index last_applied_ = 0;
     std::map<net::NodeId, Index> next_index_;
     std::map<net::NodeId, Index> match_index_;
+    /** advance_commit's per-member match indexes, kept between calls so
+     *  an AppendEntries reply allocates nothing. */
+    std::vector<Index> commit_match_;
     std::map<net::NodeId, bool> votes_;
     bool config_change_in_flight_ = false;
 

@@ -31,7 +31,7 @@ LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
     for (const cluster::LoadEntry& entry : cluster.by_load()) {
         ++servers_examined_;
         const cluster::GpuServer& server = *entry.server;
-        if (server.draining() || !spec.fits_within(server.capacity())) {
+        if (!spec.fits_within(server.capacity())) {
             continue;
         }
         const double new_sr =
@@ -60,6 +60,44 @@ LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
         chosen.push_back(id);
     }
     return chosen;
+}
+
+std::size_t
+pick_victim(const cluster::Cluster& cluster,
+            const std::vector<cluster::ServerId>& servers)
+{
+    std::size_t victim = servers.size();
+    std::int32_t fewest_idle = 0;
+    for (std::size_t i = 0; i < servers.size(); ++i) {
+        if (servers[i] == cluster::kNoServer) {
+            continue;
+        }
+        const cluster::GpuServer* server = cluster.find(servers[i]);
+        const std::int32_t idle = server != nullptr ? server->idle_gpus() : 0;
+        if (victim == servers.size() || idle < fewest_idle) {
+            fewest_idle = idle;
+            victim = i;
+        }
+    }
+    return victim;
+}
+
+cluster::ServerId
+pick_target(const cluster::Cluster& cluster,
+            const std::vector<cluster::ServerId>& exclude,
+            const std::function<bool(const cluster::GpuServer&)>& fits)
+{
+    cluster::ServerId target = cluster::kNoServer;
+    std::int32_t most_idle = -1;
+    for (const auto& [id, server] : cluster.servers()) {
+        if (server->idle_gpus() > most_idle &&
+            std::find(exclude.begin(), exclude.end(), id) == exclude.end() &&
+            fits(*server)) {
+            most_idle = server->idle_gpus();
+            target = id;
+        }
+    }
+    return target;
 }
 
 }  // namespace nbos::sched

@@ -9,11 +9,18 @@
  * has enough servers under the dynamic limit, so a placement examines a
  * handful of servers whatever the fleet size; only a placement that
  * cannot be satisfied walks the whole fleet.
+ *
+ * pick_victim() and pick_target() are the one rule each for moving a
+ * replica that both engines use: which replica a failed executor election
+ * migrates (§3.2.3), and where a migrated or repaired (§3.2.5) replica
+ * goes.
  */
 #ifndef NBOS_SCHED_PLACEMENT_HPP
 #define NBOS_SCHED_PLACEMENT_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -63,6 +70,29 @@ class LeastLoadedPolicy
     double sr_watermark_;
     std::uint64_t servers_examined_ = 0;
 };
+
+/**
+ * The migration victim among a kernel's replica servers (§3.2.3): the
+ * first of the ones with the fewest idle GPUs. A server missing from
+ * @p cluster counts as having none; kNoServer entries (replicas that are
+ * not live) are skipped.
+ * @return the victim's position in @p servers, or servers.size() if no
+ *         entry is a server.
+ */
+std::size_t pick_victim(const cluster::Cluster& cluster,
+                        const std::vector<cluster::ServerId>& servers);
+
+/**
+ * Where a replica moves: among the servers not in @p exclude for which
+ * @p fits holds, the first in id order with the most idle GPUs. A
+ * migration asks that the kernel's GPUs can be committed there now; a
+ * repair only that its subscription fits the server's capacity.
+ * @return cluster::kNoServer if no server qualifies.
+ */
+cluster::ServerId
+pick_target(const cluster::Cluster& cluster,
+            const std::vector<cluster::ServerId>& exclude,
+            const std::function<bool(const cluster::GpuServer&)>& fits);
 
 }  // namespace nbos::sched
 

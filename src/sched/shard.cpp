@@ -30,6 +30,9 @@ checkpoint_bytes(const nblang::Namespace& ns)
     return total;
 }
 
+/** How often a wait on a Raft group checks again. */
+constexpr sim::Time kPollInterval = 200 * sim::kMillisecond;
+
 }  // namespace
 
 SchedulerShard::SchedulerShard(sim::Simulation& simulation,
@@ -79,6 +82,103 @@ void
 SchedulerShard::record_event(SchedulerEvent::Kind kind)
 {
     events_.push_back(SchedulerEvent{kind, simulation_.now()});
+}
+
+SchedulerShard::KernelRecord*
+SchedulerShard::live_kernel(cluster::KernelId kernel_id)
+{
+    const auto it = kernels_.find(kernel_id);
+    return it == kernels_.end() || !it->second.alive ? nullptr : &it->second;
+}
+
+kernel::KernelReplica*
+SchedulerShard::first_live(const KernelRecord& record)
+{
+    for (const ReplicaSlot& slot : record.slots) {
+        if (slot.alive && slot.replica) {
+            return slot.replica.get();
+        }
+    }
+    return nullptr;
+}
+
+raft::RaftNode*
+SchedulerShard::leader(const KernelRecord& record)
+{
+    raft::RaftNode* found = nullptr;
+    for (const ReplicaSlot& slot : record.slots) {
+        if (slot.alive && slot.replica &&
+            slot.replica->raft().role() == raft::Role::kLeader) {
+            found = &slot.replica->raft();
+        }
+    }
+    return found;
+}
+
+std::vector<cluster::ServerId>
+SchedulerShard::live_servers(const KernelRecord& record)
+{
+    std::vector<cluster::ServerId> servers;
+    servers.reserve(record.slots.size());
+    for (const ReplicaSlot& slot : record.slots) {
+        servers.push_back(slot.alive ? slot.server : cluster::kNoServer);
+    }
+    return servers;
+}
+
+void
+SchedulerShard::reserve_container(KernelRecord& record, std::int32_t index,
+                                  cluster::ServerId server)
+{
+    const cluster::ContainerId id = next_container_id_++;
+    cluster_.find(server)->add_container(cluster::Container{id, server,
+                                                            record.id});
+    record.slots[index].container = id;
+}
+
+void
+SchedulerShard::release_slot(KernelRecord& record, std::int32_t index)
+{
+    const ReplicaSlot& slot = record.slots[index];
+    cluster::GpuServer* server = cluster_.find(slot.server);
+    if (server != nullptr &&
+        server->find_container(slot.container) != nullptr) {
+        server->unsubscribe(record.spec);
+        server->remove_container(slot.container);
+    }
+}
+
+void
+SchedulerShard::retire_replica(ReplicaSlot& slot)
+{
+    if (slot.replica) {
+        slot.replica->stop();
+        graveyard_.push_back(std::move(slot.replica));
+    }
+    slot.alive = false;
+}
+
+sim::Time
+SchedulerShard::container_delay(cluster::ServerId server)
+{
+    if (prewarm_.acquire(server)) {
+        ++stats_.prewarm_hits;
+        return config_.timings.prewarm_assign;
+    }
+    ++stats_.cold_starts;
+    return sample(config_.timings.cold_start_min,
+                  config_.timings.cold_start_max);
+}
+
+void
+SchedulerShard::poll(PollStep step, int tries)
+{
+    if (!step(tries)) {
+        simulation_.schedule_after(
+            kPollInterval, [this, step = std::move(step), tries]() mutable {
+                poll(std::move(step), tries + 1);
+            });
+    }
 }
 
 void
@@ -152,7 +252,7 @@ SchedulerShard::chaos_live_replicas() const
     // index order — identical on record and on replay of the same run.
     std::vector<std::pair<cluster::KernelId, std::int32_t>> live;
     for (const auto& [kernel_id, record] : kernels_) {
-        if (!record.alive || !record.created || record.migrating) {
+        if (!record.alive || !record.created || record.migration) {
             continue;
         }
         for (std::size_t i = 0; i < record.slots.size(); ++i) {
@@ -199,11 +299,11 @@ SchedulerShard::chaos_restart_replica(std::uint32_t slot)
     }
     const auto [kernel_id, index] = it->second;
     chaos_downed_.erase(it);
-    const auto kit = kernels_.find(kernel_id);
-    if (kit == kernels_.end() || !kit->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return false;
     }
-    ReplicaSlot& slot_ref = kit->second.slots[index];
+    ReplicaSlot& slot_ref = record->slots[index];
     if (!slot_ref.alive || slot_ref.replica == nullptr ||
         slot_ref.replica->running()) {
         // The health checker already replaced (or a migration repaired)
@@ -374,93 +474,44 @@ SchedulerShard::place_kernel(PendingKernel pending,
     auto callback = std::make_shared<StartKernelCallback>(
         std::move(pending.callback));
     for (std::size_t i = 0; i < servers.size(); ++i) {
-        cluster::GpuServer* server = cluster_.find(servers[i]);
-        assert(server != nullptr);
-        server->subscribe(record.spec);
+        cluster_.find(servers[i])->subscribe(record.spec);
         record.slots[i].server = servers[i];
-
-        cluster::Container container;
-        container.id = next_container_id_++;
-        container.server = servers[i];
-        container.kernel = record.id;
-        container.replica_index = static_cast<std::int32_t>(i);
-        container.subscribed = record.spec;
-        container.state = cluster::ContainerState::kProvisioning;
-        record.slots[i].container = container.id;
-        server->add_container(container);
+        reserve_container(record, static_cast<std::int32_t>(i), servers[i]);
 
         ++stats_.cold_starts;
         const sim::Time cold = sample(config_.timings.cold_start_min,
                                       config_.timings.cold_start_max);
         const cluster::KernelId kernel_id = record.id;
-        const auto index = static_cast<std::int32_t>(i);
-        simulation_.schedule_after(
-            cold, [this, kernel_id, index, remaining, callback] {
-                const auto it = kernels_.find(kernel_id);
-                if (it == kernels_.end() || !it->second.alive) {
-                    return;
+        simulation_.schedule_after(cold, [this, kernel_id, remaining,
+                                          callback] {
+            KernelRecord* rec = live_kernel(kernel_id);
+            if (rec == nullptr || --*remaining > 0) {
+                return;
+            }
+            // All containers provisioned: start the replicas and wait for
+            // their Raft group to elect a leader.
+            for (std::size_t j = 0; j < rec->slots.size(); ++j) {
+                create_replica(*rec, static_cast<std::int32_t>(j),
+                               rec->slots[j].server, /*passive=*/false);
+            }
+            poll([this, kernel_id, callback](int tries) {
+                KernelRecord* placed = live_kernel(kernel_id);
+                if (placed == nullptr) {
+                    (*callback)(kernel_id, false);
+                    return true;
                 }
-                KernelRecord& rec = it->second;
-                cluster::GpuServer* host =
-                    cluster_.find(rec.slots[index].server);
-                if (host != nullptr) {
-                    if (cluster::Container* c = host->find_container(
-                            rec.slots[index].container)) {
-                        c->state = cluster::ContainerState::kIdle;
-                        c->ready_at = simulation_.now();
-                    }
+                if (leader(*placed) == nullptr && tries < 300) {
+                    return false;
                 }
-                if (--*remaining == 0) {
-                    // All containers provisioned: start the replicas and
-                    // wait for their Raft group to elect a leader.
-                    for (std::size_t j = 0; j < rec.slots.size(); ++j) {
-                        create_replica(rec, static_cast<std::int32_t>(j),
-                                       rec.slots[j].server,
-                                       /*passive=*/false);
-                    }
-                    const cluster::KernelId kid = rec.id;
-                    auto tries = std::make_shared<int>(0);
-                    // Poll every 200 ms until a Raft leader emerges. The
-                    // poller function must not capture its own shared_ptr
-                    // (a refcount cycle leaks it); each scheduled
-                    // continuation holds the strong reference instead.
-                    auto poller = std::make_shared<std::function<void()>>();
-                    std::weak_ptr<std::function<void()>> weak_poller =
-                        poller;
-                    *poller = [this, kid, callback, tries, weak_poller] {
-                        const auto kit = kernels_.find(kid);
-                        if (kit == kernels_.end() || !kit->second.alive) {
-                            (*callback)(kid, false);
-                            return;
-                        }
-                        bool has_leader = false;
-                        for (const auto& slot : kit->second.slots) {
-                            if (slot.alive &&
-                                slot.replica->raft().role() ==
-                                    raft::Role::kLeader) {
-                                has_leader = true;
-                                break;
-                            }
-                        }
-                        if (has_leader || ++*tries > 300) {
-                            if (kit->second.count_created) {
-                                ++stats_.kernels_created;
-                                record_event(
-                                    SchedulerEvent::Kind::kKernelCreated);
-                            }
-                            kit->second.created = true;
-                            (*callback)(kid, true);
-                            return;
-                        }
-                        if (auto self = weak_poller.lock()) {
-                            simulation_.schedule_after(
-                                200 * sim::kMillisecond,
-                                [self] { (*self)(); });
-                        }
-                    };
-                    (*poller)();
+                if (placed->count_created) {
+                    ++stats_.kernels_created;
+                    record_event(SchedulerEvent::Kind::kKernelCreated);
                 }
+                placed->created = true;
+                (*callback)(kernel_id, true);
+                return true;
             });
+        });
     }
 }
 
@@ -501,11 +552,8 @@ SchedulerShard::create_replica(KernelRecord& record, std::int32_t index,
     // Migration path: join an existing group passively. The member list is
     // taken from a surviving replica.
     std::vector<net::NodeId> members;
-    for (const auto& slot : record.slots) {
-        if (slot.alive && slot.replica) {
-            members = slot.replica->raft().members();
-            break;
-        }
+    if (const kernel::KernelReplica* survivor = first_live(record)) {
+        members = survivor->raft().members();
     }
     const net::NodeId new_id = next_raft_id_++;
     members.push_back(new_id);
@@ -572,26 +620,21 @@ SchedulerShard::install_hooks(KernelRecord& record, std::int32_t index)
 void
 SchedulerShard::stop_kernel(cluster::KernelId kernel_id)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return;
     }
-    KernelRecord& record = it->second;
-    record.alive = false;
-    for (ReplicaSlot& slot : record.slots) {
-        if (slot.replica) {
-            slot.replica->stop();
-            graveyard_.push_back(std::move(slot.replica));
-        }
-        if (slot.alive) {
-            if (cluster::GpuServer* server = cluster_.find(slot.server)) {
-                server->unsubscribe(record.spec);
-                server->remove_container(slot.container);
-            }
-            slot.alive = false;
-        }
+    record->alive = false;
+    // A migration past its victim's release holds a placeholder on its
+    // target; the victim's slot no longer holds its old server.
+    if (record->migration) {
+        end_migration(*record);
     }
-    record.pending.clear();
+    for (std::size_t i = 0; i < record->slots.size(); ++i) {
+        retire_replica(record->slots[i]);
+        release_slot(*record, static_cast<std::int32_t>(i));
+    }
+    record->pending.clear();
 }
 
 void
@@ -719,7 +762,7 @@ SchedulerShard::session_movable(std::int64_t session) const
     }
     const auto kit = kernels_.find(sessions_.cold_at(row).kernel);
     return kit != kernels_.end() && kit->second.alive &&
-           kit->second.created && !kit->second.migrating;
+           kit->second.created && !kit->second.migration;
 }
 
 bool
@@ -733,11 +776,8 @@ SchedulerShard::extract_session(std::int64_t session, SessionExtract& out)
     out.session = session;
     out.spec = record.spec;
     out.checkpoint.clear();
-    for (const ReplicaSlot& slot : kernel.slots) {
-        if (slot.alive && slot.replica) {
-            out.checkpoint = slot.replica->checkpoint_state();
-            break;
-        }
+    if (const kernel::KernelReplica* survivor = first_live(kernel)) {
+        out.checkpoint = survivor->checkpoint_state();
     }
     // Queued work travels with the session: pending executions first (in
     // election — i.e. submission — order; their in-flight continuations
@@ -832,13 +872,9 @@ SchedulerShard::harvest_window_load(ShardLoad& load,
 std::int32_t
 SchedulerShard::pick_designated(const KernelRecord& record) const
 {
-    std::int32_t last_executor = -1;
-    for (const auto& slot : record.slots) {
-        if (slot.alive && slot.replica) {
-            last_executor = slot.replica->last_executor();
-            break;
-        }
-    }
+    const kernel::KernelReplica* survivor = first_live(record);
+    const std::int32_t last_executor =
+        survivor != nullptr ? survivor->last_executor() : -1;
     std::int32_t best = -1;
     std::int32_t best_idle = -1;
     for (std::size_t i = 0; i < record.slots.size(); ++i) {
@@ -870,8 +906,8 @@ SchedulerShard::submit_execute(cluster::KernelId kernel_id,
                                 sim::Time submitted_at,
                                 ExecuteCallback callback)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         kernel::ExecutionResult result;
         result.status = kernel::ExecutionStatus::kError;
         result.error = "unknown kernel";
@@ -881,48 +917,45 @@ SchedulerShard::submit_execute(cluster::KernelId kernel_id,
         callback(result, trace);
         return;
     }
-    KernelRecord& record = it->second;
-    const kernel::ElectionId election = record.next_election++;
+    const kernel::ElectionId election = record->next_election++;
     PendingExecution pending;
     pending.code = std::move(code);
     pending.is_gpu = is_gpu;
     pending.callback = std::move(callback);
     pending.trace.submitted_at = submitted_at;
-    record.pending.emplace(election, std::move(pending));
+    record->pending.emplace(election, std::move(pending));
 
     const sim::Time to_gs = sample(config_.hops.client_to_gs_min,
                                    config_.hops.client_to_gs_max);
     simulation_.schedule_after(to_gs, [this, kernel_id, election] {
-        const auto kit = kernels_.find(kernel_id);
-        if (kit == kernels_.end() || !kit->second.alive) {
+        KernelRecord* rec = live_kernel(kernel_id);
+        if (rec == nullptr) {
             return;
         }
-        KernelRecord& rec = kit->second;
-        const auto pit = rec.pending.find(election);
-        if (pit == rec.pending.end()) {
+        const auto pit = rec->pending.find(election);
+        if (pit == rec->pending.end()) {
             return;
         }
         pit->second.trace.gs_received = simulation_.now();
         simulation_.schedule_after(
             config_.gs_processing, [this, kernel_id, election] {
-                const auto kit2 = kernels_.find(kernel_id);
-                if (kit2 == kernels_.end() || !kit2->second.alive) {
+                KernelRecord* rec2 = live_kernel(kernel_id);
+                if (rec2 == nullptr) {
                     return;
                 }
-                KernelRecord& rec2 = kit2->second;
-                const auto pit2 = rec2.pending.find(election);
-                if (pit2 == rec2.pending.end()) {
+                const auto pit2 = rec2->pending.find(election);
+                if (pit2 == rec2->pending.end()) {
                     return;
                 }
                 pit2->second.trace.gs_dispatched = simulation_.now();
                 std::int32_t designated = -1;
                 if (config_.yield_conversion && pit2->second.is_gpu) {
-                    designated = pick_designated(rec2);
+                    designated = pick_designated(*rec2);
                     if (designated >= 0) {
                         ++stats_.yield_conversions;
                     }
                 }
-                dispatch_execution(rec2, election, designated);
+                dispatch_execution(*rec2, election, designated);
             });
     });
 }
@@ -1030,15 +1063,14 @@ void
 SchedulerShard::on_election_failed(cluster::KernelId kernel_id,
                                     kernel::ElectionId election)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return;
     }
-    KernelRecord& record = it->second;
-    if (!record.failed_seen.insert(election).second) {
+    if (!record->failed_seen.insert(election).second) {
         return;  // Each replica reports the failure; act once.
     }
-    if (record.pending.find(election) == record.pending.end()) {
+    if (record->pending.find(election) == record->pending.end()) {
         return;
     }
     ++stats_.elections_failed;
@@ -1049,114 +1081,71 @@ void
 SchedulerShard::begin_migration(cluster::KernelId kernel_id,
                                  kernel::ElectionId election)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return;
     }
-    KernelRecord& record = it->second;
-    if (record.migrating) {
+    if (record->migration) {
         simulation_.schedule_after(config_.migration_retry,
                                    [this, kernel_id, election] {
                                        begin_migration(kernel_id, election);
                                    });
         return;
     }
-    record.migrating = true;
     ++stats_.migrations;
     record_event(SchedulerEvent::Kind::kMigration);
 
     // Victim: the replica on the most GPU-saturated server.
-    std::int32_t victim = -1;
-    std::int32_t worst_idle = 1 << 30;
-    for (std::size_t i = 0; i < record.slots.size(); ++i) {
-        const ReplicaSlot& slot = record.slots[i];
-        if (!slot.alive || slot.replica == nullptr) {
-            continue;
-        }
-        const cluster::GpuServer* server = cluster_.find(slot.server);
-        const std::int32_t idle =
-            server != nullptr ? server->idle_gpus() : 0;
-        if (idle < worst_idle) {
-            worst_idle = idle;
-            victim = static_cast<std::int32_t>(i);
-        }
-    }
-    if (victim < 0) {
-        record.migrating = false;
+    const std::vector<cluster::ServerId> servers = live_servers(*record);
+    const std::size_t victim = pick_victim(cluster_, servers);
+    if (victim == servers.size()) {
         abort_execution(kernel_id, election, "no replica to migrate");
         return;
     }
     // §3.2.3: the selected replica persists its state to the data store
     // before migrating.
-    const std::string checkpoint =
-        record.slots[victim].replica->checkpoint_state();
-    store_->write(checkpoint_key(kernel_id),
-                  checkpoint_bytes(record.slots[victim].replica->ns()),
-                  [this, kernel_id, election, victim,
-                   checkpoint](sim::Time) {
-                      continue_migration(kernel_id, election, victim,
-                                         checkpoint);
+    const kernel::KernelReplica& replica = *record->slots[victim].replica;
+    record->migration = Migration{election, static_cast<std::int32_t>(victim),
+                                  replica.checkpoint_state()};
+    store_->write(checkpoint_key(kernel_id), checkpoint_bytes(replica.ns()),
+                  [this, kernel_id](sim::Time) {
+                      continue_migration(kernel_id);
                   });
 }
 
-cluster::ServerId
-SchedulerShard::pick_migration_target(const KernelRecord& record)
-{
-    std::set<cluster::ServerId> occupied;
-    for (const ReplicaSlot& slot : record.slots) {
-        if (slot.alive) {
-            occupied.insert(slot.server);
-        }
-    }
-    cluster::ServerId best = cluster::kNoServer;
-    std::int32_t best_idle = -1;
-    for (const auto& [id, server] : cluster_.servers()) {
-        if (server->draining() || occupied.count(id) > 0 ||
-            !server->can_commit(record.spec)) {
-            continue;
-        }
-        if (server->idle_gpus() > best_idle) {
-            best_idle = server->idle_gpus();
-            best = id;
-        }
-    }
-    return best;
-}
-
 void
-SchedulerShard::continue_migration(cluster::KernelId kernel_id,
-                                    kernel::ElectionId election,
-                                    std::int32_t victim_index,
-                                    const std::string& checkpoint)
+SchedulerShard::continue_migration(cluster::KernelId kernel_id)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return;
     }
-    KernelRecord& record = it->second;
-    const cluster::ServerId target = pick_migration_target(record);
+    Migration& migration = *record->migration;
+    const cluster::ResourceSpec& spec = record->spec;
+    const cluster::ServerId target =
+        pick_target(cluster_, live_servers(*record),
+                    [&spec](const cluster::GpuServer& server) {
+                        return server.can_commit(spec);
+                    });
     if (target == cluster::kNoServer) {
-        const auto pit = record.pending.find(election);
+        const auto pit = record->pending.find(migration.election);
         // While a scale-out is in flight the retry clock pauses: the
         // migration is enqueued until the new server registers (§3.4.2
         // reserves resources for paused replicas on incoming servers).
         const bool provisioning = servers_provisioning_ > 0;
-        if (pit != record.pending.end() &&
+        if (pit != record->pending.end() &&
             (provisioning || pit->second.migration_retries++ <
                                  config_.migration_max_retries)) {
             if (config_.scale_out_on_failed_placement && !provisioning) {
                 provision_server(SchedulerEvent::Kind::kScaleOut);
             }
-            simulation_.schedule_after(
-                config_.migration_retry,
-                [this, kernel_id, election, victim_index, checkpoint] {
-                    continue_migration(kernel_id, election, victim_index,
-                                       checkpoint);
-                });
+            simulation_.schedule_after(config_.migration_retry,
+                                       [this, kernel_id] {
+                                           continue_migration(kernel_id);
+                                       });
         } else {
             ++stats_.migrations_aborted;
-            record.migrating = false;
-            abort_execution(kernel_id, election,
+            abort_execution(kernel_id, end_migration(*record),
                             "migration aborted: no viable server");
         }
         return;
@@ -1165,241 +1154,155 @@ SchedulerShard::continue_migration(cluster::KernelId kernel_id,
     // (the replica object itself is stopped in finish_migration), then
     // reserve the target with a placeholder container so the auto-scaler
     // cannot release that server while the migration is in flight.
-    {
-        ReplicaSlot& victim_slot = record.slots[victim_index];
-        if (!victim_released_.insert({kernel_id, election}).second) {
-            // retry path: already released
-        } else if (cluster::GpuServer* old_server =
-                       cluster_.find(victim_slot.server)) {
-            old_server->unsubscribe(record.spec);
-            old_server->remove_container(victim_slot.container);
-        }
-    }
-    {
-        cluster::GpuServer* reserve = cluster_.find(target);
-        cluster::Container placeholder;
-        placeholder.id = next_container_id_++;
-        placeholder.server = target;
-        placeholder.kernel = kernel_id;
-        placeholder.replica_index = victim_index;
-        placeholder.subscribed = record.spec;
-        placeholder.state = cluster::ContainerState::kProvisioning;
-        reserve->add_container(placeholder);
-        record.slots[victim_index].container = placeholder.id;
-    }
-    sim::Time container_delay;
-    if (prewarm_.acquire(target)) {
-        ++stats_.prewarm_hits;
-        container_delay = config_.timings.prewarm_assign;
-    } else {
-        ++stats_.cold_starts;
-        container_delay = sample(config_.timings.cold_start_min,
-                                 config_.timings.cold_start_max);
-    }
-    simulation_.schedule_after(
-        container_delay,
-        [this, kernel_id, election, victim_index, target, checkpoint] {
-            finish_migration(kernel_id, election, victim_index, target,
-                             checkpoint);
-        });
+    release_slot(*record, migration.victim);
+    reserve_container(*record, migration.victim, target);
+    migration.target = target;
+    migration.reserved = true;
+    simulation_.schedule_after(container_delay(target), [this, kernel_id] {
+        finish_migration(kernel_id);
+    });
 }
 
 void
-SchedulerShard::finish_migration(cluster::KernelId kernel_id,
-                                  kernel::ElectionId election,
-                                  std::int32_t victim_index,
-                                  cluster::ServerId target,
-                                  const std::string& checkpoint)
+SchedulerShard::finish_migration(cluster::KernelId kernel_id)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return;
     }
-    KernelRecord& record = it->second;
-    ReplicaSlot& victim_slot = record.slots[victim_index];
-    const net::NodeId victim_raft_id = victim_slot.replica->raft().id();
-
     // Terminate the original replica (its container/subscription were
     // released when the target was reserved).
-    victim_slot.replica->stop();
-    graveyard_.push_back(std::move(victim_slot.replica));
-    victim_slot.alive = false;
+    ReplicaSlot& victim = record->slots[record->migration->victim];
+    const net::NodeId victim_raft_id = victim.replica->raft().id();
+    retire_replica(victim);
 
-    // Ask the surviving majority to drop the old member. (As with every
-    // retry chain here, the function captures itself weakly: the pending
-    // continuation event owns the strong reference, so the chain frees
-    // itself when it stops rescheduling.)
-    auto try_remove = std::make_shared<std::function<void(int)>>();
-    std::weak_ptr<std::function<void(int)>> weak_remove = try_remove;
-    *try_remove = [this, kernel_id, election, victim_index, target,
-                   checkpoint, victim_raft_id, weak_remove](int tries) {
-        const auto kit = kernels_.find(kernel_id);
-        if (kit == kernels_.end() || !kit->second.alive) {
-            return;
+    // Ask the surviving majority to drop the old member.
+    poll([this, kernel_id, victim_raft_id](int tries) {
+        KernelRecord* rec = live_kernel(kernel_id);
+        if (rec == nullptr) {
+            return true;
         }
-        KernelRecord& rec = kit->second;
-        bool removed = true;
-        raft::RaftNode* leader = nullptr;
-        for (const ReplicaSlot& slot : rec.slots) {
-            if (slot.alive && slot.replica) {
+        const bool removed = std::none_of(
+            rec->slots.begin(), rec->slots.end(),
+            [victim_raft_id](const ReplicaSlot& slot) {
+                if (!slot.alive || !slot.replica) {
+                    return false;
+                }
                 const auto& members = slot.replica->raft().members();
-                if (std::find(members.begin(), members.end(),
-                              victim_raft_id) != members.end()) {
-                    removed = false;
-                }
-                if (slot.replica->raft().role() == raft::Role::kLeader) {
-                    leader = &slot.replica->raft();
-                }
+                return std::find(members.begin(), members.end(),
+                                 victim_raft_id) != members.end();
+            });
+        if (!removed) {
+            if (raft::RaftNode* lead = leader(*rec)) {
+                lead->propose_remove_member(victim_raft_id);
             }
+            if (tries > 300) {
+                // The placeholder goes with the migration; the health
+                // checker will repair the dead slot later.
+                abort_execution(kernel_id, end_migration(*rec),
+                                "migration: remove-member timeout");
+                return true;
+            }
+            return false;
         }
-        if (removed) {
-            // Membership updated: attach the new replica on the target.
-            cluster::GpuServer* server = cluster_.find(target);
-            if (server == nullptr) {
-                // Cannot happen: the placeholder container pins the
-                // server; guard anyway.
-                rec.migrating = false;
-                abort_execution(kernel_id, election,
-                                "migration target disappeared");
-                return;
-            }
-            server->subscribe(rec.spec);
-            if (cluster::Container* placeholder = server->find_container(
-                    rec.slots[victim_index].container)) {
-                placeholder->state = cluster::ContainerState::kIdle;
-                placeholder->ready_at = simulation_.now();
-            }
-            rec.slots[victim_index].server = target;
-            create_replica(rec, victim_index, target, /*passive=*/true);
+        // Membership updated: attach the new replica on the target.
+        Migration& migration = *rec->migration;
+        cluster::GpuServer* server = cluster_.find(migration.target);
+        if (server == nullptr) {
+            // Cannot happen: the placeholder container pins the server;
+            // guard anyway.
+            abort_execution(kernel_id, end_migration(*rec),
+                            "migration target disappeared");
+            return true;
+        }
+        server->subscribe(rec->spec);
+        migration.reserved = false;
+        create_replica(*rec, migration.victim, migration.target,
+                       /*passive=*/true);
+        // The new replica restores the persisted state (a data-store
+        // read) before joining the Raft group.
+        store_->read(checkpoint_key(kernel_id),
+                     [this, kernel_id](const storage::ReadResult&) {
+                         join_migrated_replica(kernel_id);
+                     });
+        return true;
+    });
+}
 
-            // The new replica restores the persisted state (a data-store
-            // read) before joining the Raft group.
-            store_->read(
-                checkpoint_key(kernel_id),
-                [this, kernel_id, election, victim_index,
-                 checkpoint](const storage::ReadResult&) {
-                    const auto kit2 = kernels_.find(kernel_id);
-                    if (kit2 == kernels_.end() || !kit2->second.alive) {
-                        return;
-                    }
-                    KernelRecord& rec2 = kit2->second;
-                    rec2.slots[victim_index].replica->restore_state(
-                        checkpoint);
-                    const net::NodeId new_id =
-                        rec2.slots[victim_index].replica->raft().id();
-                    // Add the new member, then wait for the config commit.
-                    auto try_add =
-                        std::make_shared<std::function<void(int)>>();
-                    std::weak_ptr<std::function<void(int)>> weak_add =
-                        try_add;
-                    *try_add = [this, kernel_id, election, victim_index,
-                                new_id, weak_add](int tries2) {
-                        const auto kit3 = kernels_.find(kernel_id);
-                        if (kit3 == kernels_.end() || !kit3->second.alive) {
-                            return;
-                        }
-                        KernelRecord& rec3 = kit3->second;
-                        bool added = false;
-                        raft::RaftNode* leader2 = nullptr;
-                        for (const ReplicaSlot& slot : rec3.slots) {
-                            if (!slot.alive || !slot.replica) {
-                                continue;
-                            }
-                            if (slot.replica->raft().role() ==
-                                raft::Role::kLeader) {
-                                leader2 = &slot.replica->raft();
-                                const auto& members =
-                                    slot.replica->raft().members();
-                                if (std::find(members.begin(), members.end(),
-                                              new_id) != members.end()) {
-                                    added = true;
-                                }
-                            }
-                        }
-                        if (added) {
-                            // Migration complete: resubmit the execution
-                            // with the migrated replica designated. A
-                            // fresh election id is required because the
-                            // replicas' logs already hold the failed
-                            // election's proposals.
-                            rec3.migrating = false;
-                            auto node = rec3.pending.extract(election);
-                            if (!node.empty()) {
-                                const kernel::ElectionId fresh =
-                                    rec3.next_election++;
-                                node.key() = fresh;
-                                rec3.pending.insert(std::move(node));
-                                auto& pending2 = rec3.pending.at(fresh);
-                                pending2.trace.migrated = true;
-                                dispatch_execution(rec3, fresh,
-                                                   victim_index);
-                            }
-                            return;
-                        }
-                        if (leader2 != nullptr) {
-                            leader2->propose_add_member(new_id);
-                        }
-                        if (tries2 > 300) {
-                            rec3.migrating = false;
-                            // Tear the half-joined replica back down; the
-                            // health checker repairs the slot.
-                            ReplicaSlot& broken =
-                                rec3.slots[victim_index];
-                            if (broken.replica) {
-                                broken.replica->stop();
-                                graveyard_.push_back(
-                                    std::move(broken.replica));
-                            }
-                            broken.alive = false;
-                            if (cluster::GpuServer* tserver =
-                                    cluster_.find(broken.server)) {
-                                if (tserver->find_container(
-                                        broken.container) != nullptr) {
-                                    tserver->unsubscribe(rec3.spec);
-                                    tserver->remove_container(
-                                        broken.container);
-                                }
-                            }
-                            abort_execution(kernel_id, election,
-                                            "migration: add-member timeout");
-                            return;
-                        }
-                        if (auto self = weak_add.lock()) {
-                            simulation_.schedule_after(
-                                200 * sim::kMillisecond,
-                                [self, tries2] { (*self)(tries2 + 1); });
-                        }
-                    };
-                    (*try_add)(0);
-                });
-            return;
+void
+SchedulerShard::join_migrated_replica(cluster::KernelId kernel_id)
+{
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
+        return;
+    }
+    const Migration& migration = *record->migration;
+    kernel::KernelReplica& replica =
+        *record->slots[migration.victim].replica;
+    replica.restore_state(migration.checkpoint);
+    const net::NodeId new_id = replica.raft().id();
+    // Add the new member, then wait for the config commit.
+    poll([this, kernel_id, new_id](int tries) {
+        KernelRecord* rec = live_kernel(kernel_id);
+        if (rec == nullptr) {
+            return true;
         }
-        if (leader != nullptr) {
-            leader->propose_remove_member(victim_raft_id);
+        const std::int32_t victim = rec->migration->victim;
+        const bool added = std::any_of(
+            rec->slots.begin(), rec->slots.end(),
+            [new_id](const ReplicaSlot& slot) {
+                if (!slot.alive || !slot.replica ||
+                    slot.replica->raft().role() != raft::Role::kLeader) {
+                    return false;
+                }
+                const auto& members = slot.replica->raft().members();
+                return std::find(members.begin(), members.end(), new_id) !=
+                       members.end();
+            });
+        if (added) {
+            // Migration complete: resubmit the execution with the migrated
+            // replica designated. A fresh election id is required because
+            // the replicas' logs already hold the failed election's
+            // proposals.
+            auto node = rec->pending.extract(end_migration(*rec));
+            if (!node.empty()) {
+                const kernel::ElectionId fresh = rec->next_election++;
+                node.key() = fresh;
+                node.mapped().trace.migrated = true;
+                rec->pending.insert(std::move(node));
+                dispatch_execution(*rec, fresh, victim);
+            }
+            return true;
+        }
+        if (raft::RaftNode* lead = leader(*rec)) {
+            lead->propose_add_member(new_id);
         }
         if (tries > 300) {
-            const auto kit4 = kernels_.find(kernel_id);
-            if (kit4 != kernels_.end()) {
-                KernelRecord& rec4 = kit4->second;
-                rec4.migrating = false;
-                // Drop the target placeholder; the health checker will
-                // repair the dead slot later.
-                if (cluster::GpuServer* tserver = cluster_.find(target)) {
-                    tserver->remove_container(
-                        rec4.slots[victim_index].container);
-                }
-            }
-            abort_execution(kernel_id, election,
-                            "migration: remove-member timeout");
-            return;
+            // Tear the half-joined replica back down; the health checker
+            // repairs the slot.
+            retire_replica(rec->slots[victim]);
+            release_slot(*rec, victim);
+            abort_execution(kernel_id, end_migration(*rec),
+                            "migration: add-member timeout");
+            return true;
         }
-        if (auto self = weak_remove.lock()) {
-            simulation_.schedule_after(
-                200 * sim::kMillisecond,
-                [self, tries] { (*self)(tries + 1); });
+        return false;
+    });
+}
+
+kernel::ElectionId
+SchedulerShard::end_migration(KernelRecord& record)
+{
+    const Migration& migration = *record.migration;
+    if (migration.reserved) {
+        if (cluster::GpuServer* target = cluster_.find(migration.target)) {
+            target->remove_container(
+                record.slots[migration.victim].container);
         }
-    };
-    (*try_remove)(0);
+    }
+    const kernel::ElectionId election = migration.election;
+    record.migration.reset();
+    return election;
 }
 
 void
@@ -1441,7 +1344,7 @@ SchedulerShard::run_autoscaler()
                              servers_provisioning_;
     std::vector<cluster::ServerId> idle;
     for (const auto& [id, server] : cluster_.servers()) {
-        if (server->containers().empty() && !server->draining()) {
+        if (server->containers().empty()) {
             idle.push_back(id);
         }
     }
@@ -1496,7 +1399,7 @@ SchedulerShard::run_health_check()
         if (!record.alive) {
             continue;
         }
-        if (record.migrating || !record.created) {
+        if (record.migration || !record.created) {
             continue;  // being created or reshaped; slots are in flux
         }
         for (std::size_t i = 0; i < record.slots.size(); ++i) {
@@ -1524,138 +1427,75 @@ void
 SchedulerShard::replace_replica(cluster::KernelId kernel_id,
                                  std::int32_t index)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || !it->second.alive) {
+    KernelRecord* record = live_kernel(kernel_id);
+    if (record == nullptr) {
         return;
     }
-    KernelRecord& record = it->second;
-    ReplicaSlot& slot = record.slots[index];
+    ReplicaSlot& slot = record->slots[index];
     const net::NodeId dead_raft_id =
         slot.replica ? slot.replica->raft().id() : net::kNoNode;
 
-    // Release the dead replica's resources; the container check guards
-    // against slots already cleaned up by an aborted migration.
-    if (cluster::GpuServer* server = cluster_.find(slot.server)) {
-        if (server->find_container(slot.container) != nullptr) {
-            server->unsubscribe(record.spec);
-            server->remove_container(slot.container);
-        }
-    }
-    if (slot.replica) {
-        graveyard_.push_back(std::move(slot.replica));
-    }
+    // Release the dead replica's resources (an aborted migration may have
+    // released them already).
+    release_slot(*record, index);
+    retire_replica(slot);
 
     // Target: any server able to host the subscription (GPUs need not be
     // idle; a standby replica binds GPUs only when it executes).
-    cluster::ServerId target = cluster::kNoServer;
-    std::set<cluster::ServerId> occupied;
-    for (const ReplicaSlot& other : record.slots) {
-        if (other.alive) {
-            occupied.insert(other.server);
-        }
-    }
-    std::int32_t best_idle = -1;
-    for (const auto& [id, server] : cluster_.servers()) {
-        if (server->draining() || occupied.count(id) > 0 ||
-            !record.spec.fits_within(server->capacity())) {
-            continue;
-        }
-        if (server->idle_gpus() > best_idle) {
-            best_idle = server->idle_gpus();
-            target = id;
-        }
-    }
+    const cluster::ResourceSpec& spec = record->spec;
+    const cluster::ServerId target =
+        pick_target(cluster_, live_servers(*record),
+                    [&spec](const cluster::GpuServer& server) {
+                        return spec.fits_within(server.capacity());
+                    });
     if (target == cluster::kNoServer) {
         return;  // Next health check retries.
     }
 
     // Checkpoint from a surviving replica (they hold the synced state).
-    std::string checkpoint;
-    for (const ReplicaSlot& other : record.slots) {
-        if (other.alive && other.replica) {
-            checkpoint = other.replica->checkpoint_state();
-            break;
-        }
-    }
+    const kernel::KernelReplica* survivor = first_live(*record);
+    const std::string checkpoint =
+        survivor != nullptr ? survivor->checkpoint_state() : std::string();
     store_->write(checkpoint_key(kernel_id), checkpoint_bytes({}), nullptr);
 
-    const sim::Time container_delay =
-        prewarm_.acquire(target)
-            ? (++stats_.prewarm_hits, config_.timings.prewarm_assign)
-            : (++stats_.cold_starts,
-               sample(config_.timings.cold_start_min,
-                      config_.timings.cold_start_max));
-    simulation_.schedule_after(container_delay, [this, kernel_id, index,
-                                                 target, dead_raft_id,
-                                                 checkpoint] {
-        const auto kit = kernels_.find(kernel_id);
-        if (kit == kernels_.end() || !kit->second.alive) {
-            return;
-        }
-        KernelRecord& rec = kit->second;
+    simulation_.schedule_after(container_delay(target), [this, kernel_id,
+                                                         index, target,
+                                                         dead_raft_id,
+                                                         checkpoint] {
+        KernelRecord* rec = live_kernel(kernel_id);
         cluster::GpuServer* server = cluster_.find(target);
-        if (server == nullptr) {
+        if (rec == nullptr || server == nullptr) {
             return;
         }
-        server->subscribe(rec.spec);
-        cluster::Container container;
-        container.id = next_container_id_++;
-        container.server = target;
-        container.kernel = kernel_id;
-        container.replica_index = index;
-        container.subscribed = rec.spec;
-        container.state = cluster::ContainerState::kIdle;
-        server->add_container(container);
-        rec.slots[index].server = target;
-        rec.slots[index].container = container.id;
-        create_replica(rec, index, target, /*passive=*/true);
-        rec.slots[index].replica->restore_state(checkpoint);
+        server->subscribe(rec->spec);
+        reserve_container(*rec, index, target);
+        create_replica(*rec, index, target, /*passive=*/true);
+        rec->slots[index].replica->restore_state(checkpoint);
 
-        const net::NodeId new_id = rec.slots[index].replica->raft().id();
-        auto reconfig = std::make_shared<std::function<void(int)>>();
-        std::weak_ptr<std::function<void(int)>> weak_reconfig = reconfig;
-        *reconfig = [this, kernel_id, dead_raft_id, new_id,
-                     weak_reconfig](int tries) {
-            const auto kit2 = kernels_.find(kernel_id);
-            if (kit2 == kernels_.end() || !kit2->second.alive ||
-                tries > 600) {
-                return;
+        const net::NodeId new_id = rec->slots[index].replica->raft().id();
+        poll([this, kernel_id, dead_raft_id, new_id](int tries) {
+            KernelRecord* rec2 = live_kernel(kernel_id);
+            if (rec2 == nullptr || tries > 600) {
+                return true;
             }
-            KernelRecord& rec2 = kit2->second;
-            raft::RaftNode* leader = nullptr;
-            bool removed = true;
-            bool added = false;
-            for (const ReplicaSlot& slot2 : rec2.slots) {
-                if (!slot2.alive || !slot2.replica) {
-                    continue;
-                }
-                const auto& members = slot2.replica->raft().members();
-                if (slot2.replica->raft().role() == raft::Role::kLeader) {
-                    leader = &slot2.replica->raft();
-                    removed = dead_raft_id == net::kNoNode ||
-                              std::find(members.begin(), members.end(),
-                                        dead_raft_id) == members.end();
-                    added = std::find(members.begin(), members.end(),
-                                      new_id) != members.end();
-                }
+            raft::RaftNode* lead = leader(*rec2);
+            if (lead == nullptr) {
+                return false;
             }
-            if (removed && added) {
-                return;  // Reconfiguration complete.
+            const auto& members = lead->members();
+            const bool removed =
+                dead_raft_id == net::kNoNode ||
+                std::find(members.begin(), members.end(), dead_raft_id) ==
+                    members.end();
+            const bool added = std::find(members.begin(), members.end(),
+                                         new_id) != members.end();
+            if (!removed) {
+                lead->propose_remove_member(dead_raft_id);
+            } else if (!added) {
+                lead->propose_add_member(new_id);
             }
-            if (leader != nullptr) {
-                if (!removed) {
-                    leader->propose_remove_member(dead_raft_id);
-                } else if (!added) {
-                    leader->propose_add_member(new_id);
-                }
-            }
-            if (auto self = weak_reconfig.lock()) {
-                simulation_.schedule_after(
-                    200 * sim::kMillisecond,
-                    [self, tries] { (*self)(tries + 1); });
-            }
-        };
-        (*reconfig)(0);
+            return removed && added;  // Reconfiguration complete.
+        });
     });
 }
 

@@ -15,6 +15,15 @@
  * engine's driver (core/protosim.cpp) run its shards' event loops on
  * parallel sim::Lockstep threads with results bit-identical to a serial
  * sweep.
+ *
+ * Moving a replica — a migration or a repair — is a Raft membership
+ * change around a container on another server, built from steps each
+ * written once: reserve_container and release_slot keep a server's
+ * subscriptions and containers equal to its replicas', poll drives every
+ * wait on the Raft group, and sched::pick_victim / sched::pick_target
+ * choose what moves and where. A kernel has at most one migration in
+ * flight, held in its record, so stop_kernel releases exactly what the
+ * kernel holds at any step of it.
  */
 #ifndef NBOS_SCHED_SHARD_HPP
 #define NBOS_SCHED_SHARD_HPP
@@ -23,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -77,7 +87,9 @@ class SchedulerShard
     cluster::KernelId start_kernel(const cluster::ResourceSpec& spec,
                                    StartKernelCallback callback);
 
-    /** Terminate a kernel and release its subscriptions. */
+    /** Terminate a kernel and release what it holds: its replicas'
+     *  subscriptions and containers, and the placeholder container a
+     *  migration in flight holds on its target. */
     void stop_kernel(cluster::KernelId kernel_id);
 
     /**
@@ -138,9 +150,8 @@ class SchedulerShard
     void end_session(std::int64_t session);
 
     /** True when @p session can migrate right now: kernel fully created,
-     *  alive, and not mid-(intra-shard)-migration — §3.2.3 migrations
-     *  hold partially released victim resources that must not be
-     *  double-released by an extract. */
+     *  alive, and with no §3.2.3 migration in flight (a replica and the
+     *  cell it reruns are mid-move inside this shard). */
     bool session_movable(std::int64_t session) const;
 
     /** Pack @p session for a cross-shard move: checkpoint its kernel
@@ -194,8 +205,6 @@ class SchedulerShard
     /** Crash a replica (fail-stop); the health checker will replace it. */
     void inject_replica_failure(cluster::KernelId kernel_id,
                                 std::int32_t index);
-    /** The shard's chaos controller (null unless chaos is enabled). */
-    chaos::ChaosController* chaos() { return chaos_.get(); }
     /** Network delivery stats (chaos observability). */
     const net::NetworkStats& network_stats() const
     {
@@ -240,6 +249,23 @@ class SchedulerShard
         std::int32_t migration_retries = 0;
     };
 
+    /** A §3.2.3 migration in flight (at most one per kernel). */
+    struct Migration
+    {
+        /** The failed election whose cell the migrated replica runs. */
+        kernel::ElectionId election = 0;
+        /** The slot that moves. */
+        std::int32_t victim = -1;
+        /** The victim's namespace, persisted before it moves. */
+        std::string checkpoint;
+        cluster::ServerId target = cluster::kNoServer;
+        /** True while a placeholder container on the target holds the
+         *  victim slot's container id, with no subscription: from the
+         *  victim's release until the new replica subscribes there. The
+         *  slot still names the victim's server meanwhile. */
+        bool reserved = false;
+    };
+
     struct KernelRecord
     {
         cluster::KernelId id = cluster::kNoKernel;
@@ -248,7 +274,7 @@ class SchedulerShard
         kernel::ElectionId next_election = 1;
         std::map<kernel::ElectionId, PendingExecution> pending;
         std::set<kernel::ElectionId> failed_seen;
-        bool migrating = false;
+        std::optional<Migration> migration;
         bool alive = true;
         /** True once all replicas started and the group elected a leader
          *  (gates the health-checker's orphan repair). */
@@ -312,15 +338,13 @@ class SchedulerShard
                             kernel::ElectionId election);
     void begin_migration(cluster::KernelId kernel_id,
                          kernel::ElectionId election);
-    void continue_migration(cluster::KernelId kernel_id,
-                            kernel::ElectionId election,
-                            std::int32_t victim_index,
-                            const std::string& checkpoint);
-    void finish_migration(cluster::KernelId kernel_id,
-                          kernel::ElectionId election,
-                          std::int32_t victim_index,
-                          cluster::ServerId target,
-                          const std::string& checkpoint);
+    void continue_migration(cluster::KernelId kernel_id);
+    void finish_migration(cluster::KernelId kernel_id);
+    void join_migrated_replica(cluster::KernelId kernel_id);
+    /** Clear @p record's migration, first removing its placeholder from
+     *  the target if it still holds one. @return the migration's
+     *  election. */
+    kernel::ElectionId end_migration(KernelRecord& record);
     void abort_execution(cluster::KernelId kernel_id,
                          kernel::ElectionId election,
                          const std::string& reason);
@@ -339,8 +363,38 @@ class SchedulerShard
     bool chaos_restart_replica(std::uint32_t slot);
     std::int32_t pick_designated(const KernelRecord& record) const;
     sim::Time sample(sim::Time lo, sim::Time hi);
-    cluster::ServerId pick_migration_target(const KernelRecord& record);
     void record_event(SchedulerEvent::Kind kind);
+
+    /** @name Replica-move steps */
+    ///@{
+    /** The record of @p kernel_id if it exists and is alive, else null. */
+    KernelRecord* live_kernel(cluster::KernelId kernel_id);
+    /** The replica of the first live slot (null if none). */
+    static kernel::KernelReplica* first_live(const KernelRecord& record);
+    /** The last live replica that believes it leads (null if none). */
+    static raft::RaftNode* leader(const KernelRecord& record);
+    /** Each slot's server, kNoServer where the slot is not live. */
+    static std::vector<cluster::ServerId>
+    live_servers(const KernelRecord& record);
+    /** Add a container for @p record on @p server and point slot
+     *  @p index at it. The slot's server is left as it is. */
+    void reserve_container(KernelRecord& record, std::int32_t index,
+                           cluster::ServerId server);
+    /** Unsubscribe slot @p index's server and remove its container, if
+     *  that container is on the slot's server. */
+    void release_slot(KernelRecord& record, std::int32_t index);
+    /** Stop the slot's replica, if any, and mark the slot not live. */
+    void retire_replica(ReplicaSlot& slot);
+    /** Time to get a container on @p server: a pre-warmed one if its
+     *  pool has one, else a cold start. */
+    sim::Time container_delay(cluster::ServerId server);
+    /** One step of a wait on a Raft group: gets how many times it ran
+     *  before, returns true when the wait is over. */
+    using PollStep = std::function<bool(int tries)>;
+    /** Run @p step now and, while it returns false, again 200 ms after
+     *  each run. */
+    void poll(PollStep step, int tries = 0);
+    ///@}
 
     sim::Simulation& simulation_;
     SchedulerConfig config_;
@@ -356,10 +410,6 @@ class SchedulerShard
     std::map<cluster::KernelId, KernelRecord> kernels_;
     SessionTable<SessionRecord> sessions_;
     std::deque<PendingKernel> pending_kernels_;
-    /** Migrations whose victim resources were already released (guards
-     *  the retry path against double release). */
-    std::set<std::pair<cluster::KernelId, kernel::ElectionId>>
-        victim_released_;
     std::vector<std::unique_ptr<kernel::KernelReplica>> graveyard_;
     cluster::KernelId next_kernel_id_;
     cluster::ContainerId next_container_id_ = 1;

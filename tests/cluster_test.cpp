@@ -182,27 +182,11 @@ TEST(GpuServerTest, ContainerBookkeeping)
     c.id = 10;
     c.server = 1;
     c.kernel = 5;
-    c.state = ContainerState::kIdle;
     server.add_container(c);
-    EXPECT_NE(server.find_container(10), nullptr);
-    EXPECT_EQ(server.count_replicas_of(5), 1u);
-    EXPECT_EQ(server.count_replicas_of(6), 0u);
+    ASSERT_NE(server.find_container(10), nullptr);
+    EXPECT_EQ(server.find_container(10)->kernel, 5);
     server.remove_container(10);
     EXPECT_EQ(server.find_container(10), nullptr);
-}
-
-TEST(GpuServerTest, IdlenessTracksRunningContainers)
-{
-    GpuServer server(1, ResourceSpec::server_8gpu());
-    EXPECT_TRUE(server.is_idle());
-    Container c;
-    c.id = 1;
-    c.server = 1;
-    c.state = ContainerState::kRunning;
-    server.add_container(c);
-    EXPECT_FALSE(server.is_idle());
-    server.find_container(1)->state = ContainerState::kIdle;
-    EXPECT_TRUE(server.is_idle());
 }
 
 TEST(ClusterTest, AddRemoveServers)

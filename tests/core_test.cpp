@@ -414,6 +414,44 @@ TEST(NotebookEnginesTest, RefusedCellKeepsAnAbortedRow)
     }
 }
 
+/** A fast-engine cell whose migration still waits for a server when its
+ *  session ends ends aborted, as the prototype drops a stopped kernel's
+ *  cells: it neither migrates nor runs after the session is gone. */
+TEST(FastEngineTest, SessionEndingMidMigrationAbortsItsCell)
+{
+    // Three sessions commit all 24 GPUs of the 3-server fleet from 100 s.
+    // The fourth one's cell finds no GPUs at 200 s, so it waits, retrying
+    // its migration, for a server that takes at least 30 s to provision;
+    // its session ends at 205 s.
+    workload::Trace trace;
+    trace.name = "ended-mid-migration";
+    trace.makespan = 3 * kHour;
+    for (workload::SessionId id = 0; id < 4; ++id) {
+        const bool late = id == 3;
+        workload::SessionSpec session;
+        session.id = id;
+        session.end_time = late ? 205 * kSecond : 3 * kHour;
+        session.resources = cluster::ResourceSpec{4000, 16384, 8, 16.0};
+        workload::CellTask task;
+        task.session = id;
+        task.submit_time = late ? 200 * kSecond : 100 * kSecond;
+        task.duration = late ? kMinute : 2 * kHour;
+        session.tasks.push_back(task);
+        trace.sessions.push_back(session);
+    }
+    PlatformConfig config =
+        test::platform_config(Policy::kNotebookOS, 17, /*fast=*/true);
+    config.scheduler.initial_servers = 3;
+    config.scheduler.enable_autoscaler = false;
+    const ExperimentResults results = test::run_config(config, trace);
+    ASSERT_EQ(results.tasks.size(), 4u);
+    for (const TaskOutcome& task : results.tasks) {
+        SCOPED_TRACE("session " + std::to_string(task.session));
+        EXPECT_EQ(task.aborted, task.session == 3);
+        EXPECT_FALSE(task.migrated);
+    }
+}
+
 TEST(BatchEngineTest, ColdStartDominatesDelay)
 {
     const auto trace = tiny_trace(6, 3 * kHour);

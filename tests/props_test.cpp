@@ -23,6 +23,7 @@
 #include "harness.hpp"
 #include "metrics/percentiles.hpp"
 #include "metrics/stats.hpp"
+#include "raft/raft.hpp"
 #include "sched/placement.hpp"
 #include "sched/shard_router.hpp"
 #include "workload/profiles.hpp"
@@ -460,7 +461,7 @@ sorted_scan_pick(const cluster::Cluster& cluster,
     };
     std::vector<Candidate> candidates;
     for (const auto& [id, server] : cluster.servers()) {
-        if (server->draining() || !spec.fits_within(server->capacity())) {
+        if (!spec.fits_within(server->capacity())) {
             continue;
         }
         const double new_sr =
@@ -549,11 +550,11 @@ check_cluster_against_reference(const cluster::Cluster& cluster)
 /**
  * Placement walks a load index the cluster keeps up to date instead of
  * sorting the fleet. Over random fleets of 0-64 servers (some with a
- * custom shape, some draining) and random subscribe / unsubscribe /
- * commit / release / add / remove sequences, after every step: the
- * cached totals equal the recomputed sums, the index is the servers in
- * (committed, subscribed, id) order, and pick() chooses exactly what the
- * sort-based scan chooses.
+ * custom shape) and random subscribe / unsubscribe / commit / release /
+ * add / remove sequences, after every step: the cached totals equal the
+ * recomputed sums, the index is the servers in (committed, subscribed,
+ * id) order, and pick() chooses exactly what the sort-based scan
+ * chooses.
  */
 TEST(PlacementProperty, IndexedPickMatchesSortedScan)
 {
@@ -583,7 +584,6 @@ TEST(PlacementProperty, IndexedPickMatchesSortedScan)
                     ? cluster.add_server(shapes[static_cast<std::size_t>(
                           rng.uniform_int(0, shapes.size() - 1))])
                     : cluster.add_server();
-            server.set_draining(rng.uniform_int(0, 5) == 0);
             std::vector<cluster::ResourceSpec>& specs =
                 subscribed[server.id()];
             for (std::int64_t k = rng.uniform_int(0, 4); k > 0; --k) {
@@ -651,6 +651,77 @@ TEST(PlacementProperty, IndexedPickMatchesSortedScan)
                 }
             }
             ASSERT_NO_FATAL_FAILURE(check_cluster_against_reference(cluster));
+        }
+    });
+}
+
+/**
+ * A Raft leader commits the largest index a majority of its members hold
+ * if that entry is from the current term (raft::quorum_index). Over
+ * random logs, commit points and match vectors, that is what the
+ * downward scan it replaced commits: from the last index down to the
+ * commit point, stop at the first entry from an older term, and commit
+ * the first entry a majority holds.
+ */
+TEST(RaftCommitProperty, QuorumIndexMatchesDownwardScan)
+{
+    test::check_property(kStreams, [](sim::Rng& rng, std::size_t) {
+        for (int sample = 0; sample < 500; ++sample) {
+            // A log of 0-40 entries whose terms never decrease (terms[i]
+            // is the term of index i + 1) under a current term at least
+            // its last one.
+            std::vector<raft::Term> terms;
+            raft::Term term = 1;
+            for (std::int64_t i = rng.uniform_int(0, 40); i > 0; --i) {
+                term += static_cast<raft::Term>(rng.uniform_int(0, 3) == 0);
+                terms.push_back(term);
+            }
+            const raft::Term current =
+                term + static_cast<raft::Term>(rng.uniform_int(0, 1));
+            const auto last = static_cast<raft::Index>(terms.size());
+            const auto commit = static_cast<raft::Index>(
+                rng.uniform_int(0, static_cast<std::int64_t>(last)));
+            const auto term_at = [&terms](raft::Index index) {
+                return index == 0 ? raft::Term{0} : terms[index - 1];
+            };
+            // 1-7 members. The leader, when it is one (it is not while it
+            // removes itself), holds its whole log.
+            const auto members =
+                static_cast<std::size_t>(rng.uniform_int(1, 7));
+            const bool leader_is_member = rng.uniform_int(0, 4) != 0;
+            std::vector<raft::Index> match;
+            for (std::size_t m = 0; m < members; ++m) {
+                match.push_back(
+                    m == 0 && leader_is_member
+                        ? last
+                        : static_cast<raft::Index>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(last))));
+            }
+            const std::size_t majority = members / 2 + 1;
+
+            raft::Index scanned = commit;
+            for (raft::Index n = last; n > commit; --n) {
+                if (term_at(n) != current) {
+                    break;
+                }
+                const auto holders = static_cast<std::size_t>(
+                    std::count_if(match.begin(), match.end(),
+                                  [n](raft::Index m) { return m >= n; }));
+                if (holders >= majority) {
+                    scanned = n;
+                    break;
+                }
+            }
+            std::vector<raft::Index> reordered = match;
+            const raft::Index quorum =
+                std::min(raft::quorum_index(reordered, majority), last);
+            const raft::Index committed =
+                quorum > commit && term_at(quorum) == current ? quorum
+                                                              : commit;
+            ASSERT_EQ(committed, scanned)
+                << "sample " << sample << " last=" << last
+                << " commit=" << commit << " current=" << current
+                << " members=" << members;
         }
     });
 }

@@ -101,18 +101,6 @@ TEST(PlacementTest, DynamicLimitRisesWithClusterSr)
     EXPECT_EQ(picked[0], b.id());
 }
 
-TEST(PlacementTest, DrainingServersSkipped)
-{
-    cluster::Cluster cluster;
-    cluster::GpuServer& a = cluster.add_server();
-    cluster.add_server();
-    a.set_draining(true);
-    LeastLoadedPolicy policy;
-    const auto picked = policy.pick(cluster, kernel_request(1), 2, 3);
-    ASSERT_EQ(picked.size(), 1u);
-    EXPECT_NE(picked[0], a.id());
-}
-
 TEST(PlacementTest, ZeroCapacityClusterYieldsNoPlacement)
 {
     cluster::Cluster cluster;  // no servers at all
@@ -129,15 +117,6 @@ TEST(PlacementTest, SingleServerCapsReplicaSpread)
     // signals the scheduler to scale out rather than co-locating.
     const auto picked = policy.pick(cluster, kernel_request(1), 3, 3);
     ASSERT_EQ(picked.size(), 1u);
-}
-
-TEST(PlacementTest, AllServersDrainingYieldsNoPlacement)
-{
-    cluster::Cluster cluster;
-    cluster.add_server().set_draining(true);
-    cluster.add_server().set_draining(true);
-    LeastLoadedPolicy policy;
-    EXPECT_TRUE(policy.pick(cluster, kernel_request(1), 1, 3).empty());
 }
 
 TEST(AutoScalerTest, ScalesOutWhenCommittedNearCapacity)
@@ -769,6 +748,49 @@ TEST(GlobalSchedulerTest, MigrationAbortsWithoutViableServer)
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kError);
     EXPECT_TRUE(reply.trace.aborted);
     EXPECT_GE(f.scheduler.stats().migrations_aborted, 1u);
+}
+
+/** A kernel stopped while a migration is in flight releases exactly what
+ *  it holds: the victim's server was already released, and the target
+ *  holds a placeholder container with no subscription. */
+TEST(GlobalSchedulerTest, StopMidMigrationReleasesWhatTheKernelHolds)
+{
+    SchedulerConfig config = SchedFixture::default_config();
+    config.initial_servers = 4;
+    config.yield_conversion = false;
+    // A cold start for the target's container keeps the migration in
+    // flight for 8-25 s after the victim's release.
+    config.prewarm_per_server = 0;
+    // Nothing may remove a server the checks below read.
+    config.enable_autoscaler = false;
+    SchedFixture f(config);
+    const cluster::KernelId kernel_id = f.create_kernel(8);
+    cluster::Cluster& cluster = f.scheduler.cluster();
+    std::size_t replica_servers = 0;
+    for (const auto& [id, server] : cluster.servers()) {
+        if (!server->containers().empty()) {
+            ++replica_servers;
+            ASSERT_TRUE(server->commit(kernel_request(8)));
+        }
+    }
+    ASSERT_EQ(replica_servers, 3u);
+    f.scheduler.submit_execute(
+        kernel_id, "gpu_compute(5)", true, f.simulation.now(),
+        [](const kernel::ExecutionResult&, const RequestTrace&) {});
+    // Step until the migration releases the victim's server.
+    for (int step = 0; step < 3000 && cluster.total_subscribed_gpus() == 24;
+         ++step) {
+        f.run_for(100 * sim::kMillisecond);
+    }
+    ASSERT_EQ(cluster.total_subscribed_gpus(), 16);
+    ASSERT_EQ(f.scheduler.stats().migrations, 1u);
+
+    f.scheduler.stop_kernel(kernel_id);
+    f.run_for(60 * sim::kSecond);
+    for (const auto& [id, server] : cluster.servers()) {
+        EXPECT_EQ(server->subscribed_gpus(), 0) << "server " << id;
+        EXPECT_TRUE(server->containers().empty()) << "server " << id;
+    }
 }
 
 TEST(GlobalSchedulerTest, ReplicaFailureIsRepaired)
