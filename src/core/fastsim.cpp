@@ -300,6 +300,13 @@ FastEngineShard::begin_execution(std::size_t index,
                                  sim::Time start, sim::Time duration)
 {
     FastKernel& kernel = kernel_at(session_id);
+    if (!kernel.alive) {
+        // The session ended during the cell's migration: its replicas are
+        // unsubscribed, so the cell ends aborted, as the prototype drops
+        // the cells of a stopped kernel.
+        abort_cell(index, kernel);
+        return;
+    }
     cluster::GpuServer* server = cluster_.find(server_id);
     if (server == nullptr || !server->commit(kernel.spec)) {
         // Raced out; go through migration.
@@ -326,13 +333,8 @@ FastEngineShard::migrate_and_run(std::size_t index,
 {
     FastKernel& kernel = kernel_at(session_id);
     if (!kernel.alive) {
-        // The session ended while the cell waited for a server: its
-        // replicas are unsubscribed, so the cell ends aborted, as the
-        // prototype drops the cells of a stopped kernel.
-        tasks_[index].aborted = true;
-        if (kernel.inflight > 0) {
-            kernel.inflight -= 1;
-        }
+        // The session ended while the cell waited for a server.
+        abort_cell(index, kernel);
         return;
     }
     const cluster::ResourceSpec& spec = kernel.spec;
@@ -345,10 +347,7 @@ FastEngineShard::migrate_and_run(std::size_t index,
         if (retries >= config_.scheduler.migration_max_retries &&
             provisioning_ == 0) {
             results_.sched_stats.migrations_aborted += 1;
-            tasks_[index].aborted = true;
-            if (kernel.inflight > 0) {
-                kernel.inflight -= 1;
-            }
+            abort_cell(index, kernel);
             return;
         }
         if (provisioning_ == 0) {
@@ -411,6 +410,15 @@ FastEngineShard::migrate_and_run(std::size_t index,
             });
         });
     });
+}
+
+void
+FastEngineShard::abort_cell(std::size_t index, FastKernel& kernel)
+{
+    tasks_[index].aborted = true;
+    if (kernel.inflight > 0) {
+        kernel.inflight -= 1;
+    }
 }
 
 void

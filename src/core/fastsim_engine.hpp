@@ -191,6 +191,8 @@ class FastEngineShard
                          sim::Time duration);
     void migrate_and_run(std::size_t index, workload::SessionId session_id,
                          sim::Time duration, int retries);
+    /** End in-flight GPU cell @p index aborted. */
+    void abort_cell(std::size_t index, FastKernel& kernel);
     void complete(std::size_t index, sim::Time start, sim::Time end,
                   sim::Time extra_reply, workload::SessionId session_id);
     void schedule_tick();

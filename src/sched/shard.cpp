@@ -252,7 +252,7 @@ SchedulerShard::chaos_live_replicas() const
     // index order — identical on record and on replay of the same run.
     std::vector<std::pair<cluster::KernelId, std::int32_t>> live;
     for (const auto& [kernel_id, record] : kernels_) {
-        if (!record.alive || !record.created || record.migration) {
+        if (!record.alive || !record.created || record.move) {
             continue;
         }
         for (std::size_t i = 0; i < record.slots.size(); ++i) {
@@ -306,8 +306,9 @@ SchedulerShard::chaos_restart_replica(std::uint32_t slot)
     ReplicaSlot& slot_ref = record->slots[index];
     if (!slot_ref.alive || slot_ref.replica == nullptr ||
         slot_ref.replica->running()) {
-        // The health checker already replaced (or a migration repaired)
-        // this replica; both recovery paths are legitimate outcomes.
+        // The health checker found the crash first: the slot is marked
+        // for a repair, or a move already put a new replica in it. Either
+        // recovery is a legitimate outcome.
         return false;
     }
     slot_ref.replica->restart();
@@ -549,10 +550,13 @@ SchedulerShard::create_replica(KernelRecord& record, std::int32_t index,
         record.slots[index].replica->start();
         return;
     }
-    // Migration path: join an existing group passively. The member list is
-    // taken from a surviving replica.
+    // Move path: join an existing group passively. The member list is
+    // taken from a surviving replica. With none, the new replica is the
+    // whole group and starts as its founding member: a passive one would
+    // wait for a leader that never comes.
+    const kernel::KernelReplica* survivor = first_live(record);
     std::vector<net::NodeId> members;
-    if (const kernel::KernelReplica* survivor = first_live(record)) {
+    if (survivor != nullptr) {
         members = survivor->raft().members();
     }
     const net::NodeId new_id = next_raft_id_++;
@@ -563,7 +567,11 @@ SchedulerShard::create_replica(KernelRecord& record, std::int32_t index,
     install_hooks(record, index);
     record.slots[index].alive = true;
     record.slots[index].server = server;
-    record.slots[index].replica->start_passive();
+    if (survivor != nullptr) {
+        record.slots[index].replica->start_passive();
+    } else {
+        record.slots[index].replica->start();
+    }
 }
 
 void
@@ -625,10 +633,10 @@ SchedulerShard::stop_kernel(cluster::KernelId kernel_id)
         return;
     }
     record->alive = false;
-    // A migration past its victim's release holds a placeholder on its
-    // target; the victim's slot no longer holds its old server.
-    if (record->migration) {
-        end_migration(*record);
+    // A move past the old slot's release holds a placeholder on its
+    // target; the slot no longer holds its old server.
+    if (record->move) {
+        end_move(*record);
     }
     for (std::size_t i = 0; i < record->slots.size(); ++i) {
         retire_replica(record->slots[i]);
@@ -762,7 +770,7 @@ SchedulerShard::session_movable(std::int64_t session) const
     }
     const auto kit = kernels_.find(sessions_.cold_at(row).kernel);
     return kit != kernels_.end() && kit->second.alive &&
-           kit->second.created && !kit->second.migration;
+           kit->second.created && !kit->second.move;
 }
 
 bool
@@ -1085,7 +1093,7 @@ SchedulerShard::begin_migration(cluster::KernelId kernel_id,
     if (record == nullptr) {
         return;
     }
-    if (record->migration) {
+    if (record->move) {
         simulation_.schedule_after(config_.migration_retry,
                                    [this, kernel_id, election] {
                                        begin_migration(kernel_id, election);
@@ -1102,33 +1110,52 @@ SchedulerShard::begin_migration(cluster::KernelId kernel_id,
         abort_execution(kernel_id, election, "no replica to migrate");
         return;
     }
-    // §3.2.3: the selected replica persists its state to the data store
-    // before migrating.
-    const kernel::KernelReplica& replica = *record->slots[victim].replica;
-    record->migration = Migration{election, static_cast<std::int32_t>(victim),
-                                  replica.checkpoint_state()};
-    store_->write(checkpoint_key(kernel_id), checkpoint_bytes(replica.ns()),
-                  [this, kernel_id](sim::Time) {
-                      continue_migration(kernel_id);
-                  });
+    // §3.2.3: the selected replica persists its state before migrating.
+    begin_move(*record, static_cast<std::int32_t>(victim), election,
+               record->slots[victim].replica.get());
 }
 
 void
-SchedulerShard::continue_migration(cluster::KernelId kernel_id)
+SchedulerShard::begin_move(KernelRecord& record, std::int32_t slot,
+                           kernel::ElectionId election,
+                           const kernel::KernelReplica* source)
+{
+    const cluster::KernelId kernel_id = record.id;
+    record.move = Move{slot, election,
+                       source != nullptr ? source->checkpoint_state()
+                                         : std::string()};
+    if (source == nullptr) {
+        place_move(kernel_id);
+        return;
+    }
+    store_->write(checkpoint_key(kernel_id), checkpoint_bytes(source->ns()),
+                  [this, kernel_id](sim::Time) { place_move(kernel_id); });
+}
+
+void
+SchedulerShard::place_move(cluster::KernelId kernel_id)
 {
     KernelRecord* record = live_kernel(kernel_id);
     if (record == nullptr) {
         return;
     }
-    Migration& migration = *record->migration;
+    Move& move = *record->move;
+    // A replica that reruns a cell needs the GPUs free on its target; a
+    // repair's standby binds GPUs only when it executes.
+    const bool reruns = move.election != 0;
     const cluster::ResourceSpec& spec = record->spec;
     const cluster::ServerId target =
         pick_target(cluster_, live_servers(*record),
-                    [&spec](const cluster::GpuServer& server) {
-                        return server.can_commit(spec);
+                    [&spec, reruns](const cluster::GpuServer& server) {
+                        return reruns ? server.can_commit(spec)
+                                      : spec.fits_within(server.capacity());
                     });
     if (target == cluster::kNoServer) {
-        const auto pit = record->pending.find(migration.election);
+        if (!reruns) {
+            end_move(*record);  // The next health check retries.
+            return;
+        }
+        const auto pit = record->pending.find(move.election);
         // While a scale-out is in flight the retry clock pauses: the
         // migration is enqueued until the new server registers (§3.4.2
         // reserves resources for paused replicas on incoming servers).
@@ -1141,105 +1168,104 @@ SchedulerShard::continue_migration(cluster::KernelId kernel_id)
             }
             simulation_.schedule_after(config_.migration_retry,
                                        [this, kernel_id] {
-                                           continue_migration(kernel_id);
+                                           place_move(kernel_id);
                                        });
         } else {
             ++stats_.migrations_aborted;
-            abort_execution(kernel_id, end_migration(*record),
+            abort_execution(kernel_id, end_move(*record),
                             "migration aborted: no viable server");
         }
         return;
     }
-    // Release the victim's container/subscription on its old server now
-    // (the replica object itself is stopped in finish_migration), then
-    // reserve the target with a placeholder container so the auto-scaler
-    // cannot release that server while the migration is in flight.
-    release_slot(*record, migration.victim);
-    reserve_container(*record, migration.victim, target);
-    migration.target = target;
-    migration.reserved = true;
+    // Release the old slot's container/subscription now (its replica is
+    // stopped in swap_member), then reserve the target with a placeholder
+    // container so the auto-scaler cannot release that server while the
+    // move is in flight.
+    release_slot(*record, move.slot);
+    reserve_container(*record, move.slot, target);
+    move.target = target;
+    move.reserved = true;
     simulation_.schedule_after(container_delay(target), [this, kernel_id] {
-        finish_migration(kernel_id);
+        swap_member(kernel_id);
     });
 }
 
 void
-SchedulerShard::finish_migration(cluster::KernelId kernel_id)
+SchedulerShard::swap_member(cluster::KernelId kernel_id)
 {
     KernelRecord* record = live_kernel(kernel_id);
     if (record == nullptr) {
         return;
     }
-    // Terminate the original replica (its container/subscription were
-    // released when the target was reserved).
-    ReplicaSlot& victim = record->slots[record->migration->victim];
-    const net::NodeId victim_raft_id = victim.replica->raft().id();
-    retire_replica(victim);
+    // Terminate the old replica, if the slot still has one (its
+    // container/subscription were released when the target was reserved).
+    ReplicaSlot& old = record->slots[record->move->slot];
+    const net::NodeId old_raft_id =
+        old.replica ? old.replica->raft().id() : net::kNoNode;
+    retire_replica(old);
 
     // Ask the surviving majority to drop the old member.
-    poll([this, kernel_id, victim_raft_id](int tries) {
+    poll([this, kernel_id, old_raft_id](int tries) {
         KernelRecord* rec = live_kernel(kernel_id);
         if (rec == nullptr) {
             return true;
         }
         const bool removed = std::none_of(
             rec->slots.begin(), rec->slots.end(),
-            [victim_raft_id](const ReplicaSlot& slot) {
+            [old_raft_id](const ReplicaSlot& slot) {
                 if (!slot.alive || !slot.replica) {
                     return false;
                 }
                 const auto& members = slot.replica->raft().members();
                 return std::find(members.begin(), members.end(),
-                                 victim_raft_id) != members.end();
+                                 old_raft_id) != members.end();
             });
         if (!removed) {
             if (raft::RaftNode* lead = leader(*rec)) {
-                lead->propose_remove_member(victim_raft_id);
+                lead->propose_remove_member(old_raft_id);
             }
             if (tries > 300) {
-                // The placeholder goes with the migration; the health
-                // checker will repair the dead slot later.
-                abort_execution(kernel_id, end_migration(*rec),
+                // The placeholder goes with the move; the health checker
+                // will repair the dead slot later.
+                abort_execution(kernel_id, end_move(*rec),
                                 "migration: remove-member timeout");
                 return true;
             }
             return false;
         }
         // Membership updated: attach the new replica on the target.
-        Migration& migration = *rec->migration;
-        cluster::GpuServer* server = cluster_.find(migration.target);
+        Move& move = *rec->move;
+        cluster::GpuServer* server = cluster_.find(move.target);
         if (server == nullptr) {
             // Cannot happen: the placeholder container pins the server;
             // guard anyway.
-            abort_execution(kernel_id, end_migration(*rec),
+            abort_execution(kernel_id, end_move(*rec),
                             "migration target disappeared");
             return true;
         }
         server->subscribe(rec->spec);
-        migration.reserved = false;
-        create_replica(*rec, migration.victim, migration.target,
-                       /*passive=*/true);
+        move.reserved = false;
+        create_replica(*rec, move.slot, move.target, /*passive=*/true);
         // The new replica restores the persisted state (a data-store
         // read) before joining the Raft group.
         store_->read(checkpoint_key(kernel_id),
                      [this, kernel_id](const storage::ReadResult&) {
-                         join_migrated_replica(kernel_id);
+                         join_moved_replica(kernel_id);
                      });
         return true;
     });
 }
 
 void
-SchedulerShard::join_migrated_replica(cluster::KernelId kernel_id)
+SchedulerShard::join_moved_replica(cluster::KernelId kernel_id)
 {
     KernelRecord* record = live_kernel(kernel_id);
     if (record == nullptr) {
         return;
     }
-    const Migration& migration = *record->migration;
-    kernel::KernelReplica& replica =
-        *record->slots[migration.victim].replica;
-    replica.restore_state(migration.checkpoint);
+    const Move& move = *record->move;
+    kernel::KernelReplica& replica = *record->slots[move.slot].replica;
+    replica.restore_state(move.checkpoint);
     const net::NodeId new_id = replica.raft().id();
     // Add the new member, then wait for the config commit.
     poll([this, kernel_id, new_id](int tries) {
@@ -1247,7 +1273,7 @@ SchedulerShard::join_migrated_replica(cluster::KernelId kernel_id)
         if (rec == nullptr) {
             return true;
         }
-        const std::int32_t victim = rec->migration->victim;
+        const std::int32_t index = rec->move->slot;
         const bool added = std::any_of(
             rec->slots.begin(), rec->slots.end(),
             [new_id](const ReplicaSlot& slot) {
@@ -1260,17 +1286,18 @@ SchedulerShard::join_migrated_replica(cluster::KernelId kernel_id)
                        members.end();
             });
         if (added) {
-            // Migration complete: resubmit the execution with the migrated
-            // replica designated. A fresh election id is required because
-            // the replicas' logs already hold the failed election's
-            // proposals.
-            auto node = rec->pending.extract(end_migration(*rec));
+            // Move complete. A migration resubmits its execution with the
+            // moved replica designated; a fresh election id is required
+            // because the replicas' logs already hold the failed
+            // election's proposals. A repair's election 0 is never
+            // pending.
+            auto node = rec->pending.extract(end_move(*rec));
             if (!node.empty()) {
                 const kernel::ElectionId fresh = rec->next_election++;
                 node.key() = fresh;
                 node.mapped().trace.migrated = true;
                 rec->pending.insert(std::move(node));
-                dispatch_execution(*rec, fresh, victim);
+                dispatch_execution(*rec, fresh, index);
             }
             return true;
         }
@@ -1280,9 +1307,9 @@ SchedulerShard::join_migrated_replica(cluster::KernelId kernel_id)
         if (tries > 300) {
             // Tear the half-joined replica back down; the health checker
             // repairs the slot.
-            retire_replica(rec->slots[victim]);
-            release_slot(*rec, victim);
-            abort_execution(kernel_id, end_migration(*rec),
+            retire_replica(rec->slots[index]);
+            release_slot(*rec, index);
+            abort_execution(kernel_id, end_move(*rec),
                             "migration: add-member timeout");
             return true;
         }
@@ -1291,17 +1318,16 @@ SchedulerShard::join_migrated_replica(cluster::KernelId kernel_id)
 }
 
 kernel::ElectionId
-SchedulerShard::end_migration(KernelRecord& record)
+SchedulerShard::end_move(KernelRecord& record)
 {
-    const Migration& migration = *record.migration;
-    if (migration.reserved) {
-        if (cluster::GpuServer* target = cluster_.find(migration.target)) {
-            target->remove_container(
-                record.slots[migration.victim].container);
+    const Move& move = *record.move;
+    if (move.reserved) {
+        if (cluster::GpuServer* target = cluster_.find(move.target)) {
+            target->remove_container(record.slots[move.slot].container);
         }
     }
-    const kernel::ElectionId election = migration.election;
-    record.migration.reset();
+    const kernel::ElectionId election = move.election;
+    record.move.reset();
     return election;
 }
 
@@ -1396,107 +1422,26 @@ void
 SchedulerShard::run_health_check()
 {
     for (auto& [kernel_id, record] : kernels_) {
-        if (!record.alive) {
-            continue;
-        }
-        if (record.migration || !record.created) {
-            continue;  // being created or reshaped; slots are in flux
+        if (!record.alive || !record.created || record.move) {
+            continue;  // being created or moving a replica; slots in flux
         }
         for (std::size_t i = 0; i < record.slots.size(); ++i) {
             ReplicaSlot& slot = record.slots[i];
-            if (slot.alive && slot.replica && !slot.replica->running()) {
-                // Fail-stop failure detected via missed heartbeats
-                // (§3.2.5): replace the dead replica.
-                slot.alive = false;
-                ++stats_.replica_failovers;
-                replace_replica(kernel_id, static_cast<std::int32_t>(i));
-            } else if (!slot.alive && slot.replica == nullptr &&
-                       !record.slots.empty()) {
-                // Slot orphaned by an aborted migration: repair it so the
-                // kernel regains full replication.
-                ++stats_.replica_failovers;
-                replace_replica(kernel_id, static_cast<std::int32_t>(i));
+            if (slot.alive && slot.replica && slot.replica->running()) {
+                continue;
             }
+            // A fail-stop failure detected via missed heartbeats (§3.2.5),
+            // or a slot an ended move left empty: move a new replica in,
+            // from the synced state of a surviving one.
+            slot.alive = false;
+            ++stats_.replica_failovers;
+            begin_move(record, static_cast<std::int32_t>(i), 0,
+                       first_live(record));
+            break;
         }
     }
     simulation_.schedule_after(config_.health_check_interval,
                                [this] { run_health_check(); });
-}
-
-void
-SchedulerShard::replace_replica(cluster::KernelId kernel_id,
-                                 std::int32_t index)
-{
-    KernelRecord* record = live_kernel(kernel_id);
-    if (record == nullptr) {
-        return;
-    }
-    ReplicaSlot& slot = record->slots[index];
-    const net::NodeId dead_raft_id =
-        slot.replica ? slot.replica->raft().id() : net::kNoNode;
-
-    // Release the dead replica's resources (an aborted migration may have
-    // released them already).
-    release_slot(*record, index);
-    retire_replica(slot);
-
-    // Target: any server able to host the subscription (GPUs need not be
-    // idle; a standby replica binds GPUs only when it executes).
-    const cluster::ResourceSpec& spec = record->spec;
-    const cluster::ServerId target =
-        pick_target(cluster_, live_servers(*record),
-                    [&spec](const cluster::GpuServer& server) {
-                        return spec.fits_within(server.capacity());
-                    });
-    if (target == cluster::kNoServer) {
-        return;  // Next health check retries.
-    }
-
-    // Checkpoint from a surviving replica (they hold the synced state).
-    const kernel::KernelReplica* survivor = first_live(*record);
-    const std::string checkpoint =
-        survivor != nullptr ? survivor->checkpoint_state() : std::string();
-    store_->write(checkpoint_key(kernel_id), checkpoint_bytes({}), nullptr);
-
-    simulation_.schedule_after(container_delay(target), [this, kernel_id,
-                                                         index, target,
-                                                         dead_raft_id,
-                                                         checkpoint] {
-        KernelRecord* rec = live_kernel(kernel_id);
-        cluster::GpuServer* server = cluster_.find(target);
-        if (rec == nullptr || server == nullptr) {
-            return;
-        }
-        server->subscribe(rec->spec);
-        reserve_container(*rec, index, target);
-        create_replica(*rec, index, target, /*passive=*/true);
-        rec->slots[index].replica->restore_state(checkpoint);
-
-        const net::NodeId new_id = rec->slots[index].replica->raft().id();
-        poll([this, kernel_id, dead_raft_id, new_id](int tries) {
-            KernelRecord* rec2 = live_kernel(kernel_id);
-            if (rec2 == nullptr || tries > 600) {
-                return true;
-            }
-            raft::RaftNode* lead = leader(*rec2);
-            if (lead == nullptr) {
-                return false;
-            }
-            const auto& members = lead->members();
-            const bool removed =
-                dead_raft_id == net::kNoNode ||
-                std::find(members.begin(), members.end(), dead_raft_id) ==
-                    members.end();
-            const bool added = std::find(members.begin(), members.end(),
-                                         new_id) != members.end();
-            if (!removed) {
-                lead->propose_remove_member(dead_raft_id);
-            } else if (!added) {
-                lead->propose_add_member(new_id);
-            }
-            return removed && added;  // Reconfiguration complete.
-        });
-    });
 }
 
 }  // namespace nbos::sched

@@ -16,14 +16,17 @@
  * parallel sim::Lockstep threads with results bit-identical to a serial
  * sweep.
  *
- * Moving a replica — a migration or a repair — is a Raft membership
- * change around a container on another server, built from steps each
- * written once: reserve_container and release_slot keep a server's
- * subscriptions and containers equal to its replicas', poll drives every
- * wait on the Raft group, and sched::pick_victim / sched::pick_target
- * choose what moves and where. A kernel has at most one migration in
- * flight, held in its record, so stop_kernel releases exactly what the
- * kernel holds at any step of it.
+ * Moving a replica — a §3.2.3 migration or a §3.2.5 repair — is one
+ * sequence over one record: begin_move persists a checkpoint, place_move
+ * picks a target (sched::pick_target) and reserves a container there,
+ * swap_member removes the old Raft member and starts the new replica, and
+ * join_moved_replica adds it to the group; a migration then reruns its
+ * cell. reserve_container and release_slot keep a server's subscriptions
+ * and containers equal to its replicas', and poll drives every wait on the
+ * Raft group. A kernel has at most one move in flight, held in its record:
+ * the health checker skips a kernel that has one, so it never repairs a
+ * slot twice, and stop_kernel releases exactly what the kernel holds at
+ * any step of it.
  */
 #ifndef NBOS_SCHED_SHARD_HPP
 #define NBOS_SCHED_SHARD_HPP
@@ -89,7 +92,7 @@ class SchedulerShard
 
     /** Terminate a kernel and release what it holds: its replicas'
      *  subscriptions and containers, and the placeholder container a
-     *  migration in flight holds on its target. */
+     *  replica move in flight holds on its target. */
     void stop_kernel(cluster::KernelId kernel_id);
 
     /**
@@ -150,8 +153,9 @@ class SchedulerShard
     void end_session(std::int64_t session);
 
     /** True when @p session can migrate right now: kernel fully created,
-     *  alive, and with no §3.2.3 migration in flight (a replica and the
-     *  cell it reruns are mid-move inside this shard). */
+     *  alive, and with no replica move in flight (a migrating replica and
+     *  the cell it reruns, or a repaired replica, are mid-move inside this
+     *  shard). */
     bool session_movable(std::int64_t session) const;
 
     /** Pack @p session for a cross-shard move: checkpoint its kernel
@@ -249,20 +253,23 @@ class SchedulerShard
         std::int32_t migration_retries = 0;
     };
 
-    /** A §3.2.3 migration in flight (at most one per kernel). */
-    struct Migration
+    /** A replica move in flight (at most one per kernel): a §3.2.3
+     *  migration or a §3.2.5 repair. */
+    struct Move
     {
-        /** The failed election whose cell the migrated replica runs. */
-        kernel::ElectionId election = 0;
         /** The slot that moves. */
-        std::int32_t victim = -1;
-        /** The victim's namespace, persisted before it moves. */
+        std::int32_t slot = -1;
+        /** The failed election whose cell the moved replica reruns; 0 for
+         *  a repair, which reruns nothing (elections start at 1). */
+        kernel::ElectionId election = 0;
+        /** The namespace persisted before the move (empty if the group
+         *  had no live replica). */
         std::string checkpoint;
         cluster::ServerId target = cluster::kNoServer;
         /** True while a placeholder container on the target holds the
-         *  victim slot's container id, with no subscription: from the
-         *  victim's release until the new replica subscribes there. The
-         *  slot still names the victim's server meanwhile. */
+         *  slot's container id, with no subscription: from the old slot's
+         *  release until the new replica subscribes there. The slot still
+         *  names its old server meanwhile. */
         bool reserved = false;
     };
 
@@ -274,10 +281,10 @@ class SchedulerShard
         kernel::ElectionId next_election = 1;
         std::map<kernel::ElectionId, PendingExecution> pending;
         std::set<kernel::ElectionId> failed_seen;
-        std::optional<Migration> migration;
+        std::optional<Move> move;
         bool alive = true;
         /** True once all replicas started and the group elected a leader
-         *  (gates the health-checker's orphan repair). */
+         *  (gates the health checker). */
         bool created = false;
         /** See PendingKernel::count_created. */
         bool count_created = true;
@@ -336,15 +343,10 @@ class SchedulerShard
                    const kernel::ExecutionResult& result);
     void on_election_failed(cluster::KernelId kernel_id,
                             kernel::ElectionId election);
+    /** Migrate the replica on the most GPU-saturated server to rerun
+     *  @p election's cell (§3.2.3). */
     void begin_migration(cluster::KernelId kernel_id,
                          kernel::ElectionId election);
-    void continue_migration(cluster::KernelId kernel_id);
-    void finish_migration(cluster::KernelId kernel_id);
-    void join_migrated_replica(cluster::KernelId kernel_id);
-    /** Clear @p record's migration, first removing its placeholder from
-     *  the target if it still holds one. @return the migration's
-     *  election. */
-    kernel::ElectionId end_migration(KernelRecord& record);
     void abort_execution(cluster::KernelId kernel_id,
                          kernel::ElectionId election,
                          const std::string& reason);
@@ -354,7 +356,6 @@ class SchedulerShard
     void run_autoscaler();
     void run_prewarmer();
     void run_health_check();
-    void replace_replica(cluster::KernelId kernel_id, std::int32_t index);
     void install_chaos();
     std::vector<std::pair<cluster::KernelId, std::int32_t>>
     chaos_live_replicas() const;
@@ -367,6 +368,24 @@ class SchedulerShard
 
     /** @name Replica-move steps */
     ///@{
+    /** Start moving slot @p slot of @p record (its only move): persist
+     *  @p source's namespace, or nothing if @p source is null, then
+     *  place_move. @p election is the cell to rerun, 0 for a repair. */
+    void begin_move(KernelRecord& record, std::int32_t slot,
+                    kernel::ElectionId election,
+                    const kernel::KernelReplica* source);
+    /** Pick the move's target, release the old slot, reserve a
+     *  placeholder on the target and wait for its container. */
+    void place_move(cluster::KernelId kernel_id);
+    /** Retire the old replica, remove it from the group, then subscribe
+     *  the target, create the new replica and read the checkpoint. */
+    void swap_member(cluster::KernelId kernel_id);
+    /** Restore the checkpoint, add the new replica to the group and, for a
+     *  migration, rerun its cell. */
+    void join_moved_replica(cluster::KernelId kernel_id);
+    /** Clear @p record's move, first removing its placeholder from the
+     *  target if it still holds one. @return the move's election. */
+    kernel::ElectionId end_move(KernelRecord& record);
     /** The record of @p kernel_id if it exists and is alive, else null. */
     KernelRecord* live_kernel(cluster::KernelId kernel_id);
     /** The replica of the first live slot (null if none). */

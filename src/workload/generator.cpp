@@ -153,20 +153,6 @@ WorkloadGenerator::make_session(const TraceProfile& profile, SessionId id,
                      0, static_cast<std::int64_t>(datasets.size()) - 1))]
             .name;
 
-    // Hot-tenant skew (routing benches): decided on a derived stream so
-    // the main stream — and therefore every skew-free trace — is
-    // untouched when the knob is off.
-    double rate_divisor = 1.0;
-    if (profile.hot_session_fraction > 0.0) {
-        if (!skew_split_) {
-            skew_rng_ = rng_.split();
-            skew_split_ = true;
-        }
-        if (skew_rng_.bernoulli(profile.hot_session_fraction)) {
-            rate_divisor = std::max(1.0, profile.hot_boost);
-        }
-    }
-
     // Session heterogeneity (§2.3.3): some sessions never train, some are
     // mostly idle with heavily stretched think times.
     double idle_multiplier = 1.0;
@@ -186,7 +172,7 @@ WorkloadGenerator::make_session(const TraceProfile& profile, SessionId id,
         start + sim::from_seconds(
                     (profile.iat_floor_s * 0.25 +
                      rng_.lognormal(profile.iat_mu, profile.iat_sigma)) *
-                    idle_multiplier / rate_divisor);
+                    idle_multiplier);
     std::int32_t seq = 0;
     while (submit < session.end_time) {
         CellTask task;
@@ -217,9 +203,6 @@ WorkloadGenerator::make_session(const TraceProfile& profile, SessionId id,
                                     profile.long_gap_sigma);
         }
         gap_s *= idle_multiplier;
-        // Hot sessions submit hot_boost times faster (floor included: a
-        // whale's rate is bounded only by the serial-execution clamp).
-        gap_s /= rate_divisor;
         // Notebook users do not submit concurrent tasks (§2.3.2): the next
         // submit waits for the previous completion plus a minimum think
         // time. Batch traces (Philly/Alibaba) have no such constraint.

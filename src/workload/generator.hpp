@@ -70,21 +70,6 @@ struct TraceProfile
     double long_gap_mu = 8.88;  // ~ ln(2 h)
     double long_gap_sigma = 1.0;
 
-    /** @name Load skew (routing-policy benches)
-     *
-     * Hot-tenant skew: each session is independently hot with probability
-     * hot_session_fraction, and a hot session's think-time gaps are
-     * divided by hot_boost — multiplying its task rate and making a few
-     * sessions dominate the load (the worst case for static hash
-     * routing). Hot draws come from a *derived* RNG stream split off the
-     * generator lazily on the first draw, so the default (fraction 0)
-     * draws nothing and every pre-skew trace stays byte-identical.
-     */
-    ///@{
-    double hot_session_fraction = 0.0;
-    double hot_boost = 1.0;
-    ///@}
-
     /** @name Heavy-tailed cell costs (the `heavy_tail` profile)
      *
      * When duration_pareto_alpha > 0, task durations are drawn from
@@ -174,11 +159,6 @@ class WorkloadGenerator
 
   private:
     sim::Rng rng_;
-    /** Derived stream for hot-tenant skew draws, split off rng_ lazily on
-     *  the first draw (TraceProfile::hot_session_fraction > 0) so
-     *  skew-free generation consumes exactly the historical stream. */
-    sim::Rng skew_rng_;
-    bool skew_split_ = false;
 };
 
 }  // namespace nbos::workload

@@ -452,6 +452,50 @@ TEST(FastEngineTest, SessionEndingMidMigrationAbortsItsCell)
     }
 }
 
+/** A fast-engine cell whose session ends after its migration found a
+ *  target, while the checkpoint, container and reconfiguration delays
+ *  still run, ends aborted too: it must not commit GPUs on the target or
+ *  complete after the session is gone. */
+TEST(FastEngineTest, SessionEndingDuringMigrationAbortsItsCell)
+{
+    // One replica per kernel on a 2-server fleet: sessions 0 and 2 share
+    // server 0, session 1 (no cells) has server 1. Session 0 commits all
+    // of server 0 from 100 s, so session 2's cell at 200 s migrates to
+    // server 1; its session ends 100 ms later.
+    workload::Trace trace;
+    trace.name = "ended-during-migration";
+    trace.makespan = 3 * kHour;
+    for (workload::SessionId id = 0; id < 3; ++id) {
+        const bool late = id == 2;
+        workload::SessionSpec session;
+        session.id = id;
+        session.end_time =
+            late ? 200 * kSecond + 100 * sim::kMillisecond : 3 * kHour;
+        session.resources = cluster::ResourceSpec{4000, 16384, 8, 16.0};
+        workload::CellTask task;
+        task.session = id;
+        task.submit_time = late ? 200 * kSecond : 100 * kSecond;
+        task.duration = late ? kMinute : 2 * kHour;
+        if (id != 1) {
+            session.tasks.push_back(task);
+        }
+        trace.sessions.push_back(session);
+    }
+    PlatformConfig config =
+        test::platform_config(Policy::kNotebookOS, 17, /*fast=*/true);
+    config.scheduler.initial_servers = 2;
+    config.scheduler.kernel.replica_count = 1;
+    config.scheduler.enable_autoscaler = false;
+    const ExperimentResults results = test::run_config(config, trace);
+    ASSERT_EQ(results.sched_stats.migrations, 1u);
+    ASSERT_EQ(results.tasks.size(), 2u);
+    for (const TaskOutcome& task : results.tasks) {
+        SCOPED_TRACE("session " + std::to_string(task.session));
+        EXPECT_EQ(task.aborted, task.session == 2);
+    }
+    EXPECT_EQ(results.sched_stats.executions_completed, 1u);
+}
+
 TEST(BatchEngineTest, ColdStartDominatesDelay)
 {
     const auto trace = tiny_trace(6, 3 * kHour);

@@ -811,6 +811,83 @@ TEST(GlobalSchedulerTest, ReplicaFailureIsRepaired)
     EXPECT_EQ(reply.result.output, "8\n");
 }
 
+/** A repair is the kernel's one move in flight: with no pre-warmed
+ *  container, the replacement's 8-25 s cold start outlasts the next 10 s
+ *  health check, which must leave the slot under repair alone rather than
+ *  start a second repair of it. */
+TEST(GlobalSchedulerTest, SlowReplicaFailureIsRepairedOnce)
+{
+    SchedulerConfig config = SchedFixture::default_config();
+    config.prewarm_per_server = 0;
+    // Nothing may remove a server the checks below read.
+    config.enable_autoscaler = false;
+    SchedFixture f(config);
+    const cluster::KernelId kernel_id = f.create_kernel(2);
+    f.execute(kernel_id, "x = 7\ngpu_compute(1)");
+    f.scheduler.inject_replica_failure(kernel_id, 0);
+    f.run_for(300 * sim::kSecond);
+    EXPECT_EQ(f.scheduler.stats().replica_failovers, 1u);
+
+    // The group's config holds the three replicas, and no more.
+    const raft::RaftNode* lead = nullptr;
+    for (int i = 0; i < 3; ++i) {
+        kernel::KernelReplica* replica = f.scheduler.replica(kernel_id, i);
+        ASSERT_NE(replica, nullptr);
+        EXPECT_TRUE(replica->running()) << "replica " << i;
+        if (replica->raft().role() == raft::Role::kLeader) {
+            lead = &replica->raft();
+        }
+    }
+    ASSERT_NE(lead, nullptr);
+    EXPECT_EQ(lead->members().size(), 3u);
+
+    // Each server subscribes exactly the GPUs of the kernel's containers
+    // it holds, and the kernel holds one container per replica.
+    int containers = 0;
+    for (const auto& [id, server] : f.scheduler.cluster().servers()) {
+        int held = 0;
+        for (const auto& [cid, container] : server->containers()) {
+            held += container.kernel == kernel_id ? 1 : 0;
+        }
+        containers += held;
+        EXPECT_EQ(server->subscribed_gpus(), 2 * held) << "server " << id;
+    }
+    EXPECT_EQ(containers, 3);
+    EXPECT_EQ(f.scheduler.cluster().total_subscribed_gpus(), 6);
+
+    const auto reply =
+        f.execute(kernel_id, "x = x + 1\nprint(x)\ngpu_compute(1)");
+    EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
+    EXPECT_EQ(reply.result.output, "8\n");
+}
+
+/** A migration with no surviving replica: a one-replica kernel whose
+ *  server is full moves its only replica, which founds the group anew
+ *  and reruns the cell. */
+TEST(GlobalSchedulerTest, SingleReplicaMigrationRerunsItsCell)
+{
+    SchedulerConfig config = SchedFixture::default_config();
+    config.initial_servers = 2;
+    config.kernel.replica_count = 1;
+    config.yield_conversion = false;  // force the Raft election path
+    SchedFixture f(config);
+    const cluster::KernelId kernel_id = f.create_kernel(8);
+    cluster::GpuServer* home = nullptr;
+    for (const auto& [id, server] : f.scheduler.cluster().servers()) {
+        if (!server->containers().empty()) {
+            home = server;
+        }
+    }
+    ASSERT_NE(home, nullptr);
+    ASSERT_TRUE(home->commit(kernel_request(8)));
+    const auto reply = f.execute(kernel_id, "x = 5\nprint(x)\ngpu_compute(5)",
+                                 true, 900 * sim::kSecond);
+    EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
+    EXPECT_EQ(reply.result.output, "5\n");
+    EXPECT_TRUE(reply.trace.migrated);
+    EXPECT_EQ(f.scheduler.stats().migrations, 1u);
+}
+
 TEST(GlobalSchedulerTest, AutoscalerAddsServersUnderLoad)
 {
     SchedulerConfig config = SchedFixture::default_config();

@@ -132,81 +132,6 @@ TEST(TraceStructureTest, DifferentSeedsDiffer)
     EXPECT_NE(a.task_count(), b.task_count());
 }
 
-/** Hot-tenant skew draws come from a lazily split derived stream, so a
- *  profile with the knob at its default (hot_session_fraction = 0) must
- *  generate the exact historical trace — every pre-skew golden holds. */
-TEST(SkewKnobTest, DisabledSkewLeavesTraceByteIdentical)
-{
-    TraceProfile skewless = TraceProfile::adobe();
-    // Explicit hot_boost with a zero fraction must also draw nothing.
-    skewless.hot_boost = 16.0;
-    GeneratorOptions options;
-    options.makespan = 12 * sim::kHour;
-    options.max_sessions = 40;
-    options.sessions_survive_trace = true;
-
-    WorkloadGenerator plain{sim::Rng(123)};
-    const Trace a = plain.generate(TraceProfile::adobe(), options);
-    WorkloadGenerator knobbed{sim::Rng(123)};
-    const Trace b = knobbed.generate(skewless, options);
-
-    ASSERT_EQ(a.sessions.size(), b.sessions.size());
-    ASSERT_EQ(a.task_count(), b.task_count());
-    for (std::size_t i = 0; i < a.sessions.size(); ++i) {
-        const SessionSpec& sa = a.sessions[i];
-        const SessionSpec& sb = b.sessions[i];
-        ASSERT_EQ(sa.id, sb.id);
-        ASSERT_EQ(sa.start_time, sb.start_time);
-        ASSERT_EQ(sa.end_time, sb.end_time);
-        ASSERT_EQ(sa.model, sb.model);
-        ASSERT_EQ(sa.tasks.size(), sb.tasks.size());
-        for (std::size_t t = 0; t < sa.tasks.size(); ++t) {
-            ASSERT_EQ(sa.tasks[t].submit_time, sb.tasks[t].submit_time);
-            ASSERT_EQ(sa.tasks[t].duration, sb.tasks[t].duration);
-            ASSERT_EQ(sa.tasks[t].is_gpu, sb.tasks[t].is_gpu);
-            ASSERT_EQ(cell_code(sa, sa.tasks[t]), cell_code(sb, sb.tasks[t]));
-        }
-    }
-}
-
-/** With the knob on, hot sessions submit hot_boost times faster: the
- *  skewed trace carries strictly more tasks, the skew is deterministic
- *  for a fixed seed, and per-session structure invariants still hold
- *  (the boost divides think-time gaps, it never reorders cells). */
-TEST(SkewKnobTest, HotSessionsBoostTaskRateDeterministically)
-{
-    TraceProfile skewed = TraceProfile::adobe();
-    skewed.hot_session_fraction = 0.2;
-    skewed.hot_boost = 8.0;
-    GeneratorOptions options;
-    options.makespan = 12 * sim::kHour;
-    options.max_sessions = 40;
-    options.sessions_survive_trace = true;
-
-    WorkloadGenerator plain{sim::Rng(123)};
-    const Trace base = plain.generate(TraceProfile::adobe(), options);
-    WorkloadGenerator hot_a{sim::Rng(123)};
-    const Trace skewed_a = hot_a.generate(skewed, options);
-    WorkloadGenerator hot_b{sim::Rng(123)};
-    const Trace skewed_b = hot_b.generate(skewed, options);
-
-    // Same seed -> same skewed trace (the derived stream is seeded from
-    // the generator stream, not from global state).
-    ASSERT_EQ(skewed_a.task_count(), skewed_b.task_count());
-    // Hot sessions exist and only add tasks.
-    EXPECT_GT(skewed_a.task_count(), base.task_count());
-    ASSERT_EQ(skewed_a.sessions.size(), base.sessions.size());
-
-    for (const SessionSpec& session : skewed_a.sessions) {
-        for (std::size_t i = 1; i < session.tasks.size(); ++i) {
-            // Serial-execution clamp survives the boost (§2.3.2).
-            EXPECT_GE(session.tasks[i].submit_time,
-                      session.tasks[i - 1].submit_time +
-                          session.tasks[i - 1].duration);
-        }
-    }
-}
-
 TEST(TraceCodeTest, GeneratedCodeExecutes)
 {
     const Trace trace = small_adobe_trace();
