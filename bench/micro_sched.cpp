@@ -95,17 +95,11 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
         return total;
     };
 
-    // Kernel creation phase (untimed). Callbacks may fire on shard
-    // threads, so each writes only its own pre-sized slot.
-    std::vector<cluster::KernelId> kernels(
-        static_cast<std::size_t>(sessions), cluster::kNoKernel);
+    // Kernel creation phase (untimed): sessions 1..N, each opened on its
+    // hash shard.
     const cluster::ResourceSpec spec{4000, 16384, 1, 16.0};
-    for (std::int64_t session = 0; session < sessions; ++session) {
-        const auto slot = static_cast<std::size_t>(session);
-        units[router.shard_of(session + 1)]->shard.start_kernel(
-            spec, [&kernels, slot](cluster::KernelId id, bool ok) {
-                kernels[slot] = ok ? id : cluster::kNoKernel;
-            });
+    for (std::int64_t session = 1; session <= sessions; ++session) {
+        units[router.shard_of(session)]->shard.begin_session(session, spec);
     }
     run_until(300 * sim::kSecond);
 
@@ -113,22 +107,16 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
     // never overlap. Completion is read from the summed stats afterwards
     // (no shared counters across shard threads).
     sim::Time horizon = 300 * sim::kSecond;
-    for (std::int64_t session = 0; session < sessions; ++session) {
-        const auto slot = static_cast<std::size_t>(session);
-        if (kernels[slot] == cluster::kNoKernel) {
-            continue;
-        }
-        ShardUnit* unit = units[router.shard_of(session + 1)].get();
+    for (std::int64_t session = 1; session <= sessions; ++session) {
+        ShardUnit* unit = units[router.shard_of(session)].get();
         for (std::int64_t cell = 0; cell < cells; ++cell) {
             const sim::Time at = 300 * sim::kSecond +
                                  cell * 45 * sim::kSecond +
-                                 (session % 7) * 3 * sim::kSecond;
+                                 ((session - 1) % 7) * 3 * sim::kSecond;
             horizon = std::max(horizon, at);
-            const cluster::KernelId kernel_id = kernels[slot];
-            unit->simulation.schedule_at(at, [unit, kernel_id] {
-                unit->shard.submit_execute(
-                    kernel_id, "gpu_compute(4)", true,
-                    unit->simulation.now(),
+            unit->simulation.schedule_at(at, [unit, session] {
+                unit->shard.submit_session(
+                    session, "gpu_compute(4)", true, unit->simulation.now(),
                     [](const kernel::ExecutionResult&,
                        const sched::RequestTrace&) {});
             });

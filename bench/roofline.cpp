@@ -23,10 +23,10 @@
  *     twice in-binary, hierarchical timer wheel on vs off (pure binary
  *     heap), and the TIMING line reports the measured speedup; both runs
  *     must execute identical event counts (asserted, printed).
- *  2. window-scan — the per-shard scheduler window harvest: streaming the
- *     SoA SessionTable columns (id, weight, flag) versus chasing an
- *     equivalent std::map's nodes; the TIMING line reports the SoA-vs-map
- *     speedup.
+ *  2. window-scan — a window scan of per-session weights and "ended"
+ *     flags: streaming the SoA SessionTable columns (id, weight, flag)
+ *     versus chasing an equivalent std::map's nodes; the TIMING line
+ *     reports the SoA-vs-map speedup.
  *  3. fast-tick — the fast analytic engine end to end through the
  *     unified run API (core::run, streamed, static_hash x 2 shards):
  *     events/sec over the whole engine, the figure the scale benches
@@ -249,7 +249,7 @@ run_window_scan(bool smoke)
 {
     const std::int32_t rows = smoke ? 4096 : 131072;
     const int scans = smoke ? 64 : 256;
-    constexpr std::uint8_t kEnded = 4;  // sched::SchedulerShard's flag bit
+    constexpr std::uint8_t kEnded = 4;  // the "session ended" flag bit
 
     struct Cold
     {

@@ -38,19 +38,16 @@ main()
     sched::SchedulerShard scheduler(simulation, config, 11);
     scheduler.start();
 
-    cluster::KernelId kernel = cluster::kNoKernel;
-    scheduler.start_kernel(eight_gpus(),
-                           [&](cluster::KernelId id, bool ok) {
-                               if (ok) {
-                                   kernel = id;
-                               }
-                           });
+    const std::int64_t session = 1;
+    scheduler.begin_session(session, eight_gpus());
     simulation.run_until(2 * sim::kMinute);
-    std::printf("kernel %lld up with 3 replicas\n",
+    const cluster::KernelId kernel = scheduler.kernel_of(session);
+    std::printf("session %lld: kernel %lld up with 3 replicas\n",
+                static_cast<long long>(session),
                 static_cast<long long>(kernel));
 
     // Establish some session state.
-    scheduler.submit_execute(kernel, "step = 41\ngpu_compute(5)", true,
+    scheduler.submit_session(session, "step = 41\ngpu_compute(5)", true,
                              simulation.now(),
                              [](const kernel::ExecutionResult&,
                                 const sched::RequestTrace&) {});
@@ -58,15 +55,15 @@ main()
 
     // --- Part 1: fail-stop replica crash (§3.2.5) ---------------------
     std::printf("\n[1] crashing replica 0 (fail-stop)...\n");
-    scheduler.inject_replica_failure(kernel, 0);
+    scheduler.inject_replica_failure(session, 0);
     simulation.run_until(simulation.now() + 5 * sim::kMinute);
     std::printf("    failovers performed: %llu; replica 0 running again: "
                 "%s\n",
                 static_cast<unsigned long long>(
                     scheduler.stats().replica_failovers),
-                scheduler.replica(kernel, 0)->running() ? "yes" : "no");
-    scheduler.submit_execute(
-        kernel, "step = step + 1\nprint(step)\ngpu_compute(2)", true,
+                scheduler.replica(session, 0)->running() ? "yes" : "no");
+    scheduler.submit_session(
+        session, "step = step + 1\nprint(step)\ngpu_compute(2)", true,
         simulation.now(),
         [&](const kernel::ExecutionResult& result,
             const sched::RequestTrace&) {
@@ -91,8 +88,8 @@ main()
     }
     std::printf("    submitting a GPU cell: every replica must YIELD\n");
     bool done = false;
-    scheduler.submit_execute(
-        kernel, "step = step + 1\nprint(step)\ngpu_compute(10)", true,
+    scheduler.submit_session(
+        session, "step = step + 1\nprint(step)\ngpu_compute(10)", true,
         simulation.now(),
         [&](const kernel::ExecutionResult& result,
             const sched::RequestTrace& trace) {

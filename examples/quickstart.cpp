@@ -1,8 +1,9 @@
 /**
  * @file
- * Quickstart: create a NotebookOS cluster, start one distributed kernel,
- * and run a few notebook cells — the smallest end-to-end tour of the
- * public API (Global Scheduler + replicated kernels + NbLang cells).
+ * Quickstart: create a NotebookOS cluster, open one notebook session with
+ * its distributed kernel, and run a few notebook cells — the smallest
+ * end-to-end tour of the public API (Global Scheduler + replicated
+ * kernels + NbLang cells).
  *
  * Build & run:  ./build/examples/quickstart
  */
@@ -25,18 +26,21 @@ main()
     sched::SchedulerShard scheduler(simulation, config, /*seed=*/42);
     scheduler.start();
 
-    // 2. Create a distributed kernel: 3 Raft-replicated replicas placed on
-    //    distinct servers, subscribed to 2 GPUs (§3.2.1).
-    cluster::KernelId kernel = cluster::kNoKernel;
-    scheduler.start_kernel(
-        cluster::ResourceSpec{8000, 32768, 2, 32.0},
-        [&](cluster::KernelId id, bool ok) {
-            kernel = ok ? id : cluster::kNoKernel;
-            std::printf("[%s] kernel %lld created (3 replicas, Raft "
-                        "leader elected)\n",
-                        sim::format_time(simulation.now()).c_str(),
-                        static_cast<long long>(id));
-        });
+    // 2. Open a notebook session. It owns one distributed kernel: 3
+    //    Raft-replicated replicas placed on distinct servers, subscribed
+    //    to 2 GPUs, created when the session starts (§3.2.1).
+    const std::int64_t session = 1;
+    scheduler.begin_session(session,
+                            cluster::ResourceSpec{8000, 32768, 2, 32.0});
+    // Step the simulation until the kernel is created.
+    while (scheduler.stats().kernels_created == 0 &&
+           simulation.now() < 2 * sim::kMinute && simulation.step()) {
+    }
+    std::printf("[%s] session %lld: kernel %lld created (3 replicas, Raft "
+                "leader elected)\n",
+                sim::format_time(simulation.now()).c_str(),
+                static_cast<long long>(session),
+                static_cast<long long>(scheduler.kernel_of(session)));
     simulation.run_until(2 * sim::kMinute);
 
     // 3. Run notebook cells. Each submission triggers the executor
@@ -55,8 +59,8 @@ main()
         "print(\"accuracy:\", acc, \"steps:\", step)\n",
     };
     for (const char* code : cells) {
-        scheduler.submit_execute(
-            kernel, code, /*is_gpu=*/true, simulation.now(),
+        scheduler.submit_session(
+            session, code, /*is_gpu=*/true, simulation.now(),
             [&](const kernel::ExecutionResult& result,
                 const sched::RequestTrace& trace) {
                 std::printf(
@@ -88,8 +92,9 @@ main()
                 scheduler.sync_latencies_ms().percentile(90),
                 scheduler.sync_latencies_ms().count());
 
-    scheduler.stop_kernel(kernel);
-    std::printf("kernel stopped; subscriptions released: %d subscribed\n",
+    scheduler.end_session(session);
+    std::printf("session ended, its kernel stopped; subscriptions "
+                "released: %d subscribed\n",
                 scheduler.cluster().total_subscribed_gpus());
     return 0;
 }

@@ -10,22 +10,33 @@
 #include "nblang/catalog.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
+#include "storage/datastore.hpp"
 
 namespace nbos::core {
 
 namespace {
 
-/** Common machinery of the three baselines. */
+/** Batch releases empty servers after this idle period. */
+constexpr sim::Time kBatchIdleRelease = 2 * sim::kMinute;
+/** LCP keeps warm servers longer before releasing them. */
+constexpr sim::Time kLcpIdleRelease = 10 * sim::kMinute;
+/** Warm containers maintained per server in the LCP pool. */
+constexpr std::int32_t kLcpWarmPerServer = 4;
+
+/** Common machinery of the three baselines. The fleet's hardware and
+ *  timings are the NotebookOS scheduler's, so every policy runs on the
+ *  same servers. */
 class BaselineEngine
 {
   public:
     BaselineEngine(Policy policy, const workload::Trace& trace,
-                   const BaselineConfig& config, std::uint64_t seed)
+                   const sched::SchedulerConfig& config, std::uint64_t seed)
         : policy_(policy),
           trace_(trace),
           config_(config),
           rng_(seed),
-          store_(simulation_, config.backend, sim::Rng(seed ^ 0x517cc1b7)),
+          store_(simulation_, config.store_backend,
+                 sim::Rng(seed ^ 0x517cc1b7)),
           cluster_(config.server_shape)
     {
         results_.policy = policy;
@@ -218,7 +229,7 @@ class BaselineEngine
 
     Policy policy_;
     const workload::Trace& trace_;
-    BaselineConfig config_;
+    sched::SchedulerConfig config_;
     sim::Simulation simulation_;
     sim::Rng rng_;
     storage::DataStore store_;
@@ -340,21 +351,20 @@ class ReservationEngine : public BaselineEngine
  * servers are released after a timeout (keeping one). The policy sets
  * the rest:
  *
- *  - LCP keeps `lcp_warm_per_server` warm containers per server, prefers
+ *  - LCP keeps `kLcpWarmPerServer` warm containers per server, prefers
  *    a server with a warm one, and returns the container to the pool
- *    after the task; idle release after `lcp_idle_release`.
+ *    after the task; idle release after `kLcpIdleRelease`.
  *  - Batch has no pool: every task cold-starts a container that
- *    terminates with it; idle release after `batch_idle_release`.
+ *    terminates with it; idle release after `kBatchIdleRelease`.
  */
 class QueueEngine : public BaselineEngine
 {
   public:
     QueueEngine(Policy policy, const workload::Trace& trace,
-                const BaselineConfig& config, std::uint64_t seed)
+                const sched::SchedulerConfig& config, std::uint64_t seed)
         : BaselineEngine(policy, trace, config, seed),
           pooled_(policy == Policy::kNotebookOSLCP),
-          idle_release_(pooled_ ? config.lcp_idle_release
-                                : config.batch_idle_release)
+          idle_release_(pooled_ ? kLcpIdleRelease : kBatchIdleRelease)
     {
         warm_up_server(add_server().id());  // minimal standing capacity
         schedule_reaper();
@@ -385,7 +395,7 @@ class QueueEngine : public BaselineEngine
     warm_up_server(cluster::ServerId id)
     {
         // Fill the server's share of the warm-container pool.
-        const std::int32_t warm = pooled_ ? config_.lcp_warm_per_server : 0;
+        const std::int32_t warm = pooled_ ? kLcpWarmPerServer : 0;
         for (std::int32_t i = 0; i < warm; ++i) {
             const sim::Time cold = sample(config_.timings.cold_start_min,
                                           config_.timings.cold_start_max);
@@ -532,15 +542,15 @@ class QueueEngine : public BaselineEngine
 }  // namespace
 
 ExperimentResults
-run_reservation(const workload::Trace& trace, const BaselineConfig& config,
-                std::uint64_t seed)
+run_reservation(const workload::Trace& trace,
+                const sched::SchedulerConfig& config, std::uint64_t seed)
 {
     ReservationEngine engine(Policy::kReservation, trace, config, seed);
     return engine.run();
 }
 
 ExperimentResults
-run_batch(const workload::Trace& trace, const BaselineConfig& config,
+run_batch(const workload::Trace& trace, const sched::SchedulerConfig& config,
           std::uint64_t seed)
 {
     QueueEngine engine(Policy::kBatch, trace, config, seed);
@@ -548,7 +558,7 @@ run_batch(const workload::Trace& trace, const BaselineConfig& config,
 }
 
 ExperimentResults
-run_lcp(const workload::Trace& trace, const BaselineConfig& config,
+run_lcp(const workload::Trace& trace, const sched::SchedulerConfig& config,
         std::uint64_t seed)
 {
     QueueEngine engine(Policy::kNotebookOSLCP, trace, config, seed);

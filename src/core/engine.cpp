@@ -69,7 +69,7 @@ register_builtins(EngineRegistry& registry)
         function_factory(kEngineReservation, Policy::kReservation,
                          [](const workload::Trace& trace,
                             const PlatformConfig& config) {
-                             return run_reservation(trace, config.baseline,
+                             return run_reservation(trace, config.scheduler,
                                                     config.seed);
                          }));
     registry.register_engine(
@@ -77,7 +77,7 @@ register_builtins(EngineRegistry& registry)
         function_factory(kEngineBatch, Policy::kBatch,
                          [](const workload::Trace& trace,
                             const PlatformConfig& config) {
-                             return run_batch(trace, config.baseline,
+                             return run_batch(trace, config.scheduler,
                                               config.seed);
                          }));
     registry.register_engine(
@@ -85,7 +85,7 @@ register_builtins(EngineRegistry& registry)
         function_factory(kEngineLcp, Policy::kNotebookOSLCP,
                          [](const workload::Trace& trace,
                             const PlatformConfig& config) {
-                             return run_lcp(trace, config.baseline,
+                             return run_lcp(trace, config.scheduler,
                                             config.seed);
                          }));
     registry.register_engine(
@@ -199,6 +199,26 @@ validate_config(const PlatformConfig& config)
     }
     if (config.scheduler.kernel.replica_count < 1) {
         return "scheduler.kernel.replica_count must be >= 1";
+    }
+    // A zero heartbeat or election timeout floods the event queue, an
+    // empty election window would silently collapse to its minimum, and a
+    // zero proposal or migration retry re-arms at the same instant forever.
+    const raft::RaftConfig& raft = config.scheduler.kernel.raft;
+    if (raft.heartbeat_interval <= 0) {
+        return "scheduler.kernel.raft.heartbeat_interval must be positive";
+    }
+    if (raft.election_timeout_min <= 0) {
+        return "scheduler.kernel.raft.election_timeout_min must be positive";
+    }
+    if (raft.election_timeout_max < raft.election_timeout_min) {
+        return "scheduler.kernel.raft.election_timeout_max must be >= "
+               "election_timeout_min";
+    }
+    if (config.scheduler.kernel.proposal_retry <= 0) {
+        return "scheduler.kernel.proposal_retry must be positive";
+    }
+    if (config.scheduler.migration_retry <= 0) {
+        return "scheduler.migration_retry must be positive";
     }
     if (config.scheduler.chaos.enabled && config.fast_mode) {
         return "chaos requires the discrete-event prototype engine; the "

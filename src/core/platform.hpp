@@ -14,7 +14,6 @@
 #ifndef NBOS_CORE_PLATFORM_HPP
 #define NBOS_CORE_PLATFORM_HPP
 
-#include "core/baselines.hpp"
 #include "core/results.hpp"
 #include "sched/scheduler_types.hpp"
 #include "workload/trace.hpp"
@@ -27,10 +26,9 @@ struct PlatformConfig
     Policy policy = Policy::kNotebookOS;
     /** Use the fast analytic engine for NotebookOS (90-day studies). */
     bool fast_mode = false;
-    /** Scheduler configuration (NotebookOS policies). */
+    /** Scheduler configuration: the NotebookOS policies' scheduler, and
+     *  the fleet's hardware and timings for every policy. */
     sched::SchedulerConfig scheduler{};
-    /** Baseline engine configuration. */
-    BaselineConfig baseline{};
     /** Sampling period for timeline series. */
     sim::Time sample_interval = 60 * sim::kSecond;
     std::uint64_t seed = 1;

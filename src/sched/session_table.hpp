@@ -1,19 +1,21 @@
 /**
  * @file
- * Dense structure-of-arrays session table for the per-window hot scans.
+ * Dense structure-of-arrays session table for per-window hot scans.
  *
- * The scheduler shard walks every resident session at each lockstep
- * window boundary (harvest_window_load) but reads only its window weight
- * there; the state flags are the other hot scalar. The old
- * `std::map<id, Record>` layout paid a pointer chase plus a whole cache
- * line of cold record (spec, buffered deque, kernel binding) per visited
- * session. Here the hot scalars live in parallel arrays the scan streams
- * through, the cold record sits in a separate parallel array touched only
- * on per-session operations, and an unordered id -> dense-index view gives
- * O(1) lookup. Erase is swap-remove, so iteration order is NOT the id
- * order the map gave — callers that need id-ordered output (harvest) sort
- * the surviving ids, which is cheaper than paying map node chases on
- * every scan of the 99% idle majority.
+ * A window scan that reads one or two scalars per session (a window
+ * weight, state flags) pays, in a `std::map<id, Record>`, a pointer chase
+ * plus a whole cache line of cold record per visited session. Here the
+ * hot scalars live in parallel arrays a scan streams through, the cold
+ * record sits in a separate parallel array touched only on per-session
+ * operations, and an unordered id -> dense-index view gives O(1) lookup.
+ * Erase is swap-remove, so iteration order is NOT id order — a caller
+ * that needs id-ordered output sorts the surviving ids.
+ *
+ * The fast engine keeps its kernels here (cold column plus lookup), and
+ * the `roofline` bench's window-scan row measures the hot columns against
+ * the map layout. The prototype's SchedulerShard binds its sessions in an
+ * ordered map instead: each session's state is one record there, and its
+ * harvest walks sessions in id order with no sort.
  */
 #ifndef NBOS_SCHED_SESSION_TABLE_HPP
 #define NBOS_SCHED_SESSION_TABLE_HPP

@@ -286,7 +286,7 @@ SchedulerShard::chaos_crash_replica(std::uint32_t slot)
     }
     const auto [kernel_id, index] = live[slot % live.size()];
     chaos_downed_[slot] = {kernel_id, index};
-    inject_replica_failure(kernel_id, index);
+    kernels_.at(kernel_id).slots[index].replica->stop();
     return true;
 }
 
@@ -322,72 +322,63 @@ SchedulerShard::cluster_sr() const
         config_.kernel.replica_count);
 }
 
-std::vector<std::int32_t>
-SchedulerShard::bound_devices(cluster::KernelId kernel_id,
-                               std::int32_t index)
+SchedulerShard::KernelRecord*
+SchedulerShard::session_kernel(std::int64_t session)
 {
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || index < 0 ||
-        static_cast<std::size_t>(index) >= it->second.slots.size()) {
-        return {};
-    }
-    return it->second.slots[index].bound_devices;
+    const auto it = sessions_.find(session);
+    return it == sessions_.end() ? nullptr : &kernels_.at(it->second);
 }
 
-std::size_t
-SchedulerShard::live_kernels() const
+cluster::KernelId
+SchedulerShard::kernel_of(std::int64_t session) const
 {
-    std::size_t count = 0;
-    for (const auto& [id, record] : kernels_) {
-        if (record.alive) {
-            ++count;
-        }
+    const auto it = sessions_.find(session);
+    return it == sessions_.end() ? cluster::kNoKernel : it->second;
+}
+
+kernel::KernelReplica*
+SchedulerShard::replica(std::int64_t session, std::int32_t index)
+{
+    const KernelRecord* record = session_kernel(session);
+    if (record == nullptr || index < 0 ||
+        static_cast<std::size_t>(index) >= record->slots.size()) {
+        return nullptr;
     }
-    return count;
+    return record->slots[index].replica.get();
+}
+
+std::vector<std::int32_t>
+SchedulerShard::bound_devices(std::int64_t session, std::int32_t index)
+{
+    if (replica(session, index) == nullptr) {
+        return {};
+    }
+    return session_kernel(session)->slots[index].bound_devices;
+}
+
+void
+SchedulerShard::inject_replica_failure(std::int64_t session,
+                                        std::int32_t index)
+{
+    if (kernel::KernelReplica* target = replica(session, index)) {
+        target->stop();
+    }
 }
 
 bool
 SchedulerShard::settled() const
 {
-    if (replies_in_flight_ > 0 || servers_provisioning_ > 0 ||
-        !pending_kernels_.empty()) {
+    if (replies_in_flight_ > 0 || servers_provisioning_ > 0) {
         return false;
     }
+    // A kernel waiting for placement, or holding cells for its creation,
+    // is alive and not yet created.
     for (const auto& [id, record] : kernels_) {
         if (record.alive && (!record.created || !record.pending.empty())) {
             return false;
         }
     }
-    const auto& flags = sessions_.flags();
-    for (std::size_t row = 0; row < flags.size(); ++row) {
-        if ((flags[row] & kSessionFailed) == 0 &&
-            !sessions_.cold_at(static_cast<std::int32_t>(row))
-                 .buffered.empty()) {
-            return false;
-        }
-    }
     return true;
-}
-
-kernel::KernelReplica*
-SchedulerShard::replica(cluster::KernelId kernel_id, std::int32_t index)
-{
-    const auto it = kernels_.find(kernel_id);
-    if (it == kernels_.end() || index < 0 ||
-        static_cast<std::size_t>(index) >= it->second.slots.size()) {
-        return nullptr;
-    }
-    return it->second.slots[index].replica.get();
-}
-
-void
-SchedulerShard::inject_replica_failure(cluster::KernelId kernel_id,
-                                        std::int32_t index)
-{
-    kernel::KernelReplica* target = replica(kernel_id, index);
-    if (target != nullptr) {
-        target->stop();
-    }
 }
 
 void
@@ -404,41 +395,33 @@ SchedulerShard::provision_server(SchedulerEvent::Kind reason)
         --servers_provisioning_;
         cluster::GpuServer& server = cluster_.add_server();
         prewarm_.register_server(server.id());
-        try_place_pending_kernels();
+        try_place_waiting_kernels();
     });
 }
 
-cluster::KernelId
-SchedulerShard::start_kernel(const cluster::ResourceSpec& spec,
-                              StartKernelCallback callback)
+SchedulerShard::KernelRecord&
+SchedulerShard::open_kernel(std::int64_t session,
+                            const cluster::ResourceSpec& spec,
+                            bool count_created)
 {
-    return start_kernel_internal(spec, std::move(callback),
-                                 /*count_created=*/true);
-}
-
-cluster::KernelId
-SchedulerShard::start_kernel_internal(const cluster::ResourceSpec& spec,
-                                      StartKernelCallback callback,
-                                      bool count_created)
-{
-    PendingKernel pending;
-    pending.id = next_kernel_id_;
+    const cluster::KernelId id = next_kernel_id_;
     next_kernel_id_ += identity_.count;
-    pending.spec = spec;
-    pending.callback = std::move(callback);
-    pending.count_created = count_created;
-    const cluster::KernelId id = pending.id;
-    pending_kernels_.push_back(std::move(pending));
+    KernelRecord& record = kernels_[id];
+    record.id = id;
+    record.spec = spec;
+    record.count_created = count_created;
+    sessions_[session] = id;
+    waiting_.push_back(id);
     simulation_.schedule_after(config_.gs_processing,
-                               [this] { try_place_pending_kernels(); });
-    return id;
+                               [this] { try_place_waiting_kernels(); });
+    return record;
 }
 
 void
-SchedulerShard::try_place_pending_kernels()
+SchedulerShard::try_place_waiting_kernels()
 {
-    while (!pending_kernels_.empty()) {
-        PendingKernel& front = pending_kernels_.front();
+    while (!waiting_.empty()) {
+        KernelRecord& front = kernels_.at(waiting_.front());
         const std::size_t replicas =
             static_cast<std::size_t>(config_.kernel.replica_count);
         const std::vector<cluster::ServerId> servers = placement_.pick(
@@ -455,25 +438,17 @@ SchedulerShard::try_place_pending_kernels()
             }
             return;
         }
-        PendingKernel pending = std::move(front);
-        pending_kernels_.pop_front();
-        place_kernel(std::move(pending), servers);
+        waiting_.pop_front();
+        place_kernel(front, servers);
     }
 }
 
 void
-SchedulerShard::place_kernel(PendingKernel pending,
+SchedulerShard::place_kernel(KernelRecord& record,
                               const std::vector<cluster::ServerId>& servers)
 {
-    KernelRecord& record = kernels_[pending.id];
-    record.id = pending.id;
-    record.spec = pending.spec;
-    record.count_created = pending.count_created;
     record.slots.resize(servers.size());
-
     auto remaining = std::make_shared<std::size_t>(servers.size());
-    auto callback = std::make_shared<StartKernelCallback>(
-        std::move(pending.callback));
     for (std::size_t i = 0; i < servers.size(); ++i) {
         cluster_.find(servers[i])->subscribe(record.spec);
         record.slots[i].server = servers[i];
@@ -482,11 +457,10 @@ SchedulerShard::place_kernel(PendingKernel pending,
         ++stats_.cold_starts;
         const sim::Time cold = sample(config_.timings.cold_start_min,
                                       config_.timings.cold_start_max);
-        const cluster::KernelId kernel_id = record.id;
-        simulation_.schedule_after(cold, [this, kernel_id, remaining,
-                                          callback] {
-            KernelRecord* rec = live_kernel(kernel_id);
-            if (rec == nullptr || --*remaining > 0) {
+        // Records are never erased and a kernel is stopped only once
+        // created, so the creation chain can hold its record.
+        simulation_.schedule_after(cold, [this, rec = &record, remaining] {
+            if (--*remaining > 0) {
                 return;
             }
             // All containers provisioned: start the replicas and wait for
@@ -495,24 +469,42 @@ SchedulerShard::place_kernel(PendingKernel pending,
                 create_replica(*rec, static_cast<std::int32_t>(j),
                                rec->slots[j].server, /*passive=*/false);
             }
-            poll([this, kernel_id, callback](int tries) {
-                KernelRecord* placed = live_kernel(kernel_id);
-                if (placed == nullptr) {
-                    (*callback)(kernel_id, false);
-                    return true;
-                }
-                if (leader(*placed) == nullptr && tries < 300) {
+            poll([this, rec](int tries) {
+                if (leader(*rec) == nullptr && tries < 300) {
                     return false;
                 }
-                if (placed->count_created) {
-                    ++stats_.kernels_created;
-                    record_event(SchedulerEvent::Kind::kKernelCreated);
-                }
-                placed->created = true;
-                (*callback)(kernel_id, true);
+                kernel_ready(*rec);
                 return true;
             });
         });
+    }
+}
+
+void
+SchedulerShard::kernel_ready(KernelRecord& record)
+{
+    if (record.count_created) {
+        ++stats_.kernels_created;
+        record_event(SchedulerEvent::Kind::kKernelCreated);
+    }
+    record.created = true;
+    if (!record.checkpoint.empty()) {
+        for (ReplicaSlot& slot : record.slots) {
+            if (slot.alive && slot.replica) {
+                slot.replica->restore_state(record.checkpoint);
+            }
+        }
+        std::string().swap(record.checkpoint);
+    }
+    if (record.ended) {
+        stop_kernel(record);
+        return;
+    }
+    while (!record.buffered.empty()) {
+        CarriedExecution cell = std::move(record.buffered.front());
+        record.buffered.pop_front();
+        submit_execute(record, std::move(cell.code), cell.is_gpu,
+                       cell.submitted_at, std::move(cell.callback));
     }
 }
 
@@ -626,91 +618,26 @@ SchedulerShard::install_hooks(KernelRecord& record, std::int32_t index)
 }
 
 void
-SchedulerShard::stop_kernel(cluster::KernelId kernel_id)
+SchedulerShard::stop_kernel(KernelRecord& record)
 {
-    KernelRecord* record = live_kernel(kernel_id);
-    if (record == nullptr) {
-        return;
-    }
-    record->alive = false;
+    record.alive = false;
     // A move past the old slot's release holds a placeholder on its
     // target; the slot no longer holds its old server.
-    if (record->move) {
-        end_move(*record);
+    if (record.move) {
+        end_move(record);
     }
-    for (std::size_t i = 0; i < record->slots.size(); ++i) {
-        retire_replica(record->slots[i]);
-        release_slot(*record, static_cast<std::int32_t>(i));
+    for (std::size_t i = 0; i < record.slots.size(); ++i) {
+        retire_replica(record.slots[i]);
+        release_slot(record, static_cast<std::int32_t>(i));
     }
-    record->pending.clear();
+    record.pending.clear();
 }
 
 void
 SchedulerShard::begin_session(std::int64_t session,
                               const cluster::ResourceSpec& spec)
 {
-    sessions_.cold_at(sessions_.insert(session)).spec = spec;
-    const cluster::KernelId kernel = start_kernel_internal(
-        spec,
-        [this, session](cluster::KernelId id, bool ok) {
-            on_session_kernel(session, id, ok, std::string());
-        },
-        /*count_created=*/true);
-    // Re-find: the creation callback may have fired synchronously (failed
-    // placement) and table rows are not reference-stable across inserts.
-    const std::int32_t row = sessions_.find(session);
-    if (row >= 0) {
-        sessions_.cold_at(row).kernel = kernel;
-    }
-}
-
-void
-SchedulerShard::on_session_kernel(std::int64_t session,
-                                  cluster::KernelId kernel, bool ok,
-                                  const std::string& checkpoint)
-{
-    const std::int32_t row = sessions_.find(session);
-    if (row < 0) {
-        // Session extracted away while its kernel was still being
-        // created — cannot happen (creating sessions are not movable),
-        // but fail safe: release the orphan kernel.
-        if (ok) {
-            stop_kernel(kernel);
-        }
-        return;
-    }
-    SessionRecord& record = sessions_.cold_at(row);
-    std::uint8_t& flags = sessions_.flags_at(row);
-    record.kernel = kernel;
-    if (!ok) {
-        // Placement ultimately failed: buffered cells stay unsubmitted,
-        // as a client never drains its queue when start_kernel reports
-        // failure.
-        flags |= kSessionFailed;
-        return;
-    }
-    flags |= kSessionCreated;
-    if (!checkpoint.empty()) {
-        const auto kit = kernels_.find(kernel);
-        if (kit != kernels_.end()) {
-            for (ReplicaSlot& slot : kit->second.slots) {
-                if (slot.alive && slot.replica) {
-                    slot.replica->restore_state(checkpoint);
-                }
-            }
-        }
-    }
-    if ((flags & kSessionEnded) != 0) {
-        record.buffered.clear();
-        stop_kernel(kernel);
-        return;
-    }
-    while (!record.buffered.empty()) {
-        CarriedExecution cell = std::move(record.buffered.front());
-        record.buffered.pop_front();
-        submit_execute(kernel, std::move(cell.code), cell.is_gpu,
-                       cell.submitted_at, std::move(cell.callback));
-    }
+    open_kernel(session, spec, /*count_created=*/true);
 }
 
 bool
@@ -718,59 +645,45 @@ SchedulerShard::submit_session(std::int64_t session, std::string code,
                                bool is_gpu, sim::Time submitted_at,
                                ExecuteCallback callback)
 {
-    const std::int32_t row = sessions_.find(session);
-    if (row < 0) {
+    KernelRecord* record = session_kernel(session);
+    if (record == nullptr || record->ended) {
         return false;
     }
-    const std::uint8_t flags = sessions_.flags_at(row);
-    if ((flags & (kSessionEnded | kSessionFailed)) != 0) {
-        return false;
+    ++record->window_weight;
+    if (record->created) {
+        submit_execute(*record, std::move(code), is_gpu, submitted_at,
+                       std::move(callback));
+    } else {
+        record->buffered.push_back(CarriedExecution{
+            std::move(code), is_gpu, submitted_at, std::move(callback)});
     }
-    ++sessions_.weight_at(row);
-    SessionRecord& record = sessions_.cold_at(row);
-    if ((flags & kSessionCreated) != 0) {
-        submit_execute(record.kernel, std::move(code), is_gpu,
-                       submitted_at, std::move(callback));
-        return true;
-    }
-    record.buffered.push_back(CarriedExecution{
-        std::move(code), is_gpu, submitted_at, std::move(callback)});
     return true;
 }
 
 void
 SchedulerShard::end_session(std::int64_t session)
 {
-    const std::int32_t row = sessions_.find(session);
-    if (row < 0 || (sessions_.flags_at(row) & kSessionEnded) != 0) {
+    KernelRecord* record = session_kernel(session);
+    if (record == nullptr || record->ended) {
         return;
     }
-    std::uint8_t& flags = sessions_.flags_at(row);
-    flags |= kSessionEnded;
-    SessionRecord& record = sessions_.cold_at(row);
-    record.buffered.clear();
-    if ((flags & kSessionCreated) != 0) {
-        stop_kernel(record.kernel);
+    record->ended = true;
+    record->buffered.clear();
+    // A kernel still waiting or being created is stopped by kernel_ready.
+    if (record->created) {
+        stop_kernel(*record);
     }
-    // Still-creating kernels are stopped by on_session_kernel when the
-    // creation callback observes the ended flag.
 }
 
 bool
 SchedulerShard::session_movable(std::int64_t session) const
 {
-    const std::int32_t row = sessions_.find(session);
-    if (row < 0) {
+    const auto it = sessions_.find(session);
+    if (it == sessions_.end()) {
         return false;
     }
-    const std::uint8_t flags = sessions_.flags_at(row);
-    if ((flags & kSessionCreated) == 0 ||
-        (flags & (kSessionEnded | kSessionFailed)) != 0) {
-        return false;
-    }
-    const auto kit = kernels_.find(sessions_.cold_at(row).kernel);
-    return kit != kernels_.end() && kit->second.alive &&
-           kit->second.created && !kit->second.move;
+    const KernelRecord& record = kernels_.at(it->second);
+    return record.alive && record.created && !record.move;
 }
 
 bool
@@ -779,19 +692,18 @@ SchedulerShard::extract_session(std::int64_t session, SessionExtract& out)
     if (!session_movable(session)) {
         return false;
     }
-    SessionRecord& record = sessions_.cold_at(sessions_.find(session));
-    KernelRecord& kernel = kernels_[record.kernel];
+    KernelRecord& kernel = *session_kernel(session);
     out.session = session;
-    out.spec = record.spec;
+    out.spec = kernel.spec;
     out.checkpoint.clear();
     if (const kernel::KernelReplica* survivor = first_live(kernel)) {
         out.checkpoint = survivor->checkpoint_state();
     }
-    // Queued work travels with the session: pending executions first (in
-    // election — i.e. submission — order; their in-flight continuations
-    // find the pending entry gone and bail), then the pre-creation
-    // buffer. stop_kernel drops pending without firing callbacks, so
-    // moving them out first is what keeps every cell exactly-once.
+    // Queued work travels with the session, in election — i.e.
+    // submission — order; the cells' in-flight continuations find the
+    // pending entry gone and bail. stop_kernel drops pending without
+    // firing callbacks, so moving them out first is what keeps every cell
+    // exactly-once. A created kernel holds no buffered cells.
     out.work.clear();
     for (auto& [election, pending] : kernel.pending) {
         (void)election;
@@ -800,10 +712,7 @@ SchedulerShard::extract_session(std::int64_t session, SessionExtract& out)
             pending.trace.submitted_at, std::move(pending.callback)});
     }
     kernel.pending.clear();
-    stop_kernel(kernel.id);
-    for (CarriedExecution& cell : record.buffered) {
-        out.work.push_back(std::move(cell));
-    }
+    stop_kernel(kernel);
     sessions_.erase(session);
     return true;
 }
@@ -811,40 +720,21 @@ SchedulerShard::extract_session(std::int64_t session, SessionExtract& out)
 void
 SchedulerShard::adopt_session(SessionExtract extract)
 {
-    const std::int64_t session = extract.session;
-    {
-        const std::int32_t row = sessions_.insert(session);
-        SessionRecord& record = sessions_.cold_at(row);
-        record.spec = extract.spec;
-        sessions_.flags_at(row) = 0;
-        record.buffered = std::deque<CarriedExecution>(
-            std::make_move_iterator(extract.work.begin()),
-            std::make_move_iterator(extract.work.end()));
-    }
-    const cluster::KernelId kernel = start_kernel_internal(
-        extract.spec,
-        [this, session, checkpoint = std::move(extract.checkpoint)](
-            cluster::KernelId id, bool ok) {
-            on_session_kernel(session, id, ok, checkpoint);
-        },
-        /*count_created=*/false);
-    // Re-find (see begin_session): the callback may fire synchronously.
-    const std::int32_t row = sessions_.find(session);
-    if (row >= 0) {
-        sessions_.cold_at(row).kernel = kernel;
-    }
+    KernelRecord& record =
+        open_kernel(extract.session, extract.spec, /*count_created=*/false);
+    record.checkpoint = std::move(extract.checkpoint);
+    record.buffered = std::deque<CarriedExecution>(
+        std::make_move_iterator(extract.work.begin()),
+        std::make_move_iterator(extract.work.end()));
 }
 
 std::size_t
 SchedulerShard::session_count() const
 {
-    std::size_t live = 0;
-    for (const std::uint8_t flags : sessions_.flags()) {
-        if ((flags & kSessionEnded) == 0) {
-            ++live;
-        }
-    }
-    return live;
+    return static_cast<std::size_t>(std::count_if(
+        sessions_.begin(), sessions_.end(), [this](const auto& entry) {
+            return !kernels_.at(entry.second).ended;
+        }));
 }
 
 void
@@ -853,27 +743,15 @@ SchedulerShard::harvest_window_load(ShardLoad& load,
 {
     load.weight = 0;
     sessions.clear();
-    // SoA streaming scan: the weights column is the only one touched for
-    // the idle majority. The table iterates in
-    // insertion/swap order, so sort the (small) weighted subset back into
-    // the id order the routing planner's inputs are pinned to.
-    const auto& ids = sessions_.ids();
-    const auto& weights = sessions_.weights();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const std::uint64_t weight = weights[i];
-        if (weight == 0) {
+    for (const auto& [session, kernel_id] : sessions_) {
+        KernelRecord& record = kernels_.at(kernel_id);
+        if (record.window_weight == 0) {
             continue;
         }
-        load.weight += weight;
-        sessions.push_back(SessionLoad{ids[i], weight, false});
-        sessions_.weight_at(static_cast<std::int32_t>(i)) = 0;
-    }
-    std::sort(sessions.begin(), sessions.end(),
-              [](const SessionLoad& a, const SessionLoad& b) {
-                  return a.session < b.session;
-              });
-    for (SessionLoad& entry : sessions) {
-        entry.movable = session_movable(entry.session);
+        load.weight += record.window_weight;
+        sessions.push_back(SessionLoad{session, record.window_weight,
+                                       session_movable(session)});
+        record.window_weight = 0;
     }
 }
 
@@ -909,29 +787,18 @@ SchedulerShard::pick_designated(const KernelRecord& record) const
 }
 
 void
-SchedulerShard::submit_execute(cluster::KernelId kernel_id,
-                                std::string code, bool is_gpu,
-                                sim::Time submitted_at,
+SchedulerShard::submit_execute(KernelRecord& record, std::string code,
+                                bool is_gpu, sim::Time submitted_at,
                                 ExecuteCallback callback)
 {
-    KernelRecord* record = live_kernel(kernel_id);
-    if (record == nullptr) {
-        kernel::ExecutionResult result;
-        result.status = kernel::ExecutionStatus::kError;
-        result.error = "unknown kernel";
-        RequestTrace trace;
-        trace.submitted_at = submitted_at;
-        trace.aborted = true;
-        callback(result, trace);
-        return;
-    }
-    const kernel::ElectionId election = record->next_election++;
+    const cluster::KernelId kernel_id = record.id;
+    const kernel::ElectionId election = record.next_election++;
     PendingExecution pending;
     pending.code = std::move(code);
     pending.is_gpu = is_gpu;
     pending.callback = std::move(callback);
     pending.trace.submitted_at = submitted_at;
-    record->pending.emplace(election, std::move(pending));
+    record.pending.emplace(election, std::move(pending));
 
     const sim::Time to_gs = sample(config_.hops.client_to_gs_min,
                                    config_.hops.client_to_gs_max);
@@ -1378,9 +1245,9 @@ SchedulerShard::run_autoscaler()
 
     AutoScaleDecision decision =
         evaluate_autoscaler(inputs, config_.autoscaler);
-    // Never shrink while placements are waiting for capacity: the pending
+    // Never shrink while placements are waiting for capacity: the waiting
     // kernel (or in-flight provisioning) needs those servers.
-    if (!pending_kernels_.empty() || servers_provisioning_ > 0) {
+    if (!waiting_.empty() || servers_provisioning_ > 0) {
         decision.remove_servers = 0;
     }
     for (std::int32_t i = 0; i < decision.add_servers; ++i) {

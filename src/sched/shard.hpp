@@ -16,6 +16,13 @@
  * parallel sim::Lockstep threads with results bit-identical to a serial
  * sweep.
  *
+ * The shard's only address is the session. A notebook session owns one
+ * distributed kernel, created when the session starts (§3.2.1), and the
+ * shard keeps both in one KernelRecord bound by session id: begin_session
+ * and adopt_session open it, cells submitted before the kernel is created
+ * wait in it, and kernel_ready submits them once the replicas run under a
+ * leader — or stops the kernel if its session ended meanwhile.
+ *
  * Moving a replica — a §3.2.3 migration or a §3.2.5 repair — is one
  * sequence over one record: begin_move persists a checkpoint, place_move
  * picks a target (sched::pick_target) and reserves a container there,
@@ -48,7 +55,6 @@
 #include "net/network.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler_types.hpp"
-#include "sched/session_table.hpp"
 #include "sched/shard_router.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -67,8 +73,6 @@ class SchedulerShard
   public:
     using ExecuteCallback = std::function<void(
         const kernel::ExecutionResult&, const RequestTrace&)>;
-    using StartKernelCallback =
-        std::function<void(cluster::KernelId, bool ok)>;
 
     SchedulerShard(sim::Simulation& simulation, SchedulerConfig config,
                    std::uint64_t seed, ShardIdentity identity = {});
@@ -80,37 +84,13 @@ class SchedulerShard
     /** Provision the shard's initial fleet and start periodic services. */
     void start();
 
-    /**
-     * Create a distributed kernel with @p spec (§3.2.1). The callback
-     * fires once all replicas run and their Raft group has a leader, or
-     * with ok=false if placement ultimately failed.
-     * @return the kernel id (allocated synchronously from this shard's
-     * disjoint id stride; also passed to the callback).
-     */
-    cluster::KernelId start_kernel(const cluster::ResourceSpec& spec,
-                                   StartKernelCallback callback);
-
-    /** Terminate a kernel and release what it holds: its replicas'
-     *  subscriptions and containers, and the placeholder container a
-     *  replica move in flight holds on its target. */
-    void stop_kernel(cluster::KernelId kernel_id);
-
-    /**
-     * Submit a cell for execution on @p kernel_id (the Fig. 5 flow).
-     * @param submitted_at client-side submission timestamp.
-     */
-    void submit_execute(cluster::KernelId kernel_id, std::string code,
-                        bool is_gpu, sim::Time submitted_at,
-                        ExecuteCallback callback);
-
-    /** @name Session-addressed API (routing layer)
+    /** @name Session-addressed API
      *
-     * The prototype engine's driver addresses all work by session id and
-     * lets the shard own the session -> kernel binding, so a whole
-     * session — its kernel state, queued work, and bookkeeping — can
-     * migrate between shards at a window boundary
-     * (sched::SessionRouter::rebalance) without the driver tracking
-     * kernel ids.
+     * All work is addressed by session id and the shard owns the
+     * session -> kernel binding, so a whole session — its kernel state,
+     * queued work, and bookkeeping — can migrate between shards at a
+     * window boundary (sched::SessionRouter::rebalance) without the
+     * driver tracking kernel ids.
      */
     ///@{
     /** One queued cell travelling with a migrating session. */
@@ -133,23 +113,23 @@ class SchedulerShard
         std::vector<CarriedExecution> work;
     };
 
-    /** Admit @p session: create its kernel and bind it to the session id.
-     *  Cells submitted before the kernel is ready are buffered in-shard
-     *  and drained on creation. */
+    /** Admit @p session: bind it to a new kernel, created once placed
+     *  (§3.2.1). Cells submitted before then wait in the shard and are
+     *  submitted, in order, on creation. */
     void begin_session(std::int64_t session,
                        const cluster::ResourceSpec& spec);
 
-    /** Submit a cell addressed by session id (buffered until the
-     *  session's kernel is ready).
-     *  @return false when the cell was dropped — session unknown, ended,
-     *  or its kernel creation failed; such cells never produce an
-     *  outcome. */
+    /** Submit a cell (the Fig. 5 flow) to @p session's kernel, or hold
+     *  it until the kernel is created.
+     *  @param submitted_at client-side submission timestamp.
+     *  @return false when the cell was refused — session unknown or
+     *  ended; such cells never produce an outcome. */
     bool submit_session(std::int64_t session, std::string code,
                         bool is_gpu, sim::Time submitted_at,
                         ExecuteCallback callback);
 
-    /** End @p session: stop its kernel (now or when creation finishes)
-     *  and drop any still-buffered work. */
+    /** End @p session: drop its held cells and stop its kernel, now or
+     *  once created. The session stays bound, refusing further cells. */
     void end_session(std::int64_t session);
 
     /** True when @p session can migrate right now: kernel fully created,
@@ -159,15 +139,16 @@ class SchedulerShard
     bool session_movable(std::int64_t session) const;
 
     /** Pack @p session for a cross-shard move: checkpoint its kernel
-     *  from the first live replica, collect pending + buffered work in
+     *  from the first live replica, collect its pending work in
      *  submission order, stop the kernel, and erase the binding.
      *  @return false (leaving the session untouched) if it is not
      *  movable. Call only between windows, from the driving thread. */
     bool extract_session(std::int64_t session, SessionExtract& out);
 
-    /** Adopt an extracted session: rebind it, start a kernel here,
-     *  restore the checkpointed namespace into every replica, and
-     *  resubmit the carried work in order. Call only between windows. */
+    /** Adopt an extracted session: bind it to a new kernel here, which
+     *  on creation restores the checkpointed namespace into every replica
+     *  and resubmits the carried work in order. Call only between
+     *  windows. */
     void adopt_session(SessionExtract extract);
 
     /** Sessions currently bound here (live, not ended). */
@@ -203,32 +184,28 @@ class SchedulerShard
         return sync_latencies_ms_;
     }
     double cluster_sr() const;
-    /** Access a replica (tests / fault injection). */
-    kernel::KernelReplica* replica(cluster::KernelId kernel_id,
-                                   std::int32_t index);
+    /** The kernel bound to @p session (kNoKernel if none). */
+    cluster::KernelId kernel_of(std::int64_t session) const;
+    /** Replica @p index of @p session's kernel, or null (tests). */
+    kernel::KernelReplica* replica(std::int64_t session, std::int32_t index);
     /** Crash a replica (fail-stop); the health checker will replace it. */
-    void inject_replica_failure(cluster::KernelId kernel_id,
-                                std::int32_t index);
+    void inject_replica_failure(std::int64_t session, std::int32_t index);
     /** Network delivery stats (chaos observability). */
     const net::NetworkStats& network_stats() const
     {
         return network_.stats();
     }
-    /** Number of kernels still alive. */
-    std::size_t live_kernels() const;
     /**
-     * True when the shard owes no cell an outcome: no live kernel has a
-     * pending execution, no reply is on its way to a client, no session
-     * that has not failed holds buffered cells, and no kernel creation or
-     * server provisioning is in flight. Cells dropped by end_session or
-     * stop_kernel, and cells stranded by a failed kernel creation, never
-     * get an outcome and so count as settled. What runs after this turns
-     * true is idle upkeep (Raft heartbeats, health checks, auto-scaler
-     * and pre-warm ticks), which no cell's outcome depends on.
+     * True when the shard owes no cell an outcome: every live kernel is
+     * created and has no pending execution, no reply is on its way to a
+     * client, and no server provisioning is in flight. Cells end_session
+     * drops never get an outcome. What runs once this holds is idle upkeep
+     * (Raft heartbeats, health checks, auto-scaler and pre-warm ticks),
+     * which no cell's outcome depends on.
      */
     bool settled() const;
-    /** Device ids currently bound to a replica's execution (§3.3). */
-    std::vector<std::int32_t> bound_devices(cluster::KernelId kernel_id,
+    /** Device ids bound to replica @p index's execution (§3.3). */
+    std::vector<std::int32_t> bound_devices(std::int64_t session,
                                             std::int32_t index);
     ///@}
 
@@ -273,6 +250,9 @@ class SchedulerShard
         bool reserved = false;
     };
 
+    /** A session's kernel, from the session's start: waiting for
+     *  placement, being created, then serving cells until stopped. Every
+     *  record opened here stays in kernels_; a stopped one is not alive. */
     struct KernelRecord
     {
         cluster::KernelId id = cluster::kNoKernel;
@@ -282,57 +262,47 @@ class SchedulerShard
         std::map<kernel::ElectionId, PendingExecution> pending;
         std::set<kernel::ElectionId> failed_seen;
         std::optional<Move> move;
+        /** Cells submitted before creation, in submission order. */
+        std::deque<CarriedExecution> buffered;
+        /** An adopted session's namespace, restored on creation. */
+        std::string checkpoint;
+        /** Cells its session submitted this window. */
+        std::uint64_t window_weight = 0;
         bool alive = true;
         /** True once all replicas started and the group elected a leader
          *  (gates the health checker). */
         bool created = false;
-        /** See PendingKernel::count_created. */
-        bool count_created = true;
-    };
-
-    struct PendingKernel
-    {
-        cluster::KernelId id;
-        cluster::ResourceSpec spec;
-        StartKernelCallback callback;
-        bool scale_out_requested = false;
-        /** False for kernels re-created by a cross-shard session
+        /** True once its session ended: its cells are refused. */
+        bool ended = false;
+        /** False for a kernel re-created by a cross-shard session
          *  adoption: the session's kernel was already counted (and its
          *  kKernelCreated event recorded) where it first placed, so
          *  merged totals stay independent of the routing policy. */
         bool count_created = true;
+        /** A failed placement of this waiting kernel asked for servers. */
+        bool scale_out_requested = false;
     };
 
-    /** Session -> kernel binding plus pre-creation buffering (the
-     *  session-addressed API only; kernels started through start_kernel
-     *  have none). This is the cold column of the SoA SessionTable; the
-     *  hot per-window state (window weight, created/failed/ended flags)
-     *  lives in the table's parallel arrays so the boundary scans never
-     *  touch this record. */
-    struct SessionRecord
-    {
-        cluster::KernelId kernel = cluster::kNoKernel;
-        cluster::ResourceSpec spec{};
-        /** Cells awaiting kernel creation. */
-        std::deque<CarriedExecution> buffered;
-    };
-
-    /** SessionTable flag bits. */
-    static constexpr std::uint8_t kSessionCreated = 1;
-    static constexpr std::uint8_t kSessionFailed = 2;
-    static constexpr std::uint8_t kSessionEnded = 4;
-
-    cluster::KernelId start_kernel_internal(const cluster::ResourceSpec& spec,
-                                            StartKernelCallback callback,
-                                            bool count_created);
-    /** Creation callback shared by begin_session and adopt_session:
-     *  binds the kernel, restores @p checkpoint (adoptions), and drains
-     *  the session's buffered work. */
-    void on_session_kernel(std::int64_t session, cluster::KernelId kernel,
-                           bool ok, const std::string& checkpoint);
+    /** Bind @p session to a new kernel with the next id of this shard's
+     *  stride and queue it for placement. */
+    KernelRecord& open_kernel(std::int64_t session,
+                              const cluster::ResourceSpec& spec,
+                              bool count_created);
+    /** @p record's replicas run under a leader: count the kernel, restore
+     *  an adoption's checkpoint, then stop the kernel if its session ended
+     *  or submit its buffered cells in order. */
+    void kernel_ready(KernelRecord& record);
+    /** Terminate a created kernel: release its replicas' subscriptions and
+     *  containers and a move's placeholder on its target, and drop its
+     *  pending cells without a reply. */
+    void stop_kernel(KernelRecord& record);
+    void submit_execute(KernelRecord& record, std::string code, bool is_gpu,
+                        sim::Time submitted_at, ExecuteCallback callback);
+    /** The record bound to @p session (null if none). */
+    KernelRecord* session_kernel(std::int64_t session);
     void provision_server(SchedulerEvent::Kind reason);
-    void try_place_pending_kernels();
-    void place_kernel(PendingKernel pending,
+    void try_place_waiting_kernels();
+    void place_kernel(KernelRecord& record,
                       const std::vector<cluster::ServerId>& servers);
     void create_replica(KernelRecord& record, std::int32_t index,
                         cluster::ServerId server, bool passive);
@@ -427,8 +397,10 @@ class SchedulerShard
     LeastLoadedPolicy placement_;
 
     std::map<cluster::KernelId, KernelRecord> kernels_;
-    SessionTable<SessionRecord> sessions_;
-    std::deque<PendingKernel> pending_kernels_;
+    /** Every session bound here, ended ones included, in id order. */
+    std::map<std::int64_t, cluster::KernelId> sessions_;
+    /** Kernels waiting for placement, in the order they were opened. */
+    std::deque<cluster::KernelId> waiting_;
     std::vector<std::unique_ptr<kernel::KernelReplica>> graveyard_;
     cluster::KernelId next_kernel_id_;
     cluster::ContainerId next_container_id_ = 1;

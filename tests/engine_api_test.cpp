@@ -103,8 +103,10 @@ TEST(RunRequestValidationTest, ChaosOverrideIsValidatedAgainstTheEngine)
 }
 
 /** Scheduler values the NotebookOS engines divide by, re-arm a periodic
- *  service on, or cannot place a kernel with are config errors on both
- *  engines, named after the field — never a crash or a hang. */
+ *  service or a retry on, cannot place a kernel with, or whose Raft
+ *  timings flood the event queue or collapse the election window are
+ *  config errors on both engines, named after the field — never a crash,
+ *  a hang or a silent fallback. */
 TEST(RunRequestValidationTest, RejectsSchedulerValuesTheEnginesCannotRun)
 {
     const auto trace = test::tiny_trace(4);
@@ -118,6 +120,24 @@ TEST(RunRequestValidationTest, RejectsSchedulerValuesTheEnginesCannotRun)
          [](sched::SchedulerConfig& c) { c.prewarm_check_interval = 0; }},
         {"scheduler.kernel.replica_count",
          [](sched::SchedulerConfig& c) { c.kernel.replica_count = 0; }},
+        {"scheduler.kernel.proposal_retry",
+         [](sched::SchedulerConfig& c) { c.kernel.proposal_retry = 0; }},
+        {"scheduler.kernel.raft.heartbeat_interval",
+         [](sched::SchedulerConfig& c) {
+             c.kernel.raft.heartbeat_interval = 0;
+         }},
+        {"scheduler.kernel.raft.election_timeout_min",
+         [](sched::SchedulerConfig& c) {
+             c.kernel.raft.election_timeout_min = 0;
+             c.kernel.raft.election_timeout_max = 0;
+         }},
+        {"scheduler.kernel.raft.election_timeout_max",
+         [](sched::SchedulerConfig& c) {
+             c.kernel.raft.election_timeout_max =
+                 c.kernel.raft.election_timeout_min - 1;
+         }},
+        {"scheduler.migration_retry",
+         [](sched::SchedulerConfig& c) { c.migration_retry = 0; }},
     };
     for (const auto& [field, apply] : cases) {
         for (const char* engine : {kEnginePrototype, kEngineFast}) {

@@ -183,22 +183,18 @@ TEST(IntegrationTest, SubscriptionAccountingBalancesAtEnd)
         core::PlatformConfig::prototype_defaults().scheduler;
     sched::SchedulerShard scheduler(simulation, config, 12);
     scheduler.start();
-    std::vector<cluster::KernelId> kernels;
     for (const auto& session : trace.sessions) {
         const auto* sp = &session;
         simulation.schedule_at(session.start_time, [&, sp] {
-            scheduler.start_kernel(sp->resources,
-                                   [&](cluster::KernelId id, bool ok) {
-                                       if (ok) {
-                                           kernels.push_back(id);
-                                       }
-                                   });
+            scheduler.begin_session(sp->id, sp->resources);
         });
     }
     simulation.run_until(12 * sim::kHour);
-    for (const cluster::KernelId id : kernels) {
-        scheduler.stop_kernel(id);
+    ASSERT_GT(scheduler.session_count(), 0u);
+    for (const auto& session : trace.sessions) {
+        scheduler.end_session(session.id);
     }
+    EXPECT_EQ(scheduler.session_count(), 0u);
     EXPECT_EQ(scheduler.cluster().total_subscribed_gpus(), 0);
     EXPECT_EQ(scheduler.cluster().total_committed_gpus(), 0);
 }

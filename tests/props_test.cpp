@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -25,6 +26,7 @@
 #include "metrics/stats.hpp"
 #include "raft/raft.hpp"
 #include "sched/placement.hpp"
+#include "sched/shard.hpp"
 #include "sched/shard_router.hpp"
 #include "workload/profiles.hpp"
 
@@ -429,6 +431,136 @@ gpu_request(std::int32_t gpus)
 {
     return cluster::ResourceSpec{4000 * gpus, 16384LL * gpus, gpus,
                                  16.0 * gpus};
+}
+
+/**
+ * Random session lifecycles on two scheduler shards, driven the way the
+ * prototype engine's driver drives them: each step begins a session on
+ * its hash shard, submits a GPU or CPU cell to a random session's owner,
+ * ends a random session, or moves a random session to the other shard,
+ * then runs 0-30 s. Afterwards every session gets 2 h to finish its cells
+ * and is ended. A shard takes a cell exactly when its session has not
+ * ended; every cell it takes gets at most one reply, and exactly one
+ * unless its session ended after the cell was submitted; both shards
+ * settle; every server is left with no subscription, commitment or
+ * container; and each session's kernel is counted once.
+ */
+TEST(ShardSessionProperty, RandomLifecyclesSettleAndReleaseEverything)
+{
+    test::check_property(3, [](sim::Rng& rng, std::size_t) {
+        sched::SchedulerConfig config;
+        config.initial_servers = 8;
+        config.kernel.raft.election_timeout_min = 150 * sim::kMillisecond;
+        config.kernel.raft.election_timeout_max = 300 * sim::kMillisecond;
+        config.kernel.raft.heartbeat_interval = 50 * sim::kMillisecond;
+        config.kernel.raft.snapshot_threshold = 16;
+        const std::uint64_t seed = rng.next_u64();
+        sim::Simulation simulations[2];
+        std::vector<std::unique_ptr<sched::SchedulerShard>> shards;
+        for (std::int32_t i = 0; i < 2; ++i) {
+            shards.push_back(std::make_unique<sched::SchedulerShard>(
+                simulations[i], config, sched::shard_seed(seed, i),
+                sched::ShardIdentity{i, 2}));
+            shards.back()->start();
+        }
+        sim::Time now = 0;
+        const auto run_until = [&](sim::Time t) {
+            simulations[0].run_until(t);
+            simulations[1].run_until(t);
+            now = t;
+        };
+
+        struct Cell
+        {
+            std::int64_t session = 0;
+            int replies = 0;
+            bool ended_after_submit = false;
+        };
+        std::vector<Cell> cells;
+        // Sessions 1..N and the shard that owns each.
+        std::map<std::int64_t, std::size_t> owner;
+        std::set<std::int64_t> ended;
+        const sched::ShardRouter router(2);
+        const auto any_session = [&]() {
+            return rng.uniform_int(1, static_cast<std::int64_t>(owner.size()));
+        };
+        for (int step = 0; step < 40; ++step) {
+            const std::int64_t op = owner.empty() ? 0 : rng.uniform_int(0, 3);
+            if (op == 0) {
+                const std::int64_t session =
+                    static_cast<std::int64_t>(owner.size()) + 1;
+                owner[session] = router.shard_of(session);
+                shards[owner[session]]->begin_session(
+                    session,
+                    gpu_request(static_cast<std::int32_t>(
+                        rng.uniform_int(1, 2))));
+            } else if (op == 1) {
+                const std::int64_t session = any_session();
+                const bool gpu = rng.uniform_int(0, 1) == 1;
+                const std::string code =
+                    (gpu ? "gpu_compute(" : "cpu_compute(") +
+                    std::to_string(rng.uniform_int(1, 20)) + ")";
+                const std::size_t index = cells.size();
+                const bool taken = shards[owner[session]]->submit_session(
+                    session, code, gpu, now,
+                    [&cells, index](const kernel::ExecutionResult&,
+                                    const sched::RequestTrace&) {
+                        ++cells[index].replies;
+                    });
+                ASSERT_EQ(taken, ended.count(session) == 0)
+                    << "session " << session;
+                if (taken) {
+                    cells.push_back(Cell{session});
+                }
+            } else if (op == 2) {
+                const std::int64_t session = any_session();
+                shards[owner[session]]->end_session(session);
+                if (ended.insert(session).second) {
+                    for (Cell& cell : cells) {
+                        cell.ended_after_submit |= cell.session == session;
+                    }
+                }
+            } else {
+                const std::int64_t session = any_session();
+                const std::size_t to = 1 - owner[session];
+                sched::SchedulerShard::SessionExtract extract;
+                if (shards[owner[session]]->extract_session(session,
+                                                            extract)) {
+                    shards[to]->adopt_session(std::move(extract));
+                    owner[session] = to;
+                }
+            }
+            run_until(now + rng.uniform_int(0, 30) * sim::kSecond);
+        }
+        run_until(now + 2 * sim::kHour);
+        for (const auto& [session, shard] : owner) {
+            shards[shard]->end_session(session);
+        }
+        run_until(now + 30 * sim::kMinute);
+
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            EXPECT_LE(cells[i].replies, 1) << "cell " << i;
+            if (!cells[i].ended_after_submit) {
+                EXPECT_EQ(cells[i].replies, 1)
+                    << "cell " << i << " of session " << cells[i].session;
+            }
+        }
+        std::uint64_t created = 0;
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+            EXPECT_TRUE(shards[i]->settled()) << "shard " << i;
+            EXPECT_EQ(shards[i]->session_count(), 0u) << "shard " << i;
+            created += shards[i]->stats().kernels_created;
+            for (const auto& [id, server] : shards[i]->cluster().servers()) {
+                EXPECT_EQ(server->subscribed_gpus(), 0)
+                    << "shard " << i << " server " << id;
+                EXPECT_EQ(server->committed_gpus(), 0)
+                    << "shard " << i << " server " << id;
+                EXPECT_TRUE(server->containers().empty())
+                    << "shard " << i << " server " << id;
+            }
+        }
+        EXPECT_EQ(created, owner.size());
+    });
 }
 
 /**

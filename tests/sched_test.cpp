@@ -373,20 +373,17 @@ struct SchedFixture
         return config;
     }
 
-    cluster::KernelId
-    create_kernel(std::int32_t gpus = 2)
+    /** Begin the next session, with a @p gpus-GPU kernel, and run until
+     *  the kernel is created. @return the session id. */
+    std::int64_t
+    open_session(std::int32_t gpus = 2)
     {
-        cluster::KernelId kernel_id = cluster::kNoKernel;
-        bool ok = false;
-        scheduler.start_kernel(kernel_request(gpus),
-                               [&](cluster::KernelId id, bool success) {
-                                   kernel_id = id;
-                                   ok = success;
-                               });
+        const std::int64_t session = next_session++;
+        scheduler.begin_session(session, kernel_request(gpus));
         run_for(120 * sim::kSecond);
-        EXPECT_TRUE(ok);
-        EXPECT_NE(kernel_id, cluster::kNoKernel);
-        return kernel_id;
+        EXPECT_TRUE(scheduler.session_movable(session))
+            << "session " << session << "'s kernel was not created";
+        return session;
     }
 
     struct Reply
@@ -396,18 +393,19 @@ struct SchedFixture
     };
 
     Reply
-    execute(cluster::KernelId kernel_id, const std::string& code,
+    execute(std::int64_t session, const std::string& code,
             bool is_gpu = true, sim::Time wait = 300 * sim::kSecond)
     {
         Reply reply;
         bool done = false;
-        scheduler.submit_execute(kernel_id, code, is_gpu, simulation.now(),
-                                 [&](const kernel::ExecutionResult& result,
-                                     const RequestTrace& trace) {
-                                     reply.result = result;
-                                     reply.trace = trace;
-                                     done = true;
-                                 });
+        EXPECT_TRUE(scheduler.submit_session(
+            session, code, is_gpu, simulation.now(),
+            [&](const kernel::ExecutionResult& result,
+                const RequestTrace& trace) {
+                reply.result = result;
+                reply.trace = trace;
+                done = true;
+            }));
         run_for(wait);
         EXPECT_TRUE(done) << "execution did not complete";
         return reply;
@@ -417,6 +415,7 @@ struct SchedFixture
 
     sim::Simulation simulation;
     SchedulerShard scheduler;
+    std::int64_t next_session = 1;
 };
 
 TEST(GlobalSchedulerTest, StartsInitialFleet)
@@ -429,7 +428,8 @@ TEST(GlobalSchedulerTest, StartsInitialFleet)
 TEST(GlobalSchedulerTest, CreatesKernelWithThreeReplicas)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
+    const std::int64_t session = f.open_session();
+    const cluster::KernelId kernel_id = f.scheduler.kernel_of(session);
     EXPECT_EQ(f.scheduler.stats().kernels_created, 1u);
     // Replicas on three distinct servers, each subscribed.
     std::set<cluster::ServerId> servers;
@@ -448,7 +448,7 @@ TEST(GlobalSchedulerTest, CreatesKernelWithThreeReplicas)
     // A Raft leader exists among the replicas.
     int leaders = 0;
     for (int i = 0; i < 3; ++i) {
-        if (f.scheduler.replica(kernel_id, i)->raft().role() ==
+        if (f.scheduler.replica(session, i)->raft().role() ==
             raft::Role::kLeader) {
             ++leaders;
         }
@@ -459,9 +459,9 @@ TEST(GlobalSchedulerTest, CreatesKernelWithThreeReplicas)
 TEST(GlobalSchedulerTest, ExecutesCellAndReturnsOutput)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
+    const std::int64_t session = f.open_session();
     const auto reply =
-        f.execute(kernel_id, "x = 21 * 2\nprint(x)\ngpu_compute(5)");
+        f.execute(session, "x = 21 * 2\nprint(x)\ngpu_compute(5)");
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_EQ(reply.result.output, "42\n");
     EXPECT_GT(reply.trace.client_replied, reply.trace.submitted_at);
@@ -470,8 +470,8 @@ TEST(GlobalSchedulerTest, ExecutesCellAndReturnsOutput)
 TEST(GlobalSchedulerTest, TraceTimestampsMonotone)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
-    const auto reply = f.execute(kernel_id, "gpu_compute(10)");
+    const std::int64_t session = f.open_session();
+    const auto reply = f.execute(session, "gpu_compute(10)");
     const RequestTrace& t = reply.trace;
     EXPECT_LE(t.submitted_at, t.gs_received);
     EXPECT_LE(t.gs_received, t.gs_dispatched);
@@ -486,11 +486,11 @@ TEST(GlobalSchedulerTest, TraceTimestampsMonotone)
 TEST(GlobalSchedulerTest, GpusCommittedOnlyDuringExecution)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel(4);
+    const std::int64_t session = f.open_session(4);
     EXPECT_EQ(f.scheduler.cluster().total_committed_gpus(), 0);
     bool done = false;
-    f.scheduler.submit_execute(
-        kernel_id, "gpu_compute(60)", true, f.simulation.now(),
+    f.scheduler.submit_session(
+        session, "gpu_compute(60)", true, f.simulation.now(),
         [&](const kernel::ExecutionResult&, const RequestTrace&) {
             done = true;
         });
@@ -505,10 +505,10 @@ TEST(GlobalSchedulerTest, GpusCommittedOnlyDuringExecution)
 TEST(GlobalSchedulerTest, DeviceIdsBoundDuringExecutionOnly)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel(4);
+    const std::int64_t session = f.open_session(4);
     bool done = false;
-    f.scheduler.submit_execute(
-        kernel_id, "gpu_compute(60)", true, f.simulation.now(),
+    f.scheduler.submit_session(
+        session, "gpu_compute(60)", true, f.simulation.now(),
         [&](const kernel::ExecutionResult&, const RequestTrace&) {
             done = true;
         });
@@ -517,7 +517,7 @@ TEST(GlobalSchedulerTest, DeviceIdsBoundDuringExecutionOnly)
     int holders = 0;
     std::vector<std::int32_t> devices;
     for (int i = 0; i < 3; ++i) {
-        const auto bound = f.scheduler.bound_devices(kernel_id, i);
+        const auto bound = f.scheduler.bound_devices(session, i);
         if (!bound.empty()) {
             ++holders;
             devices = bound;
@@ -528,15 +528,15 @@ TEST(GlobalSchedulerTest, DeviceIdsBoundDuringExecutionOnly)
     f.run_for(120 * sim::kSecond);
     EXPECT_TRUE(done);
     for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(f.scheduler.bound_devices(kernel_id, i).empty());
+        EXPECT_TRUE(f.scheduler.bound_devices(session, i).empty());
     }
 }
 
 TEST(GlobalSchedulerTest, YieldConversionPreSelectsExecutor)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
-    f.execute(kernel_id, "gpu_compute(1)");
+    const std::int64_t session = f.open_session();
+    f.execute(session, "gpu_compute(1)");
     EXPECT_GE(f.scheduler.stats().yield_conversions, 1u);
     EXPECT_GE(f.scheduler.stats().immediate_commits, 1u);
 }
@@ -544,9 +544,9 @@ TEST(GlobalSchedulerTest, YieldConversionPreSelectsExecutor)
 TEST(GlobalSchedulerTest, ConsecutiveCellsReuseExecutor)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
-    f.execute(kernel_id, "a = 1\ngpu_compute(1)");
-    const auto second = f.execute(kernel_id, "b = 2\ngpu_compute(1)");
+    const std::int64_t session = f.open_session();
+    f.execute(session, "a = 1\ngpu_compute(1)");
+    const auto second = f.execute(session, "b = 2\ngpu_compute(1)");
     EXPECT_TRUE(second.result.executor_reused);
     EXPECT_GE(f.scheduler.stats().executor_reuses, 1u);
 }
@@ -554,19 +554,19 @@ TEST(GlobalSchedulerTest, ConsecutiveCellsReuseExecutor)
 TEST(GlobalSchedulerTest, StateVisibleAcrossCells)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
-    f.execute(kernel_id, "counter = 1\ngpu_compute(1)");
+    const std::int64_t session = f.open_session();
+    f.execute(session, "counter = 1\ngpu_compute(1)");
     const auto reply =
-        f.execute(kernel_id, "counter = counter + 1\nprint(counter)\n"
-                             "gpu_compute(1)");
+        f.execute(session, "counter = counter + 1\nprint(counter)\n"
+                           "gpu_compute(1)");
     EXPECT_EQ(reply.result.output, "2\n");
 }
 
 TEST(GlobalSchedulerTest, SyncLatenciesRecorded)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
-    f.execute(kernel_id, "x = 1\ngpu_compute(1)");
+    const std::int64_t session = f.open_session();
+    f.execute(session, "x = 1\ngpu_compute(1)");
     EXPECT_GE(f.scheduler.sync_latencies_ms().count(), 1u);
     EXPECT_GT(f.scheduler.sync_latencies_ms().mean(), 0.0);
 }
@@ -574,21 +574,22 @@ TEST(GlobalSchedulerTest, SyncLatenciesRecorded)
 TEST(GlobalSchedulerTest, CpuCellsSkipGpuCommit)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
+    const std::int64_t session = f.open_session();
     const auto reply =
-        f.execute(kernel_id, "y = 3\ncpu_compute(5)", /*is_gpu=*/false);
+        f.execute(session, "y = 3\ncpu_compute(5)", /*is_gpu=*/false);
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_EQ(f.scheduler.stats().gpu_executions, 0u);
 }
 
-TEST(GlobalSchedulerTest, StopKernelReleasesSubscriptions)
+TEST(GlobalSchedulerTest, EndSessionReleasesSubscriptions)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
+    const std::int64_t session = f.open_session();
     EXPECT_GT(f.scheduler.cluster().total_subscribed_gpus(), 0);
-    f.scheduler.stop_kernel(kernel_id);
+    f.scheduler.end_session(session);
     EXPECT_EQ(f.scheduler.cluster().total_subscribed_gpus(), 0);
-    EXPECT_EQ(f.scheduler.live_kernels(), 0u);
+    EXPECT_EQ(f.scheduler.session_count(), 0u);
+    EXPECT_FALSE(f.scheduler.session_movable(session));
 }
 
 TEST(GlobalSchedulerTest, ScaleOutWhenPlacementFails)
@@ -596,8 +597,7 @@ TEST(GlobalSchedulerTest, ScaleOutWhenPlacementFails)
     SchedulerConfig config = SchedFixture::default_config();
     config.initial_servers = 2;  // fewer servers than replicas
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel();
-    EXPECT_NE(kernel_id, cluster::kNoKernel);
+    f.open_session();
     EXPECT_GE(f.scheduler.stats().scale_outs, 1u);
     EXPECT_GE(f.scheduler.cluster().size(), 3u);
 }
@@ -614,22 +614,17 @@ TEST(GlobalSchedulerTest, ZeroCapacityClusterBootstrapsViaScaleOut)
     EXPECT_EQ(f.scheduler.cluster().size(), 0u);
     EXPECT_EQ(f.scheduler.cluster().total_gpus(), 0);
 
-    cluster::KernelId kernel_id = cluster::kNoKernel;
-    bool ok = false;
-    f.scheduler.start_kernel(kernel_request(2),
-                             [&](cluster::KernelId id, bool success) {
-                                 kernel_id = id;
-                                 ok = success;
-                             });
+    const std::int64_t session = 1;
+    f.scheduler.begin_session(session, kernel_request(2));
     f.run_for(600 * sim::kSecond);
-    ASSERT_TRUE(ok) << "kernel never became ready from a cold cluster";
-    ASSERT_NE(kernel_id, cluster::kNoKernel);
+    ASSERT_TRUE(f.scheduler.session_movable(session))
+        << "kernel never became ready from a cold cluster";
     // One scale-out per missing replica server, at least.
     EXPECT_GE(f.scheduler.stats().scale_outs, 3u);
     EXPECT_GE(f.scheduler.cluster().size(), 3u);
     // The bootstrapped kernel executes end to end.
-    const auto reply = f.execute(kernel_id, "x = 40 + 2\nprint(x)\n"
-                                            "gpu_compute(2)");
+    const auto reply = f.execute(session, "x = 40 + 2\nprint(x)\n"
+                                          "gpu_compute(2)");
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_EQ(reply.result.output, "42\n");
 }
@@ -642,15 +637,10 @@ TEST(GlobalSchedulerTest, SingleServerClusterSpreadsReplicasAfterScaleOut)
     SchedulerConfig config = SchedFixture::default_config();
     config.initial_servers = 1;
     SchedFixture f(config);
-    cluster::KernelId kernel_id = cluster::kNoKernel;
-    bool ok = false;
-    f.scheduler.start_kernel(kernel_request(2),
-                             [&](cluster::KernelId id, bool success) {
-                                 kernel_id = id;
-                                 ok = success;
-                             });
+    f.scheduler.begin_session(1, kernel_request(2));
     f.run_for(600 * sim::kSecond);
-    ASSERT_TRUE(ok);
+    ASSERT_TRUE(f.scheduler.session_movable(1));
+    const cluster::KernelId kernel_id = f.scheduler.kernel_of(1);
     EXPECT_GE(f.scheduler.stats().scale_outs, 2u);
     EXPECT_GE(f.scheduler.cluster().size(), 3u);
     // Each replica container sits on its own server.
@@ -668,12 +658,10 @@ TEST(GlobalSchedulerTest, SingleServerClusterSpreadsReplicasAfterScaleOut)
     EXPECT_EQ(servers.size(), 3u);
 }
 
-/** With every recovery knob off, a zero-capacity cluster can never place
- *  the kernel — the request must stay pending (no crash, no phantom
- *  success) while unconditional placement scale-outs bring capacity up
- *  eventually under the default §3.4.2 behaviour. Here we only pin the
- *  "no phantom success before capacity exists" half: until provisioning
- *  completes, the callback must not fire. */
+/** A zero-capacity cluster cannot place the kernel until the scale-outs
+ *  its failed placement triggered (§3.4.2) bring servers up: the kernel
+ *  must wait (no crash, no phantom creation) with the shard unsettled,
+ *  and once provisioning completes it is created. */
 TEST(GlobalSchedulerTest, ZeroCapacityKernelStaysPendingUntilCapacity)
 {
     SchedulerConfig config = SchedFixture::default_config();
@@ -681,18 +669,16 @@ TEST(GlobalSchedulerTest, ZeroCapacityKernelStaysPendingUntilCapacity)
     config.server_provision_min = 200 * sim::kSecond;
     config.server_provision_max = 200 * sim::kSecond;
     SchedFixture f(config);
-    bool fired = false;
-    f.scheduler.start_kernel(kernel_request(1),
-                             [&](cluster::KernelId, bool) {
-                                 fired = true;
-                             });
-    // Well before the 200 s provisioning completes: still pending.
+    f.scheduler.begin_session(1, kernel_request(1));
+    // Well before the 200 s provisioning completes: still waiting.
     f.run_for(100 * sim::kSecond);
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(f.scheduler.live_kernels(), 0u);
-    // Once the servers register, the pending kernel is placed.
+    EXPECT_EQ(f.scheduler.stats().kernels_created, 0u);
+    EXPECT_FALSE(f.scheduler.session_movable(1));
+    EXPECT_FALSE(f.scheduler.settled());
+    // Once the servers register, the waiting kernel is placed.
     f.run_for(600 * sim::kSecond);
-    EXPECT_TRUE(fired);
+    EXPECT_EQ(f.scheduler.stats().kernels_created, 1u);
+    EXPECT_TRUE(f.scheduler.session_movable(1));
 }
 
 TEST(GlobalSchedulerTest, FailedElectionTriggersMigration)
@@ -701,7 +687,8 @@ TEST(GlobalSchedulerTest, FailedElectionTriggersMigration)
     config.initial_servers = 4;
     config.yield_conversion = false;  // force the Raft election path
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel(8);
+    const std::int64_t session = f.open_session(8);
+    const cluster::KernelId kernel_id = f.scheduler.kernel_of(session);
 
     // Saturate the three replica servers so every replica must yield.
     std::set<cluster::ServerId> replica_servers;
@@ -718,7 +705,7 @@ TEST(GlobalSchedulerTest, FailedElectionTriggersMigration)
             kernel_request(8)));
     }
     const auto reply =
-        f.execute(kernel_id, "gpu_compute(5)", true, 900 * sim::kSecond);
+        f.execute(session, "gpu_compute(5)", true, 900 * sim::kSecond);
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_TRUE(reply.trace.migrated);
     EXPECT_GE(f.scheduler.stats().elections_failed, 1u);
@@ -739,12 +726,12 @@ TEST(GlobalSchedulerTest, MigrationAbortsWithoutViableServer)
     config.migration_retry = 5 * sim::kSecond;
     config.migration_max_retries = 2;
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel(8);
+    const std::int64_t session = f.open_session(8);
     for (const auto& [id, server] : f.scheduler.cluster().servers()) {
         server->commit(kernel_request(8));
     }
     const auto reply =
-        f.execute(kernel_id, "gpu_compute(5)", true, 900 * sim::kSecond);
+        f.execute(session, "gpu_compute(5)", true, 900 * sim::kSecond);
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kError);
     EXPECT_TRUE(reply.trace.aborted);
     EXPECT_GE(f.scheduler.stats().migrations_aborted, 1u);
@@ -764,7 +751,7 @@ TEST(GlobalSchedulerTest, StopMidMigrationReleasesWhatTheKernelHolds)
     // Nothing may remove a server the checks below read.
     config.enable_autoscaler = false;
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel(8);
+    const std::int64_t session = f.open_session(8);
     cluster::Cluster& cluster = f.scheduler.cluster();
     std::size_t replica_servers = 0;
     for (const auto& [id, server] : cluster.servers()) {
@@ -774,8 +761,8 @@ TEST(GlobalSchedulerTest, StopMidMigrationReleasesWhatTheKernelHolds)
         }
     }
     ASSERT_EQ(replica_servers, 3u);
-    f.scheduler.submit_execute(
-        kernel_id, "gpu_compute(5)", true, f.simulation.now(),
+    f.scheduler.submit_session(
+        session, "gpu_compute(5)", true, f.simulation.now(),
         [](const kernel::ExecutionResult&, const RequestTrace&) {});
     // Step until the migration releases the victim's server.
     for (int step = 0; step < 3000 && cluster.total_subscribed_gpus() == 24;
@@ -785,7 +772,7 @@ TEST(GlobalSchedulerTest, StopMidMigrationReleasesWhatTheKernelHolds)
     ASSERT_EQ(cluster.total_subscribed_gpus(), 16);
     ASSERT_EQ(f.scheduler.stats().migrations, 1u);
 
-    f.scheduler.stop_kernel(kernel_id);
+    f.scheduler.end_session(session);
     f.run_for(60 * sim::kSecond);
     for (const auto& [id, server] : cluster.servers()) {
         EXPECT_EQ(server->subscribed_gpus(), 0) << "server " << id;
@@ -796,17 +783,17 @@ TEST(GlobalSchedulerTest, StopMidMigrationReleasesWhatTheKernelHolds)
 TEST(GlobalSchedulerTest, ReplicaFailureIsRepaired)
 {
     SchedFixture f;
-    const cluster::KernelId kernel_id = f.create_kernel();
-    f.execute(kernel_id, "x = 7\ngpu_compute(1)");
-    f.scheduler.inject_replica_failure(kernel_id, 0);
+    const std::int64_t session = f.open_session();
+    f.execute(session, "x = 7\ngpu_compute(1)");
+    f.scheduler.inject_replica_failure(session, 0);
     f.run_for(300 * sim::kSecond);  // health check + replacement
     EXPECT_GE(f.scheduler.stats().replica_failovers, 1u);
-    kernel::KernelReplica* replacement = f.scheduler.replica(kernel_id, 0);
+    kernel::KernelReplica* replacement = f.scheduler.replica(session, 0);
     ASSERT_NE(replacement, nullptr);
     EXPECT_TRUE(replacement->running());
     // The kernel still executes with synchronized state.
     const auto reply =
-        f.execute(kernel_id, "x = x + 1\nprint(x)\ngpu_compute(1)");
+        f.execute(session, "x = x + 1\nprint(x)\ngpu_compute(1)");
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_EQ(reply.result.output, "8\n");
 }
@@ -822,16 +809,17 @@ TEST(GlobalSchedulerTest, SlowReplicaFailureIsRepairedOnce)
     // Nothing may remove a server the checks below read.
     config.enable_autoscaler = false;
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel(2);
-    f.execute(kernel_id, "x = 7\ngpu_compute(1)");
-    f.scheduler.inject_replica_failure(kernel_id, 0);
+    const std::int64_t session = f.open_session(2);
+    const cluster::KernelId kernel_id = f.scheduler.kernel_of(session);
+    f.execute(session, "x = 7\ngpu_compute(1)");
+    f.scheduler.inject_replica_failure(session, 0);
     f.run_for(300 * sim::kSecond);
     EXPECT_EQ(f.scheduler.stats().replica_failovers, 1u);
 
     // The group's config holds the three replicas, and no more.
     const raft::RaftNode* lead = nullptr;
     for (int i = 0; i < 3; ++i) {
-        kernel::KernelReplica* replica = f.scheduler.replica(kernel_id, i);
+        kernel::KernelReplica* replica = f.scheduler.replica(session, i);
         ASSERT_NE(replica, nullptr);
         EXPECT_TRUE(replica->running()) << "replica " << i;
         if (replica->raft().role() == raft::Role::kLeader) {
@@ -856,7 +844,7 @@ TEST(GlobalSchedulerTest, SlowReplicaFailureIsRepairedOnce)
     EXPECT_EQ(f.scheduler.cluster().total_subscribed_gpus(), 6);
 
     const auto reply =
-        f.execute(kernel_id, "x = x + 1\nprint(x)\ngpu_compute(1)");
+        f.execute(session, "x = x + 1\nprint(x)\ngpu_compute(1)");
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_EQ(reply.result.output, "8\n");
 }
@@ -871,7 +859,7 @@ TEST(GlobalSchedulerTest, SingleReplicaMigrationRerunsItsCell)
     config.kernel.replica_count = 1;
     config.yield_conversion = false;  // force the Raft election path
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel(8);
+    const std::int64_t session = f.open_session(8);
     cluster::GpuServer* home = nullptr;
     for (const auto& [id, server] : f.scheduler.cluster().servers()) {
         if (!server->containers().empty()) {
@@ -880,7 +868,7 @@ TEST(GlobalSchedulerTest, SingleReplicaMigrationRerunsItsCell)
     }
     ASSERT_NE(home, nullptr);
     ASSERT_TRUE(home->commit(kernel_request(8)));
-    const auto reply = f.execute(kernel_id, "x = 5\nprint(x)\ngpu_compute(5)",
+    const auto reply = f.execute(session, "x = 5\nprint(x)\ngpu_compute(5)",
                                  true, 900 * sim::kSecond);
     EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     EXPECT_EQ(reply.result.output, "5\n");
@@ -895,19 +883,19 @@ TEST(GlobalSchedulerTest, AutoscalerAddsServersUnderLoad)
     config.autoscale_interval = 10 * sim::kSecond;
     config.autoscaler.buffer_servers = 1;
     SchedFixture f(config);
-    const cluster::KernelId kernel_id = f.create_kernel(8);
+    const std::int64_t session = f.open_session(8);
     bool done = false;
-    f.scheduler.submit_execute(
-        kernel_id, "gpu_compute(600)", true, f.simulation.now(),
+    f.scheduler.submit_session(
+        session, "gpu_compute(600)", true, f.simulation.now(),
         [&](const kernel::ExecutionResult&, const RequestTrace&) {
             done = true;
         });
     f.run_for(300 * sim::kSecond);
     // 8 committed GPUs -> desired = ceil(8.4/8)+1 = 3 servers; commit more
     // kernels to push it over.
-    const cluster::KernelId second = f.create_kernel(8);
+    const std::int64_t second = f.open_session(8);
     bool done2 = false;
-    f.scheduler.submit_execute(
+    f.scheduler.submit_session(
         second, "gpu_compute(600)", true, f.simulation.now(),
         [&](const kernel::ExecutionResult&, const RequestTrace&) {
             done2 = true;
@@ -931,26 +919,23 @@ TEST(GlobalSchedulerTest, PrewarmPoolRefilled)
     EXPECT_EQ(f.scheduler.stats().prewarm_hits, 0u);
 }
 
-TEST(GlobalSchedulerTest, UnknownKernelRejected)
+TEST(GlobalSchedulerTest, UnknownSessionRefused)
 {
     SchedFixture f;
-    bool done = false;
-    kernel::ExecutionResult got;
-    f.scheduler.submit_execute(
+    EXPECT_FALSE(f.scheduler.submit_session(
         999, "x = 1", true, f.simulation.now(),
-        [&](const kernel::ExecutionResult& result, const RequestTrace&) {
-            got = result;
-            done = true;
-        });
+        [](const kernel::ExecutionResult&, const RequestTrace&) {
+            FAIL() << "callback for a refused cell";
+        }));
     f.run_for(sim::kSecond);
-    ASSERT_TRUE(done);
-    EXPECT_EQ(got.status, kernel::ExecutionStatus::kError);
+    EXPECT_EQ(f.scheduler.kernel_of(999), cluster::kNoKernel);
+    EXPECT_TRUE(f.scheduler.settled());
 }
 
 TEST(GlobalSchedulerTest, EventsRecorded)
 {
     SchedFixture f;
-    f.create_kernel();
+    f.open_session();
     bool created = false;
     for (const SchedulerEvent& event : f.scheduler.events()) {
         if (event.kind == SchedulerEvent::Kind::kKernelCreated) {
@@ -964,8 +949,8 @@ TEST(GlobalSchedulerTest, EventsRecorded)
  *  any cell can still get an outcome (buffered behind its kernel's
  *  creation, pending, or replied to but with the reply still on its way
  *  to the client) and turn true once none can: after the reply, after
- *  end_session drops a pending cell, and after a failed kernel creation
- *  strands a buffered cell. */
+ *  end_session drops a pending cell, and once the kernel of a session that
+ *  ended during its creation has been created and stopped. */
 TEST(GlobalSchedulerTest, SettledOnlyWhenNoCellIsOwedAnOutcome)
 {
     SchedFixture f;
@@ -1010,29 +995,26 @@ TEST(GlobalSchedulerTest, SettledOnlyWhenNoCellIsOwedAnOutcome)
     f.run_for(120 * sim::kSecond);
     EXPECT_TRUE(f.scheduler.settled());
 
-    // A creation that fails strands the session's buffered cell. Stop the
-    // kernel once its replicas run but before the creation poll has seen
-    // a leader; the next poll reports the failure.
+    // A session that ends while its kernel is being created drops its
+    // buffered cell, and its kernel is stopped once created.
     f.scheduler.begin_session(2, kernel_request(1));
     ASSERT_TRUE(f.scheduler.submit_session(2, "gpu_compute(5)", true,
                                            f.simulation.now(), never));
-    cluster::KernelId kernel = cluster::kNoKernel;
-    while (kernel == cluster::kNoKernel ||
-           f.scheduler.replica(kernel, 0) == nullptr) {
+    while (f.scheduler.replica(2, 0) == nullptr) {
         ASSERT_FALSE(f.scheduler.settled());
         ASSERT_TRUE(f.simulation.step());
-        for (const auto& [id, server] : f.scheduler.cluster().servers()) {
-            for (const auto& [cid, container] : server->containers()) {
-                kernel = container.kernel;
-            }
-        }
     }
-    f.scheduler.stop_kernel(kernel);
+    f.scheduler.end_session(2);
     EXPECT_FALSE(f.scheduler.settled());
-    f.run_for(sim::kSecond);
-    EXPECT_TRUE(f.scheduler.settled());
     EXPECT_FALSE(f.scheduler.submit_session(2, "gpu_compute(5)", true,
                                             f.simulation.now(), never));
+    f.run_for(sim::kMinute);
+    EXPECT_TRUE(f.scheduler.settled());
+    EXPECT_EQ(f.scheduler.stats().kernels_created, 2u);
+    for (const auto& [id, server] : f.scheduler.cluster().servers()) {
+        EXPECT_EQ(server->subscribed_gpus(), 0) << "server " << id;
+        EXPECT_TRUE(server->containers().empty()) << "server " << id;
+    }
 }
 
 /** The route is a pure function of (session id, shard count): identical
@@ -1152,31 +1134,25 @@ TEST(ShardedSchedulerTest, RoutesSessionsAndMergesAcrossShards)
             sessions.push_back(id);
         }
     }
-    std::map<std::int64_t, cluster::KernelId> kernels;
     for (const std::int64_t session : sessions) {
         pair.shard(router.shard_of(session))
-            .start_kernel(kernel_request(2),
-                          [&kernels, session](cluster::KernelId id,
-                                              bool ok) {
-                              ASSERT_TRUE(ok);
-                              kernels[session] = id;
-                          });
+            .begin_session(session, kernel_request(2));
     }
     pair.run_until(240 * sim::kSecond);
-    ASSERT_EQ(kernels.size(), sessions.size());
     // Shard 0 allocates 1, 3, ... and shard 1 allocates 2, 4, ...
-    EXPECT_EQ(kernels.at(sessions[0]), 1);
-    EXPECT_EQ(kernels.at(sessions[1]), 2);
-    EXPECT_EQ(kernels.at(sessions[2]), 3);
-    EXPECT_EQ(kernels.at(sessions[3]), 4);
-    EXPECT_EQ(pair.shard(0).live_kernels(), 2u);
-    EXPECT_EQ(pair.shard(1).live_kernels(), 2u);
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+        SchedulerShard& owner = pair.shard(router.shard_of(sessions[i]));
+        EXPECT_TRUE(owner.session_movable(sessions[i]));
+        EXPECT_EQ(owner.kernel_of(sessions[i]),
+                  static_cast<cluster::KernelId>(i + 1));
+    }
+    EXPECT_EQ(pair.shard(0).session_count(), 2u);
+    EXPECT_EQ(pair.shard(1).session_count(), 2u);
 
     int completed = 0;
     for (const std::int64_t session : sessions) {
         pair.shard(router.shard_of(session))
-            .submit_execute(kernels.at(session), "gpu_compute(2)", true,
-                            pair.now,
+            .submit_session(session, "gpu_compute(2)", true, pair.now,
                             [&completed](const kernel::ExecutionResult& r,
                                          const RequestTrace&) {
                                 EXPECT_EQ(r.status,
@@ -1201,10 +1177,10 @@ TEST(ShardedSchedulerTest, RoutesSessionsAndMergesAcrossShards)
     for (std::size_t i = 1; i < events.size(); ++i) {
         EXPECT_LE(events[i - 1].time, events[i].time);
     }
-    // Stopping a kernel releases only its own shard's.
-    pair.shard(0).stop_kernel(kernels.at(sessions[0]));
-    EXPECT_EQ(pair.shard(0).live_kernels(), 1u);
-    EXPECT_EQ(pair.shard(1).live_kernels(), 2u);
+    // Ending a session touches only its own shard.
+    pair.shard(0).end_session(sessions[0]);
+    EXPECT_EQ(pair.shard(0).session_count(), 1u);
+    EXPECT_EQ(pair.shard(1).session_count(), 2u);
 }
 
 /** `static_hash` and `rebalance` admission through the router must be the
@@ -1620,15 +1596,15 @@ TEST(GlobalSchedulerTest, MultipleKernelsOversubscribe)
     SchedFixture f(config);
     // 6 kernels x 4 GPUs x 3 replicas subscribed on 24 GPUs total: SR
     // rises above 1 but placement still succeeds under the dynamic cap.
-    std::vector<cluster::KernelId> kernels;
+    std::vector<std::int64_t> sessions;
     for (int i = 0; i < 6; ++i) {
-        kernels.push_back(f.create_kernel(4));
+        sessions.push_back(f.open_session(4));
     }
-    EXPECT_EQ(f.scheduler.live_kernels(), 6u);
+    EXPECT_EQ(f.scheduler.session_count(), 6u);
     EXPECT_GT(f.scheduler.cluster_sr(), 0.9);
     // All kernels still execute (serially).
-    for (const cluster::KernelId kernel_id : kernels) {
-        const auto reply = f.execute(kernel_id, "gpu_compute(2)");
+    for (const std::int64_t session : sessions) {
+        const auto reply = f.execute(session, "gpu_compute(2)");
         EXPECT_EQ(reply.result.status, kernel::ExecutionStatus::kOk);
     }
 }
