@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace nbos::cluster {
 
 Cluster::Cluster(ResourceSpec server_shape) : server_shape_(server_shape)
 {
-}
-
-std::size_t
-Cluster::index_of(ServerId id) const
-{
-    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-    if (it == ids_.end() || *it != id) {
-        return kNpos;
-    }
-    return static_cast<std::size_t>(it - ids_.begin());
 }
 
 GpuServer&
@@ -28,14 +19,16 @@ Cluster::add_server()
 GpuServer&
 Cluster::add_server(const ResourceSpec& shape)
 {
-    // Ids are monotonic, so appending keeps the arrays id-sorted.
-    const ServerId id = next_id_++;
+    // Ids are monotonic, so appending keeps the arrays id-sorted and the
+    // new id is the largest in its load bucket.
+    const auto id = static_cast<ServerId>(by_id_.size());
     auto server = std::make_unique<GpuServer>(id, shape);
     GpuServer& ref = *server;
     ref.owner_ = this;
     ids_.push_back(id);
     nodes_.push_back(std::move(server));
-    by_load_.insert(LoadEntry{0, 0, id, &ref});
+    by_id_.push_back(&ref);
+    bucket(0, 0).push_back(id);
     total_gpus_ += shape.gpus;
     return ref;
 }
@@ -43,33 +36,38 @@ Cluster::add_server(const ResourceSpec& shape)
 bool
 Cluster::remove_server(ServerId id)
 {
-    const std::size_t index = index_of(id);
-    if (index == kNpos) {
+    const GpuServer* server = find(id);
+    if (server == nullptr) {
         return false;
     }
-    const GpuServer& server = *nodes_[index];
-    by_load_.erase(LoadEntry{server.committed_gpus(),
-                             server.subscribed_gpus(), id, &server});
-    total_gpus_ -= server.capacity().gpus;
-    total_subscribed_gpus_ -= server.subscribed_gpus();
-    total_committed_gpus_ -= server.committed_gpus();
-    ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(index));
-    nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(index));
+    std::vector<ServerId>& load =
+        bucket(server->committed_gpus(), server->subscribed_gpus());
+    load.erase(std::lower_bound(load.begin(), load.end(), id));
+    total_gpus_ -= server->capacity().gpus;
+    total_subscribed_gpus_ -= server->subscribed_gpus();
+    total_committed_gpus_ -= server->committed_gpus();
+    by_id_[static_cast<std::size_t>(id)] = nullptr;
+    const auto index = std::lower_bound(ids_.begin(), ids_.end(), id) -
+                       ids_.begin();
+    ids_.erase(ids_.begin() + index);
+    nodes_.erase(nodes_.begin() + index);
     return true;
 }
 
-GpuServer*
-Cluster::find(ServerId id)
+std::vector<ServerId>&
+Cluster::bucket(std::int32_t committed, std::int32_t subscribed)
 {
-    const std::size_t index = index_of(id);
-    return index == kNpos ? nullptr : nodes_[index].get();
-}
-
-const GpuServer*
-Cluster::find(ServerId id) const
-{
-    const std::size_t index = index_of(id);
-    return index == kNpos ? nullptr : nodes_[index].get();
+    assert(committed >= 0 && subscribed >= 0);
+    const auto row = static_cast<std::size_t>(committed);
+    if (row >= load_.size()) {
+        load_.resize(row + 1);
+    }
+    std::vector<std::vector<ServerId>>& buckets = load_[row];
+    const auto column = static_cast<std::size_t>(subscribed);
+    if (column >= buckets.size()) {
+        buckets.resize(column + 1);
+    }
+    return buckets[column];
 }
 
 void
@@ -83,12 +81,14 @@ Cluster::on_load_change(const GpuServer& server, std::int32_t old_committed,
     }
     total_committed_gpus_ += committed - old_committed;
     total_subscribed_gpus_ += subscribed - old_subscribed;
-    auto node = by_load_.extract(
-        LoadEntry{old_committed, old_subscribed, server.id(), &server});
-    assert(!node.empty());
-    node.value().committed_gpus = committed;
-    node.value().subscribed_gpus = subscribed;
-    by_load_.insert(std::move(node));
+    const ServerId id = server.id();
+    std::vector<ServerId>& from = bucket(old_committed, old_subscribed);
+    const auto it = std::lower_bound(from.begin(), from.end(), id);
+    assert(it != from.end() && *it == id);
+    from.erase(it);
+    // Looked up only now: creating the new bucket may move the old one.
+    std::vector<ServerId>& to = bucket(committed, subscribed);
+    to.insert(std::lower_bound(to.begin(), to.end(), id), id);
 }
 
 double
@@ -115,41 +115,64 @@ PrewarmPool::PrewarmPool(std::int32_t target_per_server)
 {
 }
 
+const PrewarmPool::State*
+PrewarmPool::find(ServerId server) const
+{
+    if (static_cast<std::uint64_t>(server) >= pools_.size()) {
+        return nullptr;
+    }
+    const State& state = pools_[static_cast<std::size_t>(server)];
+    return state.registered ? &state : nullptr;
+}
+
+PrewarmPool::State*
+PrewarmPool::find(ServerId server)
+{
+    return const_cast<State*>(std::as_const(*this).find(server));
+}
+
 void
 PrewarmPool::register_server(ServerId id)
 {
-    pools_.emplace(id, State{});
+    assert(id >= 0);
+    const auto slot = static_cast<std::size_t>(id);
+    if (slot >= pools_.size()) {
+        pools_.resize(slot + 1);
+    }
+    pools_[slot].registered = true;
 }
 
 void
 PrewarmPool::unregister_server(ServerId id)
 {
-    pools_.erase(id);
+    if (State* state = find(id)) {
+        *state = State{};
+    }
 }
 
 std::int32_t
 PrewarmPool::available(ServerId server) const
 {
-    const auto it = pools_.find(server);
-    return it == pools_.end() ? 0 : it->second.available;
+    const State* state = find(server);
+    return state == nullptr ? 0 : state->available;
 }
 
 std::int32_t
 PrewarmPool::pending(ServerId server) const
 {
-    const auto it = pools_.find(server);
-    return it == pools_.end() ? 0 : it->second.pending;
+    const State* state = find(server);
+    return state == nullptr ? 0 : state->pending;
 }
 
 bool
 PrewarmPool::acquire(ServerId server)
 {
-    const auto it = pools_.find(server);
-    if (it == pools_.end() || it->second.available <= 0) {
+    State* state = find(server);
+    if (state == nullptr || state->available <= 0) {
         ++total_misses_;
         return false;
     }
-    --it->second.available;
+    --state->available;
     ++total_acquired_;
     return true;
 }
@@ -157,42 +180,39 @@ PrewarmPool::acquire(ServerId server)
 void
 PrewarmPool::begin_refill(ServerId server)
 {
-    const auto it = pools_.find(server);
-    if (it != pools_.end()) {
-        ++it->second.pending;
+    if (State* state = find(server)) {
+        ++state->pending;
     }
 }
 
 void
 PrewarmPool::complete_refill(ServerId server)
 {
-    const auto it = pools_.find(server);
-    if (it != pools_.end()) {
-        if (it->second.pending > 0) {
-            --it->second.pending;
+    if (State* state = find(server)) {
+        if (state->pending > 0) {
+            --state->pending;
         }
-        ++it->second.available;
+        ++state->available;
     }
 }
 
 void
 PrewarmPool::release(ServerId server)
 {
-    const auto it = pools_.find(server);
-    if (it != pools_.end()) {
-        ++it->second.available;
+    if (State* state = find(server)) {
+        ++state->available;
     }
 }
 
 std::int32_t
 PrewarmPool::deficit(ServerId server) const
 {
-    const auto it = pools_.find(server);
-    if (it == pools_.end()) {
+    const State* state = find(server);
+    if (state == nullptr) {
         return 0;
     }
     const std::int32_t shortfall =
-        target_per_server_ - it->second.available - it->second.pending;
+        target_per_server_ - state->available - state->pending;
     return shortfall > 0 ? shortfall : 0;
 }
 

@@ -12,9 +12,9 @@
 #ifndef NBOS_CLUSTER_CLUSTER_HPP
 #define NBOS_CLUSTER_CLUSTER_HPP
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -31,34 +31,6 @@ double subscription_ratio(std::int64_t subscribed_gpus,
                           std::int64_t total_gpus,
                           std::int32_t replicas_per_kernel);
 
-/** One server's place in the load index: its load as of its last change. */
-struct LoadEntry
-{
-    std::int32_t committed_gpus = 0;
-    std::int32_t subscribed_gpus = 0;
-    ServerId id = kNoServer;
-    const GpuServer* server = nullptr;
-};
-
-/** Least loaded first: fewest committed GPUs, then fewest subscribed,
- *  then lowest id — a total order, so the index is deterministic. */
-struct LoadOrder
-{
-    bool operator()(const LoadEntry& a, const LoadEntry& b) const
-    {
-        if (a.committed_gpus != b.committed_gpus) {
-            return a.committed_gpus < b.committed_gpus;
-        }
-        if (a.subscribed_gpus != b.subscribed_gpus) {
-            return a.subscribed_gpus < b.subscribed_gpus;
-        }
-        return a.id < b.id;
-    }
-};
-
-/** Every server of a cluster in LoadOrder. */
-using LoadIndex = std::set<LoadEntry, LoadOrder>;
-
 /**
  * Registry of GPU servers. Servers can be added (scale-out) and removed
  * (scale-in) at runtime. Servers point back at their cluster, so a
@@ -67,8 +39,15 @@ using LoadIndex = std::set<LoadEntry, LoadOrder>;
  * Layout: parallel arrays (ids, nodes) kept in id order — ids are handed
  * out monotonically, so scale-out is a push_back and the autoscaler /
  * prewarmer / health-check window scans stream two dense arrays instead
- * of chasing map nodes. Lookup is a binary search on the contiguous id
- * column; scale-in (rare) pays the O(n) erase.
+ * of chasing map nodes; scale-in (rare) pays the O(n) erase. Ids start
+ * at 1 and are never reused, so lookup indexes a server-by-id column in
+ * which a removed server leaves nullptr.
+ *
+ * The load index holds one row per committed-GPU count and, within a
+ * row, one bucket per subscribed-GPU count, each bucket the ids of the
+ * servers with that load in id order. Walking rows, buckets and ids in
+ * turn visits the servers least loaded first, and a load change moves
+ * one id between two buckets.
  */
 class Cluster
 {
@@ -141,8 +120,20 @@ class Cluster
      */
     bool remove_server(ServerId id);
 
-    GpuServer* find(ServerId id);
-    const GpuServer* find(ServerId id) const;
+    /** The server with id @p id, or nullptr if there is none (removed or
+     *  never handed out). */
+    GpuServer* find(ServerId id)
+    {
+        return static_cast<std::uint64_t>(id) < by_id_.size()
+                   ? by_id_[static_cast<std::size_t>(id)]
+                   : nullptr;
+    }
+    const GpuServer* find(ServerId id) const
+    {
+        return static_cast<std::uint64_t>(id) < by_id_.size()
+                   ? by_id_[static_cast<std::size_t>(id)]
+                   : nullptr;
+    }
 
     /** Number of provisioned servers. */
     std::size_t size() const { return ids_.size(); }
@@ -153,8 +144,24 @@ class Cluster
     /** The dense id column (id order; parallel to the node column). */
     const std::vector<ServerId>& ids() const { return ids_; }
 
-    /** Every server, least loaded first (LoadOrder). */
-    const LoadIndex& by_load() const { return by_load_; }
+    /**
+     * Visit every server least loaded first — fewest committed GPUs, then
+     * fewest subscribed, then lowest id — until @p visit, called with each
+     * `const GpuServer&`, returns false.
+     */
+    template <typename Visit>
+    void visit_by_load(Visit&& visit) const
+    {
+        for (const auto& row : load_) {
+            for (const std::vector<ServerId>& bucket : row) {
+                for (const ServerId id : bucket) {
+                    if (!visit(*by_id_[static_cast<std::size_t>(id)])) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
 
     /** Total GPUs across all servers (sum G). */
     std::int32_t total_gpus() const { return total_gpus_; }
@@ -181,21 +188,25 @@ class Cluster
     friend class GpuServer;
 
     /** @p server's GPU load just changed from (@p old_committed,
-     *  @p old_subscribed): update the totals and move it within the
-     *  index, reusing its node (no allocation). */
+     *  @p old_subscribed): update the totals and move its id between the
+     *  two load buckets. */
     void on_load_change(const GpuServer& server, std::int32_t old_committed,
                         std::int32_t old_subscribed);
 
-    /** Index of @p id in the parallel arrays, or npos. */
-    std::size_t index_of(ServerId id) const;
-
-    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+    /** The load bucket of (@p committed, @p subscribed), created empty on
+     *  first use. Creating one may move the others. */
+    std::vector<ServerId>& bucket(std::int32_t committed,
+                                  std::int32_t subscribed);
 
     ResourceSpec server_shape_;
-    ServerId next_id_ = 1;
     std::vector<ServerId> ids_;
     std::vector<std::unique_ptr<GpuServer>> nodes_;
-    LoadIndex by_load_;
+    /** Server by id; its size is the next id to hand out, and slot 0 (no
+     *  server has id 0) and removed servers' slots hold nullptr. */
+    std::vector<GpuServer*> by_id_{nullptr};
+    /** The load index: load_[committed][subscribed] is an id-sorted
+     *  bucket. */
+    std::vector<std::vector<std::vector<ServerId>>> load_;
     std::int32_t total_gpus_ = 0;
     std::int32_t total_subscribed_gpus_ = 0;
     std::int32_t total_committed_gpus_ = 0;
@@ -212,7 +223,8 @@ class PrewarmPool
     /** @param target_per_server warm containers to maintain per server. */
     explicit PrewarmPool(std::int32_t target_per_server);
 
-    /** Track a newly provisioned server (starts with zero warm). */
+    /** Track a newly provisioned server (starts with zero warm); no
+     *  change if it is tracked already. @p id is a cluster id (>= 1). */
     void register_server(ServerId id);
 
     /** Forget a removed server. */
@@ -250,10 +262,16 @@ class PrewarmPool
     {
         std::int32_t available = 0;
         std::int32_t pending = 0;
+        bool registered = false;
     };
 
+    /** @p server's state, or nullptr if it is not registered. */
+    State* find(ServerId server);
+    const State* find(ServerId server) const;
+
     std::int32_t target_per_server_;
-    std::map<ServerId, State> pools_;
+    /** Per-server state by id (cluster ids: small, dense, from 1). */
+    std::vector<State> pools_;
     std::uint64_t total_acquired_ = 0;
     std::uint64_t total_misses_ = 0;
 };

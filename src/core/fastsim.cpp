@@ -15,6 +15,7 @@
  * windowed driver loop and merges their results.
  */
 #include <algorithm>
+#include <cassert>
 #include <string>
 
 #include "core/fastsim_engine.hpp"
@@ -90,6 +91,23 @@ FastEngineShard::run_until(sim::Time t)
 ExperimentResults
 FastEngineShard::finish()
 {
+    // No harvest reads the last window's load: drop it, so a row is left
+    // only for a session that is alive, waiting for placement, or has a
+    // cell outlasting the drain.
+    for (const workload::SessionId id : window_active_) {
+        FastKernel& kernel = kernel_at(id);
+        kernel.window_tasks = 0;
+        retire_if_done(id, kernel);
+    }
+    window_active_.clear();
+#ifndef NDEBUG
+    for (std::int32_t row = 0;
+         row < static_cast<std::int32_t>(kernels_.size()); ++row) {
+        const FastKernel& kernel = kernels_.cold_at(row);
+        assert(kernel.alive || kernel.inflight > 0 ||
+               pending_kernels_.count(kernels_.id_at(row)) > 0);
+    }
+#endif
     results_.read_ms = store_.read_latencies();
     results_.write_ms = store_.write_latencies();
     results_.store_bytes_written = store_.bytes_written();
@@ -200,8 +218,9 @@ FastEngineShard::place_kernel(workload::SessionId id)
 void
 FastEngineShard::place_pending_kernels()
 {
-    const std::set<workload::SessionId> pending = pending_kernels_;
-    pending_kernels_.clear();
+    // Kernels that still do not fit go back into the emptied set.
+    std::set<workload::SessionId> pending;
+    pending.swap(pending_kernels_);
     for (const workload::SessionId id : pending) {
         place_kernel(id);
     }
@@ -211,16 +230,17 @@ void
 FastEngineShard::end_session(const workload::SessionSpec& session)
 {
     FastKernel& kernel = kernel_at(session.id);
-    if (!kernel.alive) {
-        pending_kernels_.erase(session.id);
-        return;
-    }
-    for (const cluster::ServerId server_id : kernel.servers) {
-        if (cluster::GpuServer* server = cluster_.find(server_id)) {
-            server->unsubscribe(kernel.spec);
+    if (kernel.alive) {
+        for (const cluster::ServerId server_id : kernel.servers) {
+            if (cluster::GpuServer* server = cluster_.find(server_id)) {
+                server->unsubscribe(kernel.spec);
+            }
         }
+        kernel.alive = false;
+    } else {
+        pending_kernels_.erase(session.id);
     }
-    kernel.alive = false;
+    retire_if_done(session.id, kernel);
 }
 
 void
@@ -238,8 +258,10 @@ FastEngineShard::run_task(std::size_t index,
     if (!kernel.alive) {
         // Kernel still waiting for placement: treat as queued until
         // the next tick re-attempts; abort for simplicity if it never
-        // placed (counted, excluded from latency stats).
+        // placed (counted, excluded from latency stats). A cell of an
+        // ended session lands here too, on a row that goes again.
         tasks_[index].aborted = true;
+        retire_if_done(session.id, kernel);
         return;
     }
     if (!task.is_gpu) {
@@ -304,7 +326,7 @@ FastEngineShard::begin_execution(std::size_t index,
         // The session ended during the cell's migration: its replicas are
         // unsubscribed, so the cell ends aborted, as the prototype drops
         // the cells of a stopped kernel.
-        abort_cell(index, kernel);
+        abort_cell(index, session_id, kernel);
         return;
     }
     cluster::GpuServer* server = cluster_.find(server_id);
@@ -334,7 +356,7 @@ FastEngineShard::migrate_and_run(std::size_t index,
     FastKernel& kernel = kernel_at(session_id);
     if (!kernel.alive) {
         // The session ended while the cell waited for a server.
-        abort_cell(index, kernel);
+        abort_cell(index, session_id, kernel);
         return;
     }
     const cluster::ResourceSpec& spec = kernel.spec;
@@ -347,7 +369,7 @@ FastEngineShard::migrate_and_run(std::size_t index,
         if (retries >= config_.scheduler.migration_max_retries &&
             provisioning_ == 0) {
             results_.sched_stats.migrations_aborted += 1;
-            abort_cell(index, kernel);
+            abort_cell(index, session_id, kernel);
             return;
         }
         if (provisioning_ == 0) {
@@ -413,12 +435,15 @@ FastEngineShard::migrate_and_run(std::size_t index,
 }
 
 void
-FastEngineShard::abort_cell(std::size_t index, FastKernel& kernel)
+FastEngineShard::abort_cell(std::size_t index,
+                            workload::SessionId session_id,
+                            FastKernel& kernel)
 {
     tasks_[index].aborted = true;
     if (kernel.inflight > 0) {
         kernel.inflight -= 1;
     }
+    retire_if_done(session_id, kernel);
 }
 
 void
@@ -437,7 +462,19 @@ FastEngineShard::complete(std::size_t index, sim::Time start, sim::Time end,
         if (kernel.inflight > 0) {
             kernel.inflight -= 1;
         }
+        retire_if_done(session_id, kernel);
     }
+}
+
+void
+FastEngineShard::retire_if_done(workload::SessionId id,
+                                const FastKernel& kernel)
+{
+    if (kernel.alive || kernel.inflight > 0 || kernel.window_tasks > 0 ||
+        pending_kernels_.count(id) > 0) {
+        return;
+    }
+    kernels_.erase(id);
 }
 
 void
@@ -538,17 +575,6 @@ FastEngineShard::inject(const Injection& event)
 }
 
 bool
-FastEngineShard::session_movable(workload::SessionId id) const
-{
-    const std::int32_t row = kernels_.find(id);
-    if (row < 0) {
-        return false;
-    }
-    const FastKernel& kernel = kernels_.cold_at(row);
-    return kernel.alive && kernel.inflight == 0;
-}
-
-bool
 FastEngineShard::extract_session(workload::SessionId id, SessionExtract& out)
 {
     const std::int32_t row = kernels_.find(id);
@@ -606,9 +632,10 @@ FastEngineShard::harvest_window_load(sched::ShardLoad& load,
             continue;
         }
         load.weight += kernel.window_tasks;
-        sessions.push_back(sched::SessionLoad{id, kernel.window_tasks,
-                                              session_movable(id)});
+        sessions.push_back(sched::SessionLoad{
+            id, kernel.window_tasks, kernel.alive && kernel.inflight == 0});
         kernel.window_tasks = 0;
+        retire_if_done(id, kernel);
     }
     window_active_.clear();
 }

@@ -179,7 +179,6 @@ class FastEngineShard
     void record_event(sched::SchedulerEvent::Kind kind);
     void record_fleet_size();
     void inject(const Injection& event);
-    bool session_movable(workload::SessionId id) const;
     void start_session(const workload::SessionSpec& session);
     void place_kernel(workload::SessionId id);
     void place_pending_kernels();
@@ -191,10 +190,18 @@ class FastEngineShard
                          sim::Time duration);
     void migrate_and_run(std::size_t index, workload::SessionId session_id,
                          sim::Time duration, int retries);
-    /** End in-flight GPU cell @p index aborted. */
-    void abort_cell(std::size_t index, FastKernel& kernel);
+    /** End in-flight GPU cell @p index of session @p session_id, whose
+     *  row is @p kernel, aborted. */
+    void abort_cell(std::size_t index, workload::SessionId session_id,
+                    FastKernel& kernel);
     void complete(std::size_t index, sim::Time start, sim::Time end,
                   sim::Time extra_reply, workload::SessionId session_id);
+    /** Drop session @p id's row, @p kernel, once nothing of the session
+     *  is left: it is neither alive nor waiting for placement, and has no
+     *  GPU cell or migration chain in flight and no window load left to
+     *  harvest. Erase moves another row into its place, so on every path
+     *  this is the last touch of the row. */
+    void retire_if_done(workload::SessionId id, const FastKernel& kernel);
     void schedule_tick();
     void tick();
     void finalize();
@@ -214,9 +221,11 @@ class FastEngineShard
         return kernels_.cold_at(kernels_.insert(id));
     }
 
-    /** Dense table replacing the old id -> FastKernel std::map: the
-     *  per-task lookups are O(1) hashes into contiguous rows instead of
-     *  tree-node pointer chases. Rows are not reference-stable across
+    /** One row per session with something left on this shard — alive,
+     *  waiting for placement, or with a cell, migration chain or window
+     *  load outstanding (retire_if_done) — so the table tracks the live
+     *  population, not the trace length. Lookups are O(1) hashes into
+     *  contiguous rows. Rows are not reference-stable across
      *  insert/erase — look up again after any call that may mutate. */
     sched::SessionTable<FastKernel> kernels_;
     std::set<workload::SessionId> pending_kernels_;

@@ -28,11 +28,10 @@ LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
     // shortfall only once every server under it has been seen.
     std::vector<cluster::ServerId> over_limit;
     chosen.reserve(count);
-    for (const cluster::LoadEntry& entry : cluster.by_load()) {
+    cluster.visit_by_load([&](const cluster::GpuServer& server) {
         ++servers_examined_;
-        const cluster::GpuServer& server = *entry.server;
         if (!spec.fits_within(server.capacity())) {
-            continue;
+            return true;
         }
         const double new_sr =
             static_cast<double>(server.subscribed_gpus() + spec.gpus) /
@@ -40,19 +39,17 @@ LeastLoadedPolicy::pick(const cluster::Cluster& cluster,
              static_cast<double>(replicas_per_kernel));
         // Hard watermark: never oversubscribe a server past it.
         if (new_sr > sr_watermark_ + 1e-9) {
-            continue;
+            return true;
         }
         if (new_sr > soft_limit + 1e-9) {
             if (over_limit.size() < count) {
-                over_limit.push_back(entry.id);
+                over_limit.push_back(server.id());
             }
-            continue;
+            return true;
         }
-        chosen.push_back(entry.id);
-        if (chosen.size() == count) {
-            return chosen;
-        }
-    }
+        chosen.push_back(server.id());
+        return chosen.size() < count;
+    });
     for (const cluster::ServerId id : over_limit) {
         if (chosen.size() == count) {
             break;

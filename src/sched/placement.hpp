@@ -4,7 +4,7 @@
  * with the dynamic cluster-wide subscription-ratio (SR) cap, the one
  * policy both NotebookOS engines' shards place through.
  *
- * pick() walks the cluster's load index (cluster::Cluster::by_load(),
+ * pick() walks the cluster's load index (cluster::Cluster::visit_by_load(),
  * kept up to date as loads change) least loaded first and stops once it
  * has enough servers under the dynamic limit, so a placement examines a
  * handful of servers whatever the fleet size; only a placement that

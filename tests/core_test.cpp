@@ -496,6 +496,95 @@ TEST(FastEngineTest, SessionEndingDuringMigrationAbortsItsCell)
     EXPECT_EQ(results.sched_stats.executions_completed, 1u);
 }
 
+/** Run @p trace on the fast engine at 2 shards of three servers each
+ *  under `rebalance`, serial and parallel, which must agree exactly;
+ *  returns the serial run. */
+ExperimentResults
+run_rebalanced_fast(const workload::Trace& trace)
+{
+    PlatformConfig config =
+        test::platform_config(Policy::kNotebookOS, 17, /*fast=*/true);
+    config.scheduler.shards = 2;
+    config.scheduler.routing = sched::RoutingPolicyKind::kRebalance;
+    config.scheduler.initial_servers = 6;
+    config.scheduler.shard_parallel = false;
+    const ExperimentResults serial = test::run_config(config, trace);
+    config.scheduler.shard_parallel = true;
+    test::expect_results_identical(serial, test::run_config(config, trace));
+    return serial;
+}
+
+/** A fast-engine session that ends while its GPU cell executes does not
+ *  take the cell with it: the cell completes after the session is gone,
+ *  its GPU-hours count, and the GPUs it committed are released. */
+TEST(FastEngineTest, SessionEndingWhileItsCellExecutesCompletesTheCell)
+{
+    // Six 2-GPU sessions, each kernel placed at once on its shard's three
+    // servers; each one's cell runs from 100 s for an hour and its
+    // session ends at 10 min.
+    workload::Trace trace;
+    trace.name = "ended-mid-execution";
+    trace.makespan = 3 * kHour;
+    for (workload::SessionId id = 0; id < 6; ++id) {
+        workload::SessionSpec session;
+        session.id = id;
+        session.end_time = 10 * kMinute;
+        session.resources = cluster::ResourceSpec{4000, 16384, 2, 16.0};
+        workload::CellTask task;
+        task.session = id;
+        task.submit_time = 100 * kSecond;
+        task.duration = kHour;
+        session.tasks.push_back(task);
+        trace.sessions.push_back(session);
+    }
+    const ExperimentResults results = run_rebalanced_fast(trace);
+    ASSERT_EQ(results.tasks.size(), 6u);
+    for (const TaskOutcome& task : results.tasks) {
+        SCOPED_TRACE("session " + std::to_string(task.session));
+        EXPECT_FALSE(task.aborted);
+        EXPECT_EQ(task.exec_end - task.exec_start, kHour);
+        EXPECT_GT(task.reply, 10 * kMinute);
+    }
+    EXPECT_EQ(results.sched_stats.executions_completed, 6u);
+    EXPECT_NEAR(results.gpu_hours_committed(), 6 * 2.0, 1e-9);
+    // With every GPU released, each shard's autoscaler shrinks its idle
+    // fleet to the 2-server buffer (AutoScalerConfig::buffer_servers).
+    EXPECT_DOUBLE_EQ(results.provisioned_gpus.current(), 2 * 2 * 8.0);
+}
+
+/** A fast-engine cell submitted exactly at its session's end runs after
+ *  the end and ends aborted; the session's earlier cell still completes. */
+TEST(FastEngineTest, CellSubmittedAtSessionEndingIsAborted)
+{
+    workload::Trace trace;
+    trace.name = "cell-at-end";
+    trace.makespan = 2 * kHour;
+    for (workload::SessionId id = 0; id < 4; ++id) {
+        workload::SessionSpec session;
+        session.id = id;
+        session.end_time = 30 * kMinute;
+        session.resources = cluster::ResourceSpec{4000, 16384, 1, 16.0};
+        for (const sim::Time submit : {5 * kMinute, 30 * kMinute}) {
+            workload::CellTask task;
+            task.session = id;
+            task.seq = static_cast<std::int32_t>(session.tasks.size());
+            task.submit_time = submit;
+            task.duration = 2 * kMinute;
+            task.is_gpu = id % 2 == 0;
+            session.tasks.push_back(task);
+        }
+        trace.sessions.push_back(session);
+    }
+    const ExperimentResults results = run_rebalanced_fast(trace);
+    ASSERT_EQ(results.tasks.size(), 8u);
+    for (const TaskOutcome& task : results.tasks) {
+        SCOPED_TRACE("session " + std::to_string(task.session) + " cell " +
+                     std::to_string(task.seq));
+        EXPECT_EQ(task.aborted, task.submit == 30 * kMinute);
+    }
+    EXPECT_EQ(results.sched_stats.executions_completed, 4u);
+}
+
 TEST(BatchEngineTest, ColdStartDominatesDelay)
 {
     const auto trace = tiny_trace(6, 3 * kHour);

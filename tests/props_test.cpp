@@ -653,12 +653,17 @@ check_cluster_against_reference(const cluster::Cluster& cluster)
     ASSERT_EQ(cluster.total_committed_gpus(), total_committed);
 
     std::sort(expected_order.begin(), expected_order.end());
+    std::vector<const cluster::GpuServer*> walked;
+    cluster.visit_by_load([&walked](const cluster::GpuServer& server) {
+        walked.push_back(&server);
+        return true;
+    });
     std::vector<std::tuple<std::int32_t, std::int32_t, cluster::ServerId>>
         index_order;
-    for (const cluster::LoadEntry& entry : cluster.by_load()) {
-        ASSERT_EQ(entry.server, cluster.find(entry.id));
-        index_order.emplace_back(entry.committed_gpus,
-                                 entry.subscribed_gpus, entry.id);
+    for (const cluster::GpuServer* server : walked) {
+        ASSERT_EQ(server, cluster.find(server->id()));
+        index_order.emplace_back(server->committed_gpus(),
+                                 server->subscribed_gpus(), server->id());
     }
     ASSERT_EQ(index_order, expected_order);
 
@@ -679,14 +684,42 @@ check_cluster_against_reference(const cluster::Cluster& cluster)
     }
 }
 
+/** find() against the ids a test knows are live (@p live's keys), with
+ *  ids 1..@p issued handed out so far: a live id finds the server
+ *  servers() yields for it; a removed id, 0, -1 and the next unissued id
+ *  find nothing. */
+void
+check_find_against_live(
+    const cluster::Cluster& cluster,
+    const std::map<cluster::ServerId, std::vector<cluster::ResourceSpec>>&
+        live,
+    cluster::ServerId issued)
+{
+    std::map<cluster::ServerId, const cluster::GpuServer*> by_id;
+    for (const auto& [id, server] : cluster.servers()) {
+        by_id.emplace(id, server);
+    }
+    ASSERT_EQ(by_id.size(), live.size());
+    for (cluster::ServerId id = -1; id <= issued + 1; ++id) {
+        const cluster::GpuServer* found = cluster.find(id);
+        if (live.count(id) == 0) {
+            ASSERT_EQ(found, nullptr) << "id " << id;
+        } else {
+            ASSERT_NE(found, nullptr) << "id " << id;
+            ASSERT_EQ(found->id(), id);
+            ASSERT_EQ(found, by_id.at(id));
+        }
+    }
+}
+
 /**
  * Placement walks a load index the cluster keeps up to date instead of
  * sorting the fleet. Over random fleets of 0-64 servers (some with a
  * custom shape) and random subscribe / unsubscribe / commit / release /
  * add / remove sequences, after every step: the cached totals equal the
- * recomputed sums, the index is the servers in (committed, subscribed,
- * id) order, and pick() chooses exactly what the sort-based scan
- * chooses.
+ * recomputed sums, the index walk is the servers in (committed,
+ * subscribed, id) order, pick() chooses exactly what the sort-based scan
+ * chooses, and find() finds exactly the live servers.
  */
 TEST(PlacementProperty, IndexedPickMatchesSortedScan)
 {
@@ -704,6 +737,8 @@ TEST(PlacementProperty, IndexedPickMatchesSortedScan)
             subscribed;
         std::map<cluster::ServerId, std::vector<cluster::ResourceSpec>>
             committed;
+        // The last id handed out (ids start at 1).
+        cluster::ServerId issued = 0;
         const auto random_request = [&rng] {
             return gpu_request(
                 std::int32_t{1} << rng.uniform_int(0, 3));  // 1, 2, 4, 8
@@ -716,6 +751,8 @@ TEST(PlacementProperty, IndexedPickMatchesSortedScan)
                     ? cluster.add_server(shapes[static_cast<std::size_t>(
                           rng.uniform_int(0, shapes.size() - 1))])
                     : cluster.add_server();
+            ASSERT_EQ(server.id(), issued + 1);
+            issued = server.id();
             std::vector<cluster::ResourceSpec>& specs =
                 subscribed[server.id()];
             for (std::int64_t k = rng.uniform_int(0, 4); k > 0; --k) {
@@ -736,15 +773,17 @@ TEST(PlacementProperty, IndexedPickMatchesSortedScan)
 
         const std::int64_t initial = rng.uniform_int(0, 64);
         for (std::int64_t i = 0; i < initial; ++i) {
-            add();
+            ASSERT_NO_FATAL_FAILURE(add());
         }
         ASSERT_NO_FATAL_FAILURE(check_cluster_against_reference(cluster));
+        ASSERT_NO_FATAL_FAILURE(
+            check_find_against_live(cluster, subscribed, issued));
         for (int step = 0; step < 120; ++step) {
             SCOPED_TRACE("step " + std::to_string(step));
             const std::int64_t op = rng.uniform_int(0, 5);
             if (op == 4) {
                 if (cluster.size() < 64) {
-                    add();
+                    ASSERT_NO_FATAL_FAILURE(add());
                 }
             } else if (cluster.size() > 0) {
                 const cluster::ServerId id =
@@ -783,6 +822,145 @@ TEST(PlacementProperty, IndexedPickMatchesSortedScan)
                 }
             }
             ASSERT_NO_FATAL_FAILURE(check_cluster_against_reference(cluster));
+            ASSERT_NO_FATAL_FAILURE(
+                check_find_against_live(cluster, subscribed, issued));
+        }
+    });
+}
+
+/** The std::map-keyed pool cluster::PrewarmPool replaced, as the
+ *  reference. */
+class MapPrewarmPool
+{
+  public:
+    explicit MapPrewarmPool(std::int32_t target) : target_(target) {}
+
+    void register_server(cluster::ServerId id) { pools_.emplace(id, State{}); }
+    void unregister_server(cluster::ServerId id) { pools_.erase(id); }
+    std::int32_t available(cluster::ServerId id) const
+    {
+        const auto it = pools_.find(id);
+        return it == pools_.end() ? 0 : it->second.available;
+    }
+    std::int32_t pending(cluster::ServerId id) const
+    {
+        const auto it = pools_.find(id);
+        return it == pools_.end() ? 0 : it->second.pending;
+    }
+    bool acquire(cluster::ServerId id)
+    {
+        const auto it = pools_.find(id);
+        if (it == pools_.end() || it->second.available <= 0) {
+            ++misses;
+            return false;
+        }
+        --it->second.available;
+        ++acquired;
+        return true;
+    }
+    void begin_refill(cluster::ServerId id)
+    {
+        if (const auto it = pools_.find(id); it != pools_.end()) {
+            ++it->second.pending;
+        }
+    }
+    void complete_refill(cluster::ServerId id)
+    {
+        if (const auto it = pools_.find(id); it != pools_.end()) {
+            if (it->second.pending > 0) {
+                --it->second.pending;
+            }
+            ++it->second.available;
+        }
+    }
+    void release(cluster::ServerId id)
+    {
+        if (const auto it = pools_.find(id); it != pools_.end()) {
+            ++it->second.available;
+        }
+    }
+    std::int32_t deficit(cluster::ServerId id) const
+    {
+        const auto it = pools_.find(id);
+        if (it == pools_.end()) {
+            return 0;
+        }
+        return std::max(0, target_ - it->second.available -
+                               it->second.pending);
+    }
+
+    std::uint64_t acquired = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    struct State
+    {
+        std::int32_t available = 0;
+        std::int32_t pending = 0;
+    };
+    std::int32_t target_;
+    std::map<cluster::ServerId, State> pools_;
+};
+
+/**
+ * PrewarmPool keeps per-server state in an id-indexed column. Over random
+ * register / unregister / acquire / begin_refill / complete_refill /
+ * release sequences — registering ids 0-10, so some are registered
+ * twice or again after an unregister, and touching ids -2-13, so some
+ * were never registered — it answers exactly as the map-keyed pool it
+ * replaced: after every step, available, pending and deficit for every
+ * id, acquire's result and both totals.
+ */
+TEST(PrewarmPoolProperty, MatchesMapModel)
+{
+    constexpr cluster::ServerId kLowest = -2;
+    constexpr cluster::ServerId kHighest = 13;
+    test::check_property(kStreams, [](sim::Rng& rng, std::size_t) {
+        const auto target = static_cast<std::int32_t>(rng.uniform_int(0, 4));
+        cluster::PrewarmPool pool(target);
+        MapPrewarmPool model(target);
+        for (int step = 0; step < 400; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            const std::int64_t op = rng.uniform_int(0, 5);
+            const cluster::ServerId id =
+                op == 0 ? rng.uniform_int(0, 10)
+                        : rng.uniform_int(kLowest, kHighest);
+            switch (op) {
+              case 0:
+                pool.register_server(id);
+                model.register_server(id);
+                break;
+              case 1:
+                pool.unregister_server(id);
+                model.unregister_server(id);
+                break;
+              case 2:
+                ASSERT_EQ(pool.acquire(id), model.acquire(id)) << "id " << id;
+                break;
+              case 3:
+                pool.begin_refill(id);
+                model.begin_refill(id);
+                break;
+              case 4:
+                pool.complete_refill(id);
+                model.complete_refill(id);
+                break;
+              default:
+                pool.release(id);
+                model.release(id);
+                break;
+            }
+            for (cluster::ServerId probe = kLowest; probe <= kHighest;
+                 ++probe) {
+                ASSERT_EQ(pool.available(probe), model.available(probe))
+                    << "id " << probe;
+                ASSERT_EQ(pool.pending(probe), model.pending(probe))
+                    << "id " << probe;
+                ASSERT_EQ(pool.deficit(probe), model.deficit(probe))
+                    << "id " << probe;
+            }
+            ASSERT_EQ(pool.total_acquired(), model.acquired);
+            ASSERT_EQ(pool.total_misses(), model.misses);
         }
     });
 }
