@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +18,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -389,42 +387,6 @@ bench_routing()
     return options_or_exit().routing;
 }
 
-/**
- * Gate self-test hook (`NBOS_BENCH_INJECT_SLOWDOWN_PCT=25`): on scope
- * exit, sleep for the given percentage of the scope's measured wall time,
- * simulating a proportional performance regression in every experiment
- * run. Used to prove the CI bench-regression gate goes red without
- * committing an actual slowdown; unset (the default) it is a no-op.
- */
-class InjectedSlowdown
-{
-  public:
-    InjectedSlowdown() : start_(std::chrono::steady_clock::now()) {}
-
-    InjectedSlowdown(const InjectedSlowdown&) = delete;
-    InjectedSlowdown& operator=(const InjectedSlowdown&) = delete;
-
-    ~InjectedSlowdown()
-    {
-        const char* raw = std::getenv("NBOS_BENCH_INJECT_SLOWDOWN_PCT");
-        if (raw == nullptr || raw[0] == '\0') {
-            return;
-        }
-        char* end = nullptr;
-        const double pct = std::strtod(raw, &end);
-        if (end == raw || pct <= 0.0) {
-            return;
-        }
-        const auto elapsed = std::chrono::steady_clock::now() - start_;
-        std::this_thread::sleep_for(
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                elapsed * (pct / 100.0)));
-    }
-
-  private:
-    std::chrono::steady_clock::time_point start_;
-};
-
 /** Reset the kernel's peak-RSS mark (VmHWM) to the current RSS, so the
  *  next peak_rss_mb() covers only what runs after this call. */
 inline void
@@ -599,7 +561,6 @@ inline std::vector<PolicyResult>
 run_policies(const workload::Trace& trace,
              const std::vector<PolicyRun>& runs)
 {
-    const InjectedSlowdown slowdown_hook;
     std::vector<PolicyResult> results(runs.size());
     std::vector<core::ExperimentSpec> specs;
     std::vector<std::size_t> positions;
@@ -670,7 +631,6 @@ run_policy(core::Policy policy, const workload::Trace& trace,
 inline std::vector<core::ExperimentOutcome>
 run_specs_or_exit(const std::vector<core::ExperimentSpec>& specs)
 {
-    const InjectedSlowdown slowdown_hook;
     const std::size_t seeds = bench_seeds();
     if (seeds > 1) {
         return run_sweeps_or_exit(specs, seeds);

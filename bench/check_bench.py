@@ -19,9 +19,9 @@ Modes:
                      the old baseline (its changed rows and its time), then
                      rewrite the baseline file
 
-The NBOS_BENCH_INJECT_SLOWDOWN_PCT env hook in bench_common.hpp slows
-every run_policies/run_specs_or_exit scope proportionally, so the gate's
-red path is testable without committing a slowdown:
+NBOS_BENCH_INJECT_SLOWDOWN_PCT makes the gate count every bench run that
+many percent slower than it measured, so the gate's red path is testable
+without committing a slowdown:
 
   NBOS_BENCH_INJECT_SLOWDOWN_PCT=25 check_bench.py --build build  # red
 """
@@ -102,7 +102,25 @@ def deterministic_hash(stdout: str) -> str:
     return digest.hexdigest()
 
 
-def run_bench(build_dir: str, name: str) -> dict:
+def injected_slowdown() -> float:
+    """The NBOS_BENCH_INJECT_SLOWDOWN_PCT fraction (0 when unset)."""
+    raw = os.environ.get("NBOS_BENCH_INJECT_SLOWDOWN_PCT", "")
+    if not raw:
+        return 0.0
+    try:
+        pct = float(raw)
+    except ValueError:
+        pct = -1.0
+    if not 0.0 <= pct < float("inf"):
+        sys.exit(
+            f"error: NBOS_BENCH_INJECT_SLOWDOWN_PCT={raw!r} is not a "
+            "percentage >= 0"
+        )
+    return pct / 100.0
+
+
+def run_bench(build_dir: str, name: str, slowdown: float) -> dict:
+    """Run one bench; its wall seconds are stretched by @p slowdown."""
     env = dict(os.environ)
     env["NBOS_BENCH_SMOKE"] = "1"
     # The gate measures the deterministic single-seed tier, each bench at
@@ -126,7 +144,7 @@ def run_bench(build_dir: str, name: str) -> dict:
     proc = subprocess.run(
         [path], env=env, capture_output=True, text=True, timeout=600
     )
-    seconds = time.monotonic() - start
+    seconds = (time.monotonic() - start) * (1.0 + slowdown)
     if proc.returncode != 0:
         sys.exit(
             f"error: {name} exited with {proc.returncode}\n{proc.stderr}"
@@ -237,9 +255,10 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    slowdown = injected_slowdown()
     measured = {}
     for name in discover_benches(args.build):
-        measured[name] = run_bench(args.build, name)
+        measured[name] = run_bench(args.build, name, slowdown)
         print(
             f"measured {name}: {measured[name]['seconds']:.3f}s "
             f"sha={measured[name]['stdout_sha256'][:12]}"

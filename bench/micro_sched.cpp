@@ -4,7 +4,7 @@
  * Scheduler at shards ∈ {1, 2, 4, 8}.
  *
  * An identical synthetic session workload (dense session ids, so the
- * ShardRouter spreads them) is run at each shard count on plain
+ * hash route spreads them) is run at each shard count on plain
  * SchedulerShards, built the way the prototype engine's driver builds
  * them: each on its own simulation, with sched::shard_seed and its
  * ShardIdentity. A session's kernel and cells go to its hash shard. The
@@ -26,7 +26,7 @@
 
 #include "bench_common.hpp"
 #include "sched/shard.hpp"
-#include "sched/shard_router.hpp"
+#include "sched/routing.hpp"
 #include "sim/lockstep.hpp"
 
 namespace {
@@ -80,7 +80,6 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
     for (const auto& unit : units) {
         unit->shard.start();
     }
-    const sched::ShardRouter router(shards);
     sim::Lockstep lockstep(units.size(), config.shard_parallel);
     const auto run_until = [&](sim::Time t) {
         lockstep.run([&units, t](std::size_t i) {
@@ -99,7 +98,8 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
     // hash shard.
     const cluster::ResourceSpec spec{4000, 16384, 1, 16.0};
     for (std::int64_t session = 1; session <= sessions; ++session) {
-        units[router.shard_of(session)]->shard.begin_session(session, spec);
+        units[sched::hash_shard(session, shards)]->shard.begin_session(
+            session, spec);
     }
     run_until(300 * sim::kSecond);
 
@@ -108,7 +108,7 @@ run_at(std::int32_t shards, std::int64_t sessions, std::int64_t cells)
     // (no shared counters across shard threads).
     sim::Time horizon = 300 * sim::kSecond;
     for (std::int64_t session = 1; session <= sessions; ++session) {
-        ShardUnit* unit = units[router.shard_of(session)].get();
+        ShardUnit* unit = units[sched::hash_shard(session, shards)].get();
         for (std::int64_t cell = 0; cell < cells; ++cell) {
             const sim::Time at = 300 * sim::kSecond +
                                  cell * 45 * sim::kSecond +

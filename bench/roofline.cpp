@@ -391,7 +391,6 @@ run_fast_tick(bool smoke)
 int
 main()
 {
-    const bench::InjectedSlowdown slowdown_hook;
     const bool smoke = bench::smoke_mode();
     bench::banner(std::string("roofline: hot-loop characterization") +
                   (smoke ? " [smoke tier]" : ""));

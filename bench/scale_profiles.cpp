@@ -261,7 +261,6 @@ run_prototype_phase(bool smoke)
 int
 main()
 {
-    const bench::InjectedSlowdown slowdown_hook;
     const bool smoke = bench::smoke_mode();
     run_streaming_phase(smoke);
     run_grid_phase(smoke);

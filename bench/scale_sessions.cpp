@@ -149,7 +149,6 @@ run_at(const workload::Trace& trace, std::int32_t shards)
 int
 main()
 {
-    const bench::InjectedSlowdown slowdown_hook;
     const bool smoke = bench::smoke_mode();
     const std::int64_t sessions = smoke ? 20000 : 1000000;
     const workload::Trace trace = scale_trace(sessions);

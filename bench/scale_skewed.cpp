@@ -41,7 +41,6 @@
 #include "bench_common.hpp"
 #include "core/engine_api.hpp"
 #include "sched/routing.hpp"
-#include "sched/shard_router.hpp"
 
 namespace {
 
@@ -62,16 +61,15 @@ constexpr std::int64_t kWhales = 8;
 /** Whale session ids, starting at @p base: the first four share one
  *  shard under the static hash at shards=8 (a guaranteed worst-case
  *  collision, not a lucky draw), the other four land on distinct other
- *  shards. Pure function of @p base via the stable router hash. */
+ *  shards. Pure function of @p base via the stable hash route. */
 std::vector<std::int64_t>
 whale_ids(std::int64_t base)
 {
-    const sched::ShardRouter router(8);
     std::vector<std::int64_t> ids;
-    const std::size_t hot = router.shard_of(base);
+    const std::size_t hot = sched::hash_shard(base, 8);
     std::int64_t next = base;
     while (ids.size() < 4) {
-        if (router.shard_of(next) == hot) {
+        if (sched::hash_shard(next, 8) == hot) {
             ids.push_back(next);
         }
         ++next;
@@ -79,7 +77,7 @@ whale_ids(std::int64_t base)
     std::vector<char> used(8, 0);
     used[hot] = 1;
     while (ids.size() < kWhales) {
-        const std::size_t shard = router.shard_of(next);
+        const std::size_t shard = sched::hash_shard(next, 8);
         if (!used[shard]) {
             used[shard] = 1;
             ids.push_back(next);
@@ -204,7 +202,6 @@ run_at(const workload::Trace& trace, std::int32_t shards,
 int
 main()
 {
-    const bench::InjectedSlowdown slowdown_hook;
     const bool smoke = bench::smoke_mode();
     const std::int64_t light = smoke ? 20000 : 1000000;
     const workload::Trace trace = skewed_trace(light);

@@ -66,6 +66,10 @@ struct ContainerTimings
     sim::Time gpu_unbind_max = 150 * sim::kMillisecond;
 };
 
+/** The container and GPU-binding latencies of every engine: the
+ *  prototype's shards and replicas, the fast engine and the baselines. */
+inline constexpr ContainerTimings kContainerTimings{};
+
 /**
  * One GPU server. Pure bookkeeping: all timing behaviour lives in the
  * Local/Global schedulers. A server added through Cluster::add_server

@@ -172,11 +172,11 @@ class BaselineEngine
     sim::Time
     request_hops()
     {
-        return sample(config_.hops.client_to_gs_min,
-                      config_.hops.client_to_gs_max) +
-               sample(config_.hops.gs_to_ls_min, config_.hops.gs_to_ls_max) +
-               sample(config_.hops.ls_to_replica_min,
-                      config_.hops.ls_to_replica_max);
+        return sample(sched::kHops.client_to_gs_min,
+                      sched::kHops.client_to_gs_max) +
+               sample(sched::kHops.gs_to_ls_min, sched::kHops.gs_to_ls_max) +
+               sample(sched::kHops.ls_to_replica_min,
+                      sched::kHops.ls_to_replica_max);
     }
 
     /** Read the session's model + dataset from the store; @p done fires
@@ -284,8 +284,9 @@ class ReservationEngine : public BaselineEngine
         state.placed = true;
         record_commit(session.resources.gpus);
         // Container cold start plus the initial model/dataset download.
-        const sim::Time cold = sample(config_.timings.cold_start_min,
-                                      config_.timings.cold_start_max);
+        const sim::Time cold =
+            sample(cluster::kContainerTimings.cold_start_min,
+                   cluster::kContainerTimings.cold_start_max);
         const sim::Time start = simulation_.now();
         state.ready_at = start + cold;
         simulation_.schedule_after(cold, [this, &session] {
@@ -397,8 +398,9 @@ class QueueEngine : public BaselineEngine
         // Fill the server's share of the warm-container pool.
         const std::int32_t warm = pooled_ ? kLcpWarmPerServer : 0;
         for (std::int32_t i = 0; i < warm; ++i) {
-            const sim::Time cold = sample(config_.timings.cold_start_min,
-                                          config_.timings.cold_start_max);
+            const sim::Time cold =
+                sample(cluster::kContainerTimings.cold_start_min,
+                       cluster::kContainerTimings.cold_start_max);
             simulation_.schedule_after(cold, [this, id] {
                 if (cluster_.find(id) != nullptr) {
                     warm_[id] += 1;
@@ -460,9 +462,9 @@ class QueueEngine : public BaselineEngine
         // A pooled container is assigned; otherwise one is provisioned on
         // demand (the cold start).
         const sim::Time setup =
-            from_pool ? config_.timings.prewarm_assign
-                      : sample(config_.timings.cold_start_min,
-                               config_.timings.cold_start_max);
+            from_pool ? cluster::kContainerTimings.prewarm_assign
+                      : sample(cluster::kContainerTimings.cold_start_min,
+                               cluster::kContainerTimings.cold_start_max);
         const std::size_t index = queued.outcome_index;
         const workload::SessionSpec* session = queued.session;
         const workload::CellTask* task = queued.task;

@@ -179,9 +179,6 @@ validate_config(const PlatformConfig& config)
                to_string(Policy::kNotebookOS) + " policy; '" +
                to_string(config.policy) + "' has no fast engine";
     }
-    if (config.sample_interval <= 0) {
-        return "sample_interval must be positive";
-    }
     if (config.scheduler.shards < 1) {
         return "scheduler.shards must be >= 1";
     }

@@ -106,8 +106,10 @@ struct RunResponse
  * @throws std::invalid_argument when the request is inconsistent: both or
  *         neither of trace/source set, an unknown engine name, a source
  *         for an engine without a windowed driver, a config rejected by
- *         validate_config ("PlatformConfig: ..."), or a source that breaks
- *         its (start_time, id) order or repeats a session id.
+ *         validate_config ("PlatformConfig: ..."), or a source that yields a
+ *         session whose (start_time, id) is not above the previous one's
+ *         or whose id is that of a session still live (a repeat of a
+ *         retired session's id goes unnoticed).
  */
 RunResponse run(const RunRequest& request);
 

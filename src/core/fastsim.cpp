@@ -38,7 +38,6 @@ FastEngineShard::FastEngineShard(const PlatformConfig& config,
       store_(simulation_, config.scheduler.store_backend,
              sim::Rng(seed ^ 0x2545f491)),
       cluster_(config.scheduler.server_shape),
-      placement_(config.scheduler.sr_watermark),
       prewarm_(config.scheduler.prewarm_per_server),
       track_window_load_(config.scheduler.routing ==
                          sched::RoutingPolicyKind::kRebalance),
@@ -277,8 +276,8 @@ FastEngineShard::run_task(std::size_t index,
     const sim::Time overhead =
         sample(2 * sim::kMillisecond, 5 * sim::kMillisecond) +
         sample(10 * sim::kMillisecond, 60 * sim::kMillisecond) +
-        sample(config_.scheduler.timings.gpu_bind_min,
-               config_.scheduler.timings.gpu_bind_max);
+        sample(cluster::kContainerTimings.gpu_bind_min,
+               cluster::kContainerTimings.gpu_bind_max);
 
     // Executor choice: prefer the previous executor's server.
     cluster::ServerId chosen = cluster::kNoServer;
@@ -398,10 +397,10 @@ FastEngineShard::migrate_and_run(std::size_t index,
     const sim::Time container_delay =
         prewarm_.acquire(target)
             ? (results_.sched_stats.prewarm_hits += 1,
-               config_.scheduler.timings.prewarm_assign)
+               cluster::kContainerTimings.prewarm_assign)
             : (results_.sched_stats.cold_starts += 1,
-               sample(config_.scheduler.timings.cold_start_min,
-                      config_.scheduler.timings.cold_start_max));
+               sample(cluster::kContainerTimings.cold_start_min,
+                      cluster::kContainerTimings.cold_start_max));
     const std::string key =
         "kernel/" + std::to_string(session_id) + "/checkpoint";
     store_.write(key, 8ULL << 20, [this, index, session_id, target,
@@ -419,15 +418,12 @@ FastEngineShard::migrate_and_run(std::size_t index,
                     reconfig, [this, index, session_id, target,
                                duration] {
                         tasks_[index].migrated = true;
-                        begin_execution(index, session_id, target,
-                                        simulation_.now() +
-                                            sample(config_.scheduler
-                                                       .timings
-                                                       .gpu_bind_min,
-                                                   config_.scheduler
-                                                       .timings
-                                                       .gpu_bind_max),
-                                        duration);
+                        begin_execution(
+                            index, session_id, target,
+                            simulation_.now() +
+                                sample(cluster::kContainerTimings.gpu_bind_min,
+                                       cluster::kContainerTimings.gpu_bind_max),
+                            duration);
                     });
             });
         });

@@ -4,13 +4,12 @@
  * FastEngineShards advanced by the shared windowed driver loop on the
  * autoscale_interval grid, then merged deterministically in shard order.
  *
- * Sessions are routed to shards by a sched::SessionRouter
- * (SchedulerConfig::routing), the same router the prototype driver holds:
- * admitted as they enter the feed, forgotten once their last event has
- * run. Under `rebalance` the driver stops at every window so the router
- * can move sessions before the next window's events are routed to their
- * current owners. Under the other two policies sessions never move, so
- * nothing needs coordinating between windows: the driver stops at most
+ * core::drive_windows routes sessions through the run's
+ * sched::SessionRouter (SchedulerConfig::routing), as it does for the
+ * prototype. Under `rebalance` the driver stops at every window so the
+ * router can move sessions before the next window's events are routed to
+ * their current owners. Under the other two policies sessions never move,
+ * so nothing needs coordinating between windows: the driver stops at most
  * once per simulated hour, and only where a session is admitted, to admit
  * input and free drained specs; each shard injects its queued events
  * window by window on its own.
@@ -29,7 +28,7 @@
 #include <vector>
 
 #include "core/fastsim_engine.hpp"
-#include "sched/shard_router.hpp"
+#include "sched/routing.hpp"
 #include "sim/lockstep.hpp"
 
 namespace nbos::core {
@@ -48,7 +47,6 @@ class FastRun
           tasks_(tasks),
           trace_name_(feed.trace_name()),
           makespan_(feed.makespan()),
-          router_(config.scheduler.routing, config.scheduler.shards),
           lockstep_(static_cast<std::size_t>(config.scheduler.shards),
                     config.scheduler.shard_parallel)
     {
@@ -61,25 +59,11 @@ class FastRun
         }
     }
 
-    /** Lockstep stops: every window when sessions can move, else at
-     *  most once per kPinnedStopSpan. */
-    sim::Time stride() const
-    {
-        const sim::Time window = config_.scheduler.autoscale_interval;
-        if (router_.rebalancing()) {
-            return window;
-        }
-        return std::max(window, kPinnedStopSpan / window * window);
-    }
+    FastEngineShard& shard(std::size_t i) { return *shards_[i]; }
 
-    void admit(const workload::SessionSpec& session)
+    void inject(std::size_t shard, const Injection& event)
     {
-        router_.admit(session.id, session.tasks.size());
-    }
-
-    void inject(const Injection& event)
-    {
-        shards_[router_.shard_of(event.session->id)]->enqueue(event);
+        shards_[shard]->enqueue(event);
     }
 
     void advance(sim::Time stop)
@@ -89,16 +73,7 @@ class FastRun
         });
     }
 
-    void close_window(sim::Time, bool last)
-    {
-        if (!last) {
-            router_.rebalance([this](std::size_t i) -> FastEngineShard& {
-                return *shards_[i];
-            });
-        }
-    }
-
-    void retire(workload::SessionId id) { router_.forget(id); }
+    void close_window(sim::Time) {}
 
     void drain(sim::Time horizon)
     {
@@ -114,7 +89,6 @@ class FastRun
     std::vector<TaskOutcome>& tasks_;
     std::string trace_name_;
     sim::Time makespan_;
-    sched::SessionRouter router_;
     sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<FastEngineShard>> shards_;
 };
@@ -138,7 +112,6 @@ FastRun::finish()
     results.makespan = makespan_;
     results.tasks = std::move(tasks_);
     response.shard_busy_seconds = lockstep_.busy_seconds();
-    response.sessions_rebalanced = router_.sessions_rebalanced();
 
     // Fleet timeline: sum the per-shard (time, ±gpus) deltas into one
     // step series. Equal-time deltas collapse into a single sample whose
@@ -183,11 +156,22 @@ FastRun::finish()
 RunResponse
 drive_fast(workload::SessionSource& source, const PlatformConfig& config)
 {
-    SessionFeed feed(source, config.scheduler.autoscale_interval);
+    const sim::Time window = config.scheduler.autoscale_interval;
+    SessionFeed feed(source, window);
+    sched::SessionRouter router(config.scheduler.routing,
+                                config.scheduler.shards);
+    // Lockstep stops: every window when sessions can move, else at most
+    // once per kPinnedStopSpan.
+    const sim::Time stride =
+        router.rebalancing()
+            ? window
+            : std::max(window, kPinnedStopSpan / window * window);
     std::vector<TaskOutcome> tasks;
     FastRun run(config, feed, tasks);
-    drive_windows(feed, run.stride(), run, tasks);
-    return run.finish();
+    drive_windows(feed, stride, router, run, tasks);
+    RunResponse response = run.finish();
+    response.sessions_rebalanced = router.sessions_rebalanced();
+    return response;
 }
 
 }  // namespace nbos::core

@@ -27,7 +27,6 @@
 #include "sched/placement.hpp"
 #include "sched/routing.hpp"
 #include "sched/session_table.hpp"
-#include "sched/shard_router.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "storage/datastore.hpp"

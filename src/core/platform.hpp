@@ -29,8 +29,6 @@ struct PlatformConfig
     /** Scheduler configuration: the NotebookOS policies' scheduler, and
      *  the fleet's hardware and timings for every policy. */
     sched::SchedulerConfig scheduler{};
-    /** Sampling period for timeline series. */
-    sim::Time sample_interval = 60 * sim::kSecond;
     std::uint64_t seed = 1;
 
     /** Defaults tuned for long prototype runs (Raft heartbeats at 1 s so

@@ -5,10 +5,9 @@
  * SchedulerConfig::shards sched::SchedulerShards, each on its own
  * sim::Simulation, by the shared windowed driver.
  *
- * Windows follow the PlatformConfig::sample_interval grid. Sessions are
- * routed by a sched::SessionRouter, the same router the fast driver
- * holds: admitted as they enter the feed, forgotten once their last event
- * has run. At each boundary the fleet-wide provisioned GPUs and
+ * Windows follow the kSampleInterval grid. core::drive_windows routes
+ * sessions through the run's sched::SessionRouter, as it does for the
+ * fast engine. At each boundary the fleet-wide provisioned GPUs and
  * subscription ratio are sampled, then, under `rebalance`, the router
  * moves whole sessions between shards, so a session's events always go to
  * the shard that owns it for the whole window.
@@ -42,6 +41,10 @@
 namespace nbos::core {
 namespace {
 
+/** The prototype's window: the lockstep stride and the sampling period
+ *  of the fleet's provisioned-GPU and subscription-ratio series. */
+constexpr sim::Time kSampleInterval = 60 * sim::kSecond;
+
 class PrototypeRun
 {
   public:
@@ -49,10 +52,8 @@ class PrototypeRun
                  std::vector<TaskOutcome>& tasks)
         : tasks_(tasks),
           replicas_(config.scheduler.kernel.replica_count),
-          window_(config.sample_interval),
           trace_name_(feed.trace_name()),
           makespan_(feed.makespan()),
-          router_(config.scheduler.routing, config.scheduler.shards),
           lockstep_(static_cast<std::size_t>(config.scheduler.shards),
                     config.scheduler.shard_parallel)
     {
@@ -67,15 +68,12 @@ class PrototypeRun
         }
     }
 
-    void admit(const workload::SessionSpec& session)
-    {
-        router_.admit(session.id, session.tasks.size());
-    }
+    sched::SchedulerShard& shard(std::size_t i) { return shards_[i]->shard; }
 
-    void inject(const Injection& event)
+    void inject(std::size_t owner, const Injection& event)
     {
         const workload::SessionSpec* session = event.session;
-        ShardUnit& unit = *shards_[router_.shard_of(session->id)];
+        ShardUnit& unit = *shards_[owner];
         sched::SchedulerShard* shard = &unit.shard;
         switch (event.kind) {
             case Injection::kStart:
@@ -104,7 +102,7 @@ class PrototypeRun
         reached_ = stop;
     }
 
-    void close_window(sim::Time stop, bool last)
+    void close_window(sim::Time stop)
     {
         std::int64_t gpus = 0;
         std::int64_t subscribed = 0;
@@ -115,15 +113,7 @@ class PrototypeRun
         provisioned_gpus_.record(stop, static_cast<double>(gpus));
         subscription_ratio_.record(
             stop, cluster::subscription_ratio(subscribed, gpus, replicas_));
-        if (!last) {
-            router_.rebalance(
-                [this](std::size_t i) -> sched::SchedulerShard& {
-                    return shards_[i]->shard;
-                });
-        }
     }
-
-    void retire(workload::SessionId id) { router_.forget(id); }
 
     /** Keep stepping the window grid past the last window until every
      *  shard is settled, or to @p horizon. Once settled no outcome row can
@@ -135,7 +125,7 @@ class PrototypeRun
     void drain(sim::Time horizon)
     {
         while (reached_ < horizon && !settled()) {
-            advance(std::min(reached_ + window_, horizon));
+            advance(std::min(reached_ + kSampleInterval, horizon));
         }
     }
 
@@ -167,7 +157,6 @@ class PrototypeRun
         results.subscription_ratio = std::move(subscription_ratio_);
         finalize_tasks(results);
         response.shard_busy_seconds = lockstep_.busy_seconds();
-        response.sessions_rebalanced = router_.sessions_rebalanced();
         return response;
     }
 
@@ -238,10 +227,8 @@ class PrototypeRun
     /** The run's outcome table, one row per injected cell. */
     std::vector<TaskOutcome>& tasks_;
     std::int32_t replicas_;
-    sim::Time window_;
     std::string trace_name_;
     sim::Time makespan_;
-    sched::SessionRouter router_;
     sim::Lockstep lockstep_;
     std::vector<std::unique_ptr<ShardUnit>> shards_;
     /** The time every shard has run to. */
@@ -255,11 +242,15 @@ class PrototypeRun
 RunResponse
 drive_prototype(workload::SessionSource& source, const PlatformConfig& config)
 {
-    SessionFeed feed(source, config.sample_interval);
+    SessionFeed feed(source, kSampleInterval);
+    sched::SessionRouter router(config.scheduler.routing,
+                                config.scheduler.shards);
     std::vector<TaskOutcome> tasks;
     PrototypeRun run(config, feed, tasks);
-    drive_windows(feed, config.sample_interval, run, tasks);
-    return run.finish();
+    drive_windows(feed, kSampleInterval, router, run, tasks);
+    RunResponse response = run.finish();
+    response.sessions_rebalanced = router.sessions_rebalanced();
+    return response;
 }
 
 }  // namespace nbos::core

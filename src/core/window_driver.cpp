@@ -45,11 +45,15 @@ SessionFeed::admit_next(sim::Time t, std::size_t ahead)
     if (!has_pending_ || (pending_.start_time > t && live_.size() >= ahead)) {
         return nullptr;
     }
-    if (pending_.start_time < last_start_) {
+    // Under least_loaded the admission order decides the route, so a
+    // source must yield each (start_time, id) above the last.
+    if (std::tie(pending_.start_time, pending_.id) <=
+        std::tie(last_start_, last_id_)) {
         throw std::invalid_argument(
-            "streamed session source is not sorted by start time");
+            "streamed session source is not sorted by (start_time, id)");
     }
     last_start_ = pending_.start_time;
+    last_id_ = pending_.id;
     const workload::SessionId id = pending_.id;
     const auto [it, inserted] = live_.emplace(id, std::move(pending_));
     if (!inserted) {

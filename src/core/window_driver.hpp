@@ -8,16 +8,20 @@
  * materialized trace in a workload::TraceSessionSource. drive_windows()
  * steps a lockstep clock over the engine's window grid. At each stop it
  * admits the sessions whose start time the clock has reached, hands their
- * start / end / cell events to the engine in one canonical order, lets the
- * engine advance its shards to the stop, and retires every session whose
- * last event has executed — the engine drops its route and the feed frees
- * its spec — so memory tracks the live session population, not the trace
- * length. It is also the only place a cell's outcome row is created: one
- * row of the run's table per cell, appended as the cell is handed out, so
- * the table needs no merge or sort. The engine decides which shard an
- * event goes to (both engines through one sched::SessionRouter) and what
- * happens when a window closes (sampling, rebalancing). One shard is
- * simply the one-shard case of the same loop.
+ * start / end / cell events to the shards that own them in one canonical
+ * order, lets the engine advance its shards to the stop, and retires
+ * every session whose last event has executed — the router forgets it
+ * and the feed frees its spec — so memory tracks the live session
+ * population, not the trace length. It is also the only place a cell's
+ * outcome row is created: one row of the run's table per cell, appended
+ * as the cell is handed out, so the table needs no merge or sort.
+ *
+ * The driver makes every routing call of the run, on the run's one
+ * sched::SessionRouter: it admits each session, sends each event to the
+ * session's current shard, rebalances when a window closes and forgets a
+ * session once it retires. The engine only runs shards: it advances them,
+ * closes a window (sampling) and drains. One shard is simply the
+ * one-shard case of the same loop.
  *
  * Internal to nbos_core; callers use core::run (core/engine_api.hpp).
  */
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "core/engine_api.hpp"
+#include "sched/routing.hpp"
 #include "workload/session_source.hpp"
 
 namespace nbos::core {
@@ -99,8 +104,10 @@ class SessionFeed
     /** Admit the next session if it starts at or before @p t or, however
      *  late it starts, while fewer than @p ahead sessions are live.
      *  @return its spec (stable until retired), or nullptr if none is due.
-     *  @throws std::invalid_argument when the source breaks its
-     *          nondecreasing start-time contract or repeats a session id. */
+     *  @throws std::invalid_argument when the session's (start_time, id)
+     *          is not above the previous session's, or its id is that of
+     *          a session still live (an earlier session with the id that
+     *          has retired goes unnoticed). */
     const workload::SessionSpec* admit_next(sim::Time t,
                                             std::size_t ahead = 0);
 
@@ -135,7 +142,10 @@ class SessionFeed
     sim::Time makespan_;
     workload::SessionSpec pending_;
     bool has_pending_;
+    /** The last admitted session's (start_time, id). */
     sim::Time last_start_ = std::numeric_limits<sim::Time>::min();
+    workload::SessionId last_id_ =
+        std::numeric_limits<workload::SessionId>::min();
     std::uint64_t next_seq_ = 0;
     /** Nodes are stable, so injected closures may hold spec pointers. */
     std::unordered_map<workload::SessionId, workload::SessionSpec> live_;
@@ -165,18 +175,22 @@ SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
 }
 
 /**
- * The one NotebookOS driver loop. @p engine provides
+ * The one NotebookOS driver loop, routing through @p router. @p engine
+ * provides
  *
- *   - `admit(const workload::SessionSpec&)`: a session entered the feed;
- *   - `inject(const Injection&)`: route one due event to its shard; a
- *     cell arrives with its row already in @p tasks;
+ *   - `inject(std::size_t shard, const Injection&)`: hand one due event
+ *     to the shard that owns its session; a cell arrives with its row
+ *     already in @p tasks;
  *   - `advance(sim::Time stop)`: run every shard to @p stop;
- *   - `close_window(sim::Time stop, bool last)`: the shards reached
- *     @p stop (sample, and rebalance unless @p last);
- *   - `retire(workload::SessionId id)`: the session's last event has
- *     run (fired once per session, as the feed frees its spec);
+ *   - `close_window(sim::Time stop)`: the shards reached @p stop;
+ *   - `shard(std::size_t i)`: shard i, for SessionRouter::rebalance;
  *   - `drain(sim::Time horizon)`: let in-flight work finish, running no
  *     shard past @p horizon (the prototype stops once it is settled).
+ *
+ * The loop admits each session to @p router as it enters the feed, sends
+ * each event to `router.shard_of` its session, rebalances after every
+ * close_window but the last, and forgets each session as the feed frees
+ * its spec, once its last event has run.
  *
  * For each cell the loop appends a row to @p tasks — session, seq,
  * is_gpu, gpus and submit (the event's time) — before the engine sees it,
@@ -190,7 +204,7 @@ SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
  * The loop stops on the feed's window grid, @p stride apart, and always
  * at the last window, the first grid point at or after the makespan;
  * events after it are never injected. @p stride is a multiple of the
- * window. A stride longer than one window is for an engine whose sessions
+ * window. A stride longer than one window is for a run whose sessions
  * never move: it runs several windows per stop, injecting each window's
  * events before running to the window's end. Such a run also admits up to
  * kAdmitAhead live sessions ahead of their start times (their events
@@ -199,7 +213,8 @@ SessionFeed::retire_until(sim::Time t, OnRetire&& on_retire)
  */
 template <typename Engine>
 void
-drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine,
+drive_windows(SessionFeed& feed, sim::Time stride,
+              sched::SessionRouter& router, Engine& engine,
               std::vector<TaskOutcome>& tasks)
 {
     const sim::Time makespan = feed.makespan();
@@ -210,7 +225,7 @@ drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine,
     for (sim::Time stop = 0;;) {
         while (const workload::SessionSpec* s =
                    feed.admit_next(stop, pinned ? kAdmitAhead : 0)) {
-            engine.admit(*s);
+            router.admit(s->id, s->tasks.size());
         }
         Injection event;
         while (feed.next_due(stop, event)) {
@@ -223,12 +238,15 @@ drive_windows(SessionFeed& feed, sim::Time stride, Engine& engine,
                                             .is_gpu = event.task->is_gpu,
                                             .submit = event.time});
             }
-            engine.inject(event);
+            engine.inject(router.shard_of(event.session->id), event);
         }
         engine.advance(stop);
-        engine.close_window(stop, stop >= last);
-        feed.retire_until(stop, [&engine](workload::SessionId id) {
-            engine.retire(id);
+        engine.close_window(stop);
+        if (stop < last) {
+            router.rebalance(engine);
+        }
+        feed.retire_until(stop, [&router](workload::SessionId id) {
+            router.forget(id);
         });
         if (stop >= last) {
             break;

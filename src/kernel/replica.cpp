@@ -15,6 +15,11 @@ namespace {
 
 constexpr char kSnapshotSep = '\x1d';
 
+/** Fixed serialization overhead before a SYNC proposal. */
+constexpr sim::Time kSyncBaseOverhead = 4 * sim::kMillisecond;
+/** Serialization bandwidth for inline SYNC payloads (bytes/s). */
+constexpr double kSyncBytesPerSecond = 200e6;
+
 }  // namespace
 
 KernelReplica::KernelReplica(sim::Simulation& simulation,
@@ -351,8 +356,8 @@ KernelReplica::begin_execution(ElectionId id)
         ElectionState& state = election(id);
         const sim::Time bind_delay =
             state.request.is_gpu
-                ? rng_.uniform_int(config_.timings.gpu_bind_min,
-                                   config_.timings.gpu_bind_max)
+                ? rng_.uniform_int(cluster::kContainerTimings.gpu_bind_min,
+                                   cluster::kContainerTimings.gpu_bind_max)
                 : 0;
         simulation_.schedule_after(bind_delay,
                                    [this, id] { run_user_code(id); });
@@ -418,8 +423,8 @@ KernelReplica::finish_execution(ElectionId id, const nblang::Effect& effect,
     // memory.
     const sim::Time unbind_delay =
         el.request.is_gpu
-            ? rng_.uniform_int(config_.timings.gpu_unbind_min,
-                               config_.timings.gpu_unbind_max)
+            ? rng_.uniform_int(cluster::kContainerTimings.gpu_unbind_min,
+                               cluster::kContainerTimings.gpu_unbind_max)
             : 0;
     simulation_.schedule_after(unbind_delay, [this, id, effect] {
         if (!running_) {
@@ -470,9 +475,9 @@ KernelReplica::replicate_state(ElectionId id, const nblang::Effect& effect)
     sync.replica = replica_index_;
     sync.payload = serialize_delta(delta);
     const sim::Time overhead =
-        config_.sync_base_overhead +
+        kSyncBaseOverhead +
         sim::from_seconds(static_cast<double>(delta.inline_bytes()) /
-                          config_.sync_bytes_per_second);
+                          kSyncBytesPerSecond);
     simulation_.schedule_after(
         overhead, [this, id, payload = encode_entry(sync)]() mutable {
             if (!running_) {

@@ -42,14 +42,8 @@ struct KernelConfig
     std::uint64_t large_object_threshold = 1024ULL * 1024ULL;
     /** Raft tunables for the replica group. */
     raft::RaftConfig raft{};
-    /** Container / GPU binding latencies. */
-    cluster::ContainerTimings timings{};
     /** Retry period when a Raft proposal cannot be placed (no leader). */
     sim::Time proposal_retry = 100 * sim::kMillisecond;
-    /** Fixed serialization overhead before a SYNC proposal. */
-    sim::Time sync_base_overhead = 4 * sim::kMillisecond;
-    /** Serialization bandwidth for inline SYNC payloads (bytes/s). */
-    double sync_bytes_per_second = 200e6;
 };
 
 /**

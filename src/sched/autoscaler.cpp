@@ -30,8 +30,7 @@ evaluate_autoscaler(const AutoScalerInputs& inputs,
         // Gradual scale-in: release at most 1-2 idle servers per step.
         const std::int32_t excess = inputs.current_servers - desired_servers;
         decision.remove_servers =
-            std::min({excess, inputs.idle_servers,
-                      config.max_release_per_step});
+            std::min({excess, inputs.idle_servers, kMaxReleasePerStep});
         decision.remove_servers = std::max(decision.remove_servers, 0);
     }
     return decision;

@@ -40,9 +40,10 @@ struct AutoScalerConfig
     std::int32_t buffer_servers = 2;
     /** Never scale below this many servers. */
     std::int32_t min_servers = 1;
-    /** Max servers released per evaluation (paper: 1-2). */
-    std::int32_t max_release_per_step = 2;
 };
+
+/** Most servers one evaluation releases (the paper's 1-2). */
+inline constexpr std::int32_t kMaxReleasePerStep = 2;
 
 /** Output of one evaluation. */
 struct AutoScaleDecision

@@ -27,6 +27,10 @@
 
 namespace nbos::sched {
 
+/** Both NotebookOS engines' hard per-server SR watermark (prevents
+ *  excessive over-subscription; Fig. 10's SR peaks near 3). */
+inline constexpr double kSrWatermark = 3.0;
+
 /**
  * The paper's least-loaded policy with the dynamic SR cap.
  *
@@ -43,7 +47,7 @@ class LeastLoadedPolicy
 {
   public:
     /** @param sr_watermark the hard per-server SR cap. */
-    explicit LeastLoadedPolicy(double sr_watermark = 3.0);
+    explicit LeastLoadedPolicy(double sr_watermark = kSrWatermark);
 
     /**
      * Choose up to @p count distinct servers able to host a replica of a

@@ -129,11 +129,33 @@ plan_rebalance(const std::vector<ShardLoad>& loads,
     return plan;
 }
 
+SessionRouter::SessionRouter(RoutingPolicyKind kind, std::int32_t shards)
+    : kind_(kind), shards_(shards)
+{
+    if (shards < 1) {
+        throw std::invalid_argument(
+            "SessionRouter: shard count must be >= 1, got " +
+            std::to_string(shards));
+    }
+    weight_.assign(static_cast<std::size_t>(shards), 0);
+    admitted_.assign(static_cast<std::size_t>(shards), 0);
+}
+
+void
+SessionRouter::route(std::int64_t session, std::size_t shard)
+{
+    if (hash_shard(session, shards_) == shard) {
+        overrides_.erase(session);
+    } else {
+        overrides_[session] = static_cast<std::int32_t>(shard);
+    }
+}
+
 std::size_t
 SessionRouter::admit(std::int64_t session, std::uint64_t cells)
 {
     if (kind_ != RoutingPolicyKind::kLeastLoaded) {
-        return table_.shard_of(session);
+        return shard_of(session);
     }
     std::size_t pick = 0;
     for (std::size_t i = 1; i < weight_.size(); ++i) {
@@ -142,7 +164,7 @@ SessionRouter::admit(std::int64_t session, std::uint64_t cells)
             pick = i;
         }
     }
-    table_.assign(session, static_cast<std::int32_t>(pick));
+    route(session, pick);
     weight_[pick] += cells + 1;
     admitted_[pick] += 1;
     return pick;

@@ -1,19 +1,19 @@
 /**
  * @file
- * Load-aware session -> shard routing, shared by both NotebookOS engines.
+ * Session -> shard routing, shared by both NotebookOS engines.
  *
- * Three pieces:
- *
- *  - RoutingTable: an explicit session -> shard map with the stable hash
- *    as the default/fallback route. With no overrides it is byte-for-byte
- *    the ShardRouter, which is how `static_hash` keeps every pre-routing
- *    golden and bench hash bit-identical.
+ *  - hash_shard: the stable splitmix64 route of a session id, the route
+ *    of every session no policy has moved.
  *  - plan_rebalance: the deterministic greedy planner behind the
  *    `rebalance` policy.
- *  - SessionRouter: the one router both engine drivers hold. It owns the
- *    table, admits sessions under the configured policy, forgets them
- *    when their last event has run, and applies window-boundary
- *    rebalance plans to any shard type.
+ *  - SessionRouter: the run's one router, which core::drive_windows
+ *    drives. It keeps the sessions routed away from their hash shard,
+ *    admits sessions under the configured policy, forgets them when their
+ *    last event has run, and applies window-boundary rebalance plans to
+ *    any shard type.
+ *
+ * It also holds the shard seeds and identities both engines build their
+ * shards from.
  *
  * Determinism contract: nothing in this header reads clocks, RNGs, or
  * addresses. Ties break on the lowest shard index / lowest session id,
@@ -24,16 +24,94 @@
 #ifndef NBOS_SCHED_ROUTING_HPP
 #define NBOS_SCHED_ROUTING_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "sched/shard_router.hpp"
-
 namespace nbos::sched {
+
+/** splitmix64 finalizer: a strong, cheap, portable 64-bit mix. */
+constexpr std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/** Per-shard RNG seed shared by every sharded engine: shard 0 keeps the
+ *  caller's seed verbatim (monolithic byte-identity at shards == 1);
+ *  siblings mix the shard index in so their streams are independent. */
+constexpr std::uint64_t
+shard_seed(std::uint64_t seed, std::int32_t index)
+{
+    if (index == 0) {
+        return seed;
+    }
+    return splitmix64(seed + 0x632be59bd9b4e019ULL *
+                                 static_cast<std::uint64_t>(index));
+}
+
+/**
+ * A shard's position in the fleet: shard @p index of @p count. Both shard
+ * types take their share of SchedulerConfig::initial_servers from it, and
+ * a SchedulerShard also its disjoint kernel-id progression (index + 1,
+ * index + 1 + count, ...). The default identity {0, 1} is the monolithic
+ * scheduler.
+ */
+struct ShardIdentity
+{
+    std::int32_t index = 0;
+    std::int32_t count = 1;
+
+    /** This shard's round-robin share of @p total servers: shares differ
+     *  by at most one and lower indices take the remainder. */
+    std::int32_t share_of(std::int32_t total) const
+    {
+        if (total <= 0 || count <= 1) {
+            return total;
+        }
+        return total / count + (index < total % count ? 1 : 0);
+    }
+};
+
+/**
+ * The stable hash route: the shard in [0, @p shards) that owns session
+ * @p id unless a policy moved it. A pure function of (id, shard count),
+ * independent of the seed, so seed sweeps keep every session on the same
+ * shard.
+ *
+ * @throws std::invalid_argument on a negative id (a caller bug, such as
+ *         routing a -1 sentinel, would otherwise sign-cast into a
+ *         stable-looking shard) and on @p shards < 1 (a config bug would
+ *         otherwise run quietly monolithic; validate_config rejects it
+ *         upstream too).
+ */
+inline std::size_t
+hash_shard(std::int64_t id, std::int32_t shards)
+{
+    if (shards < 1) {
+        throw std::invalid_argument(
+            "hash_shard: shard count must be >= 1, got " +
+            std::to_string(shards));
+    }
+    if (id < 0) {
+        throw std::invalid_argument("hash_shard: negative session id " +
+                                    std::to_string(id));
+    }
+    if (shards == 1) {
+        return 0;
+    }
+    return static_cast<std::size_t>(
+        splitmix64(static_cast<std::uint64_t>(id)) %
+        static_cast<std::uint64_t>(shards));
+}
 
 /** The routing policies understood by every sharded engine. */
 enum class RoutingPolicyKind
@@ -84,67 +162,6 @@ struct MigrationDecision
 };
 
 /**
- * Explicit session -> shard map over the stable hash fallback.
- *
- * Reads are cheap and const; writes happen only from the driving thread
- * at admission or window boundaries, never inside a shard window, so the
- * table needs no synchronization.
- */
-class RoutingTable
-{
-  public:
-    /** @throws std::invalid_argument on shards < 1 (no silent clamp in
-     *  the routing layer; validate_config rejects it upstream too). */
-    explicit RoutingTable(std::int32_t shards) : router_(shards) {}
-
-    std::int32_t shards() const { return router_.shards(); }
-
-    /** The hash fallback (static-hash equivalence tests). */
-    const ShardRouter& router() const { return router_; }
-
-    /** Current owner of @p session: the explicit assignment if present,
-     *  else the hash route. @throws std::invalid_argument on negative
-     *  ids (via ShardRouter::shard_of). */
-    std::size_t shard_of(std::int64_t session) const
-    {
-        const auto it = overrides_.find(session);
-        if (it != overrides_.end()) {
-            return static_cast<std::size_t>(it->second);
-        }
-        return router_.shard_of(session);
-    }
-
-    /** Pin @p session to @p shard. An assignment equal to the hash route
-     *  is dropped so the override map only holds real deviations.
-     *  @throws std::out_of_range on a shard outside [0, shards). */
-    void assign(std::int64_t session, std::int32_t shard)
-    {
-        if (shard < 0 || shard >= router_.shards()) {
-            throw std::out_of_range(
-                "RoutingTable::assign: shard " + std::to_string(shard) +
-                " outside [0, " + std::to_string(router_.shards()) + ")");
-        }
-        if (router_.shard_of(session) ==
-            static_cast<std::size_t>(shard)) {
-            overrides_.erase(session);
-        } else {
-            overrides_[session] = shard;
-        }
-    }
-
-    /** Drop @p session's override (its last event has run; bounds the
-     *  map). */
-    void forget(std::int64_t session) { overrides_.erase(session); }
-
-    /** Number of sessions currently routed away from their hash shard. */
-    std::size_t overrides() const { return overrides_.size(); }
-
-  private:
-    ShardRouter router_;
-    std::unordered_map<std::int64_t, std::int32_t> overrides_;
-};
-
-/**
  * The deterministic greedy rebalance planner.
  *
  * Repeatedly takes the heaviest and lightest shards (ties: lowest
@@ -163,9 +180,10 @@ std::vector<MigrationDecision> plan_rebalance(
     const std::vector<std::vector<SessionLoad>>& sessions);
 
 /**
- * The session -> shard router of both NotebookOS engines.
+ * The session -> shard router of a NotebookOS run.
  *
- * It owns the RoutingTable and applies SchedulerConfig::routing:
+ * It holds the sessions routed away from their hash shard (every other
+ * session is on hash_shard) and applies SchedulerConfig::routing:
  *
  *  - `static_hash`: every session stays on its hash shard;
  *  - `least_loaded`: admit() sends a new session to the shard with the
@@ -174,25 +192,18 @@ std::vector<MigrationDecision> plan_rebalance(
  *  - `rebalance`: hash admission, then rebalance() moves whole sessions
  *    at window boundaries.
  *
- * A driver calls admit() when a session enters its feed, shard_of() for
- * each of the session's events, rebalance() when a window closes, and
- * forget() once the session's last event has run, so the table only
- * holds overrides for live sessions. Every call happens on the driving
- * thread between windows, so the router needs no synchronization.
+ * A run has one router, and core::drive_windows makes every call on it:
+ * admit() when a session enters its feed, shard_of() for each of the
+ * session's events, rebalance() when a window closes, and forget() once
+ * the session's last event has run, so the override map only holds live
+ * sessions. Every call happens on the driving thread between windows, so
+ * the router needs no synchronization.
  */
 class SessionRouter
 {
   public:
     /** @throws std::invalid_argument on shards < 1. */
-    SessionRouter(RoutingPolicyKind kind, std::int32_t shards)
-        : kind_(kind),
-          table_(shards),
-          weight_(static_cast<std::size_t>(shards), 0),
-          admitted_(static_cast<std::size_t>(shards), 0)
-    {
-    }
-
-    const RoutingTable& table() const { return table_; }
+    SessionRouter(RoutingPolicyKind kind, std::int32_t shards);
 
     /** True under `rebalance`, the one policy that moves sessions after
      *  admission. */
@@ -201,10 +212,15 @@ class SessionRouter
         return kind_ == RoutingPolicyKind::kRebalance;
     }
 
-    /** Current owner of @p session. */
+    /** Current owner of @p session: its override if it has one, else its
+     *  hash shard. @throws std::invalid_argument on a negative id. */
     std::size_t shard_of(std::int64_t session) const
     {
-        return table_.shard_of(session);
+        const auto it = overrides_.find(session);
+        if (it != overrides_.end()) {
+            return static_cast<std::size_t>(it->second);
+        }
+        return hash_shard(session, shards_);
     }
 
     /** Route a new @p session that will submit @p cells cells; it weighs
@@ -212,21 +228,21 @@ class SessionRouter
     std::size_t admit(std::int64_t session, std::uint64_t cells);
 
     /** Drop @p session's override once its last event has run. */
-    void forget(std::int64_t session) { table_.forget(session); }
+    void forget(std::int64_t session) { overrides_.erase(session); }
 
     /**
      * Close a window. Under `rebalance` harvest every shard's window load
      * in shard order, plan with plan_rebalance, and move each planned
-     * session: extract from its owner, adopt on the target, reassign the
-     * route. Other policies never move sessions, so this is a no-op for
-     * them. @p shard_at(i) returns shard i, whose type provides
+     * session: extract from its owner, adopt on the target, reroute it.
+     * Other policies never move sessions, so this is a no-op for them.
+     * @p shards.shard(i) returns shard i, whose type provides
      * `harvest_window_load(ShardLoad&, std::vector<SessionLoad>&)`,
      * `extract_session(id, SessionExtract&) -> bool`,
      * `adopt_session(SessionExtract)` and the member type
      * `SessionExtract`. @return sessions moved.
      */
-    template <typename ShardAt>
-    std::size_t rebalance(ShardAt&& shard_at);
+    template <typename Shards>
+    std::size_t rebalance(Shards& shards);
 
     /** Whole sessions moved across shards so far (not a SchedulerStats
      *  counter: merged totals stay policy-invariant). */
@@ -235,9 +251,17 @@ class SessionRouter
         return sessions_rebalanced_;
     }
 
+    /** Sessions currently routed away from their hash shard. */
+    std::size_t overrides() const { return overrides_.size(); }
+
   private:
+    /** Route @p session to @p shard; a route equal to its hash shard
+     *  leaves no override. */
+    void route(std::int64_t session, std::size_t shard);
+
     RoutingPolicyKind kind_;
-    RoutingTable table_;
+    std::int32_t shards_;
+    std::unordered_map<std::int64_t, std::int32_t> overrides_;
     /** least_loaded state per shard: cumulative admitted weight and
      *  sessions admitted. */
     std::vector<std::uint64_t> weight_;
@@ -245,30 +269,30 @@ class SessionRouter
     std::uint64_t sessions_rebalanced_ = 0;
 };
 
-template <typename ShardAt>
+template <typename Shards>
 std::size_t
-SessionRouter::rebalance(ShardAt&& shard_at)
+SessionRouter::rebalance(Shards& shards)
 {
     if (!rebalancing()) {
         return 0;
     }
-    const auto count = static_cast<std::size_t>(table_.shards());
+    const auto count = static_cast<std::size_t>(shards_);
     std::vector<ShardLoad> loads(count);
     std::vector<std::vector<SessionLoad>> sessions(count);
     for (std::size_t i = 0; i < count; ++i) {
-        shard_at(i).harvest_window_load(loads[i], sessions[i]);
+        shards.shard(i).harvest_window_load(loads[i], sessions[i]);
     }
     std::size_t moved = 0;
     for (const MigrationDecision& move : plan_rebalance(loads, sessions)) {
-        auto& from = shard_at(static_cast<std::size_t>(move.from));
+        auto& from = shards.shard(static_cast<std::size_t>(move.from));
         typename std::remove_reference_t<decltype(from)>::SessionExtract
             extract;
         if (!from.extract_session(move.session, extract)) {
             continue;
         }
-        shard_at(static_cast<std::size_t>(move.to))
-            .adopt_session(std::move(extract));
-        table_.assign(move.session, move.to);
+        const auto to = static_cast<std::size_t>(move.to);
+        shards.shard(to).adopt_session(std::move(extract));
+        route(move.session, to);
         ++moved;
     }
     sessions_rebalanced_ += moved;

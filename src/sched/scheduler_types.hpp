@@ -34,30 +34,26 @@ struct HopLatencies
     sim::Time ls_to_replica_max = 400 * sim::kMicrosecond;
 };
 
+/** The hops of the prototype's request path and the baselines'. */
+inline constexpr HopLatencies kHops{};
+
 /** All scheduler tunables. */
 struct SchedulerConfig
 {
     kernel::KernelConfig kernel{};
     cluster::ResourceSpec server_shape = cluster::ResourceSpec::server_8gpu();
     std::int32_t initial_servers = 4;
-    /** Hard per-server SR watermark (prevents excessive
-     *  over-subscription; Fig. 10's SR peaks near 3). */
-    double sr_watermark = 3.0;
     AutoScalerConfig autoscaler{};
     sim::Time autoscale_interval = 30 * sim::kSecond;
     bool enable_autoscaler = true;
     /** Pre-warmed containers maintained per server (migration pool). */
     std::int32_t prewarm_per_server = 1;
     sim::Time prewarm_check_interval = 15 * sim::kSecond;
-    cluster::ContainerTimings timings{};
     /** EC2-style server provisioning time for scale-out. */
     sim::Time server_provision_min = 30 * sim::kSecond;
     sim::Time server_provision_max = 90 * sim::kSecond;
-    HopLatencies hops{};
     /** Enable GS-side executor pre-selection (yield conversion). */
     bool yield_conversion = true;
-    sim::Time gs_processing = 1 * sim::kMillisecond;
-    sim::Time ls_processing = 300 * sim::kMicrosecond;
     /** Failed-migration retry spacing and budget (§3.2.3). */
     sim::Time migration_retry = 10 * sim::kSecond;
     std::int32_t migration_max_retries = 5;
@@ -82,8 +78,9 @@ struct SchedulerConfig
      *  only useful for debugging and for that equivalence test. */
     bool shard_parallel = true;
     /**
-     * Session -> shard routing policy, applied by the sched::SessionRouter
-     * that both NotebookOS engine drivers hold (sched/routing.hpp). The
+     * Session -> shard routing policy, applied by the run's one
+     * sched::SessionRouter, which core::drive_windows drives for both
+     * NotebookOS engines (sched/routing.hpp). The
      * default, `static_hash`, is the pure splitmix64 route —
      * byte-identical to the pre-routing implementation at every shard
      * count. `least_loaded` admits each new session to the shard with the

@@ -33,6 +33,11 @@ checkpoint_bytes(const nblang::Namespace& ns)
 /** How often a wait on a Raft group checks again. */
 constexpr sim::Time kPollInterval = 200 * sim::kMillisecond;
 
+/** Processing time of a request at the Global and at a Local Scheduler
+ *  (Fig. 15 steps). */
+constexpr sim::Time kGsProcessing = 1 * sim::kMillisecond;
+constexpr sim::Time kLsProcessing = 300 * sim::kMicrosecond;
+
 }  // namespace
 
 SchedulerShard::SchedulerShard(sim::Simulation& simulation,
@@ -48,7 +53,6 @@ SchedulerShard::SchedulerShard(sim::Simulation& simulation,
       prewarm_(config.prewarm_per_server),
       store_(std::make_unique<storage::DataStore>(
           simulation, config.store_backend, sim::Rng(seed ^ 0x9e3779b9))),
-      placement_(config.sr_watermark),
       // Disjoint kernel-id progression per shard: index + 1, stepping by
       // the shard count, so ids are globally unique. {0, 1} yields 1, 2,
       // 3, ... — the monolithic scheduler's sequence.
@@ -163,11 +167,11 @@ SchedulerShard::container_delay(cluster::ServerId server)
 {
     if (prewarm_.acquire(server)) {
         ++stats_.prewarm_hits;
-        return config_.timings.prewarm_assign;
+        return cluster::kContainerTimings.prewarm_assign;
     }
     ++stats_.cold_starts;
-    return sample(config_.timings.cold_start_min,
-                  config_.timings.cold_start_max);
+    return sample(cluster::kContainerTimings.cold_start_min,
+                  cluster::kContainerTimings.cold_start_max);
 }
 
 void
@@ -412,7 +416,7 @@ SchedulerShard::open_kernel(std::int64_t session,
     record.count_created = count_created;
     sessions_[session] = id;
     waiting_.push_back(id);
-    simulation_.schedule_after(config_.gs_processing,
+    simulation_.schedule_after(kGsProcessing,
                                [this] { try_place_waiting_kernels(); });
     return record;
 }
@@ -455,8 +459,9 @@ SchedulerShard::place_kernel(KernelRecord& record,
         reserve_container(record, static_cast<std::int32_t>(i), servers[i]);
 
         ++stats_.cold_starts;
-        const sim::Time cold = sample(config_.timings.cold_start_min,
-                                      config_.timings.cold_start_max);
+        const sim::Time cold =
+            sample(cluster::kContainerTimings.cold_start_min,
+                   cluster::kContainerTimings.cold_start_max);
         // Records are never erased and a kernel is stopped only once
         // created, so the creation chain can hold its record.
         simulation_.schedule_after(cold, [this, rec = &record, remaining] {
@@ -800,8 +805,8 @@ SchedulerShard::submit_execute(KernelRecord& record, std::string code,
     pending.trace.submitted_at = submitted_at;
     record.pending.emplace(election, std::move(pending));
 
-    const sim::Time to_gs = sample(config_.hops.client_to_gs_min,
-                                   config_.hops.client_to_gs_max);
+    const sim::Time to_gs = sample(kHops.client_to_gs_min,
+                                   kHops.client_to_gs_max);
     simulation_.schedule_after(to_gs, [this, kernel_id, election] {
         KernelRecord* rec = live_kernel(kernel_id);
         if (rec == nullptr) {
@@ -813,7 +818,7 @@ SchedulerShard::submit_execute(KernelRecord& record, std::string code,
         }
         pit->second.trace.gs_received = simulation_.now();
         simulation_.schedule_after(
-            config_.gs_processing, [this, kernel_id, election] {
+            kGsProcessing, [this, kernel_id, election] {
                 KernelRecord* rec2 = live_kernel(kernel_id);
                 if (rec2 == nullptr) {
                     return;
@@ -846,12 +851,12 @@ SchedulerShard::dispatch_execution(KernelRecord& record,
     }
     PendingExecution& pending = pit->second;
     const sim::Time to_ls =
-        sample(config_.hops.gs_to_ls_min, config_.hops.gs_to_ls_max);
-    const sim::Time to_replica = sample(config_.hops.ls_to_replica_min,
-                                        config_.hops.ls_to_replica_max);
+        sample(kHops.gs_to_ls_min, kHops.gs_to_ls_max);
+    const sim::Time to_replica = sample(kHops.ls_to_replica_min,
+                                        kHops.ls_to_replica_max);
     pending.trace.ls_received = simulation_.now() + to_ls;
     pending.trace.replica_received =
-        pending.trace.ls_received + config_.ls_processing + to_replica;
+        pending.trace.ls_received + kLsProcessing + to_replica;
 
     for (std::size_t i = 0; i < record.slots.size(); ++i) {
         ReplicaSlot& slot = record.slots[i];
@@ -868,7 +873,7 @@ SchedulerShard::dispatch_execution(KernelRecord& record,
             designated >= 0 && static_cast<std::int32_t>(i) != designated;
         kernel::KernelReplica* replica_ptr = slot.replica.get();
         simulation_.schedule_after(
-            to_ls + config_.ls_processing + to_replica,
+            to_ls + kLsProcessing + to_replica,
             [replica_ptr, request] {
                 replica_ptr->handle_execute_request(request);
             });
@@ -910,11 +915,11 @@ SchedulerShard::on_result(cluster::KernelId kernel_id,
     // Reply path: replica -> LS -> GS -> client (§3.2.2 steps 9-10; the
     // replies of the standby replicas are aggregated away by the GS).
     const sim::Time back =
-        sample(config_.hops.ls_to_replica_min,
-               config_.hops.ls_to_replica_max) +
-        config_.ls_processing +
-        sample(config_.hops.gs_to_ls_min, config_.hops.gs_to_ls_max) +
-        sample(config_.hops.client_to_gs_min, config_.hops.client_to_gs_max);
+        sample(kHops.ls_to_replica_min,
+               kHops.ls_to_replica_max) +
+        kLsProcessing +
+        sample(kHops.gs_to_ls_min, kHops.gs_to_ls_max) +
+        sample(kHops.client_to_gs_min, kHops.client_to_gs_max);
     send_reply(back, result, std::move(pending));
 }
 
@@ -1221,8 +1226,8 @@ SchedulerShard::abort_execution(cluster::KernelId kernel_id,
     result.status = kernel::ExecutionStatus::kError;
     result.error = reason;
     pending.trace.aborted = true;
-    const sim::Time back = sample(config_.hops.client_to_gs_min,
-                                  config_.hops.client_to_gs_max);
+    const sim::Time back = sample(kHops.client_to_gs_min,
+                                  kHops.client_to_gs_max);
     send_reply(back, std::move(result), std::move(pending));
 }
 
@@ -1273,8 +1278,9 @@ SchedulerShard::run_prewarmer()
         const std::int32_t deficit = prewarm_.deficit(id);
         for (std::int32_t i = 0; i < deficit; ++i) {
             prewarm_.begin_refill(id);
-            const sim::Time cold = sample(config_.timings.cold_start_min,
-                                          config_.timings.cold_start_max);
+            const sim::Time cold =
+                sample(cluster::kContainerTimings.cold_start_min,
+                       cluster::kContainerTimings.cold_start_max);
             const cluster::ServerId server_id = id;
             simulation_.schedule_after(cold, [this, server_id] {
                 prewarm_.complete_refill(server_id);

@@ -55,7 +55,7 @@
 #include "net/network.hpp"
 #include "sched/placement.hpp"
 #include "sched/scheduler_types.hpp"
-#include "sched/shard_router.hpp"
+#include "sched/routing.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "storage/datastore.hpp"

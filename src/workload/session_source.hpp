@@ -5,7 +5,7 @@
  * NotebookOS engines' windowed drivers.
  *
  * A SessionSource yields complete SessionSpecs one at a time in
- * nondecreasing (start_time, id) order, so month-scale traces can be
+ * increasing (start_time, id) order, so month-scale traces can be
  * generated, serialized, and simulated without ever materializing a full
  * workload::Trace in memory.
  */
@@ -23,7 +23,8 @@
 
 namespace nbos::workload {
 
-/** A stream of sessions in nondecreasing (start_time, id) order. */
+/** A stream of sessions in increasing (start_time, id) order (the
+ *  windowed driver rejects a session that is not above its predecessor). */
 class SessionSource
 {
   public:

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -621,112 +622,10 @@ TEST(ReservationEngineTest, CommittedEqualsReservedShape)
               1.5 * oracle.integrate_hours(0, trace.makespan));
 }
 
-/** A fake engine for drive_windows: it checks what the loop hands it —
- *  each cell with the next row of @p tasks, already filled from the cell —
- *  and routes sessions through a least_loaded SessionRouter the way both
- *  NotebookOS engines do. */
-class RecordingEngine
-{
-  public:
-    RecordingEngine(const workload::Trace& trace,
-                    const std::vector<TaskOutcome>& tasks)
-        : tasks_(tasks)
-    {
-        for (const workload::SessionSpec& session : trace.sessions) {
-            Session& s = sessions_[session.id];
-            s.events = 1;
-            s.last = session.start_time;
-            if (session.end_time < trace.makespan) {
-                ++s.events;
-                s.last = std::max(s.last, session.end_time);
-            }
-            for (const workload::CellTask& task : session.tasks) {
-                ++s.events;
-                s.last = std::max(s.last, task.submit_time);
-            }
-        }
-    }
-
-    void admit(const workload::SessionSpec& session)
-    {
-        EXPECT_EQ(sessions_.at(session.id).admitted++, 0)
-            << "session " << session.id;
-        router_.admit(session.id, session.tasks.size());
-    }
-
-    void inject(const Injection& event)
-    {
-        Session& s = sessions_.at(event.session->id);
-        EXPECT_EQ(s.retired, 0) << "event after retire";
-        ++s.injected;
-        EXPECT_LT(router_.shard_of(event.session->id), 3u);
-        if (event.kind != Injection::kTask) {
-            return;
-        }
-        EXPECT_EQ(event.row, next_row_++);
-        ASSERT_EQ(tasks_.size(), next_row_);
-        const TaskOutcome& row = tasks_.back();
-        EXPECT_EQ(row.session, event.session->id);
-        EXPECT_EQ(row.seq, event.task->seq);
-        EXPECT_EQ(row.submit, event.time);
-        EXPECT_EQ(row.submit, event.task->submit_time);
-        EXPECT_EQ(row.gpus, event.session->resources.gpus);
-        EXPECT_EQ(row.is_gpu, event.task->is_gpu);
-    }
-
-    void advance(sim::Time stop) { now_ = stop; }
-    void close_window(sim::Time, bool) {}
-
-    void retire(workload::SessionId id)
-    {
-        Session& s = sessions_.at(id);
-        ++s.retired;
-        // Every event was handed over and the shards ran past the last.
-        EXPECT_EQ(s.injected, s.events) << "session " << id;
-        EXPECT_LE(s.last, now_) << "session " << id;
-        peak_overrides_ =
-            std::max(peak_overrides_, router_.table().overrides());
-        router_.forget(id);
-    }
-
-    void drain(sim::Time) {}
-
-    void expect_each_retired_once() const
-    {
-        for (const auto& [id, s] : sessions_) {
-            EXPECT_EQ(s.admitted, 1) << "session " << id;
-            EXPECT_EQ(s.retired, 1) << "session " << id;
-        }
-    }
-
-    const sched::SessionRouter& router() const { return router_; }
-    std::size_t peak_overrides() const { return peak_overrides_; }
-
-  private:
-    struct Session
-    {
-        int events = 0;
-        sim::Time last = 0;
-        int admitted = 0;
-        int injected = 0;
-        int retired = 0;
-    };
-
-    std::map<workload::SessionId, Session> sessions_;
-    const std::vector<TaskOutcome>& tasks_;
-    std::size_t next_row_ = 0;
-    sched::SessionRouter router_{sched::RoutingPolicyKind::kLeastLoaded, 3};
-    sim::Time now_ = 0;
-    std::size_t peak_overrides_ = 0;
-};
-
-/** The windowed driver retires every admitted session exactly once, after
- *  its last event has run — at every window and on a pinned stride that
- *  admits ahead — so a router fed through admit/retire ends the run
- *  holding no overrides. It also creates the run's one outcome table: a
- *  row per cell, handed out with its cell, in (submit, session, seq)
- *  order. */
-TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
+/** 300 sessions over a 6 h trace: some end mid-trace, the rest outlive
+ *  it, and each submits 0-3 cells while it is open. */
+workload::Trace
+window_trace()
 {
     workload::Trace trace;
     trace.name = "retire";
@@ -736,7 +635,6 @@ TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
         workload::SessionSpec session;
         session.id = id;
         session.start_time = rng.uniform_int(0, 5 * kHour);
-        // Some sessions end mid-trace; the rest outlive it.
         session.end_time =
             session.start_time + rng.uniform_int(10 * kMinute, 4 * kHour);
         const sim::Time busy_until =
@@ -752,21 +650,214 @@ TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
         }
         trace.sessions.push_back(std::move(session));
     }
+    return trace;
+}
 
+/** The feed admits every session once and retires it once, after its
+ *  last event has been handed out and never before one — at every window
+ *  and when it admits ahead of start times, as a pinned stride does. */
+TEST(SessionFeedTest, RetiresEverySessionOnceAfterItsLastEvent)
+{
+    struct Session
+    {
+        int events = 0;
+        sim::Time last = 0;
+        int admitted = 0;
+        int injected = 0;
+        int retired = 0;
+    };
+    const workload::Trace trace = window_trace();
+    const sim::Time window = 15 * kMinute;
+    for (const std::size_t ahead : {std::size_t{0}, kAdmitAhead}) {
+        SCOPED_TRACE("ahead " + std::to_string(ahead));
+        std::map<workload::SessionId, Session> sessions;
+        for (const workload::SessionSpec& session : trace.sessions) {
+            Session& s = sessions[session.id];
+            s.events = 1;
+            s.last = session.start_time;
+            if (session.end_time < trace.makespan) {
+                ++s.events;
+                s.last = std::max(s.last, session.end_time);
+            }
+            for (const workload::CellTask& task : session.tasks) {
+                ++s.events;
+                s.last = std::max(s.last, task.submit_time);
+            }
+        }
+        workload::TraceSessionSource source(trace);
+        SessionFeed feed(source, window);
+        for (sim::Time t = 0; t <= trace.makespan; t += window) {
+            while (const workload::SessionSpec* spec =
+                       feed.admit_next(t, ahead)) {
+                EXPECT_EQ(sessions.at(spec->id).admitted++, 0)
+                    << "session " << spec->id;
+            }
+            Injection event;
+            while (feed.next_due(t, event)) {
+                Session& s = sessions.at(event.session->id);
+                EXPECT_EQ(s.retired, 0) << "event after retire";
+                EXPECT_LE(event.time, t);
+                ++s.injected;
+            }
+            feed.retire_until(t, [&sessions, t](workload::SessionId id) {
+                Session& s = sessions.at(id);
+                ++s.retired;
+                EXPECT_EQ(s.injected, s.events) << "session " << id;
+                EXPECT_LE(s.last, t) << "session " << id;
+            });
+        }
+        for (const auto& [id, s] : sessions) {
+            EXPECT_EQ(s.admitted, 1) << "session " << id;
+            EXPECT_EQ(s.retired, 1) << "session " << id;
+        }
+    }
+}
+
+/** A fake engine for drive_windows with three shards. It checks what the
+ *  loop hands it — each event on the shard that holds its session at that
+ *  moment (the one a session started on, or the last to adopt it), each
+ *  cell with the next row of @p tasks, already filled from the cell — and
+ *  records the most sessions @p router held off their hash shard. Each
+ *  shard reports its sessions' events of the closing window as their
+ *  load, so a `rebalance` router moves them. */
+class RecordingEngine
+{
+  public:
+    struct Shard
+    {
+        struct SessionExtract
+        {
+            workload::SessionId id = -1;
+        };
+
+        void
+        harvest_window_load(sched::ShardLoad& load,
+                            std::vector<sched::SessionLoad>& sessions)
+        {
+            for (const auto& [id, weight] : window) {
+                load.weight += weight;
+                sessions.push_back(sched::SessionLoad{id, weight, true});
+            }
+            window.clear();
+        }
+
+        bool
+        extract_session(workload::SessionId id, SessionExtract& out)
+        {
+            out.id = id;
+            return held.erase(id) == 1;
+        }
+
+        void
+        adopt_session(SessionExtract extract)
+        {
+            held.insert(extract.id);
+            adopted.insert(extract.id);
+        }
+
+        std::set<workload::SessionId> held;
+        std::set<workload::SessionId> adopted;
+        std::map<workload::SessionId, std::uint64_t> window;
+    };
+
+    RecordingEngine(const sched::SessionRouter& router,
+                    const std::vector<TaskOutcome>& tasks)
+        : router_(router), tasks_(tasks)
+    {
+    }
+
+    Shard& shard(std::size_t i) { return shards_.at(i); }
+
+    void inject(std::size_t owner, const Injection& event)
+    {
+        ASSERT_LT(owner, shards_.size());
+        Shard& shard = shards_[owner];
+        const workload::SessionId id = event.session->id;
+        if (event.kind == Injection::kStart) {
+            EXPECT_TRUE(shard.held.insert(id).second) << "session " << id;
+        } else {
+            EXPECT_EQ(shard.held.count(id), 1u)
+                << "session " << id << " is not on shard " << owner;
+        }
+        moved_events_ += shard.adopted.count(id);
+        ++shard.window[id];
+        peak_overrides_ = std::max(peak_overrides_, router_.overrides());
+        if (event.kind != Injection::kTask) {
+            return;
+        }
+        EXPECT_EQ(event.row, next_row_++);
+        ASSERT_EQ(tasks_.size(), next_row_);
+        const TaskOutcome& row = tasks_.back();
+        EXPECT_EQ(row.session, id);
+        EXPECT_EQ(row.seq, event.task->seq);
+        EXPECT_EQ(row.submit, event.time);
+        EXPECT_EQ(row.submit, event.task->submit_time);
+        EXPECT_EQ(row.gpus, event.session->resources.gpus);
+        EXPECT_EQ(row.is_gpu, event.task->is_gpu);
+    }
+
+    void advance(sim::Time) {}
+    void close_window(sim::Time) {}
+    void drain(sim::Time) {}
+
+    std::size_t peak_overrides() const { return peak_overrides_; }
+    /** Events handed to a shard that adopted their session. */
+    std::uint64_t moved_events() const { return moved_events_; }
+
+  private:
+    const sched::SessionRouter& router_;
+    const std::vector<TaskOutcome>& tasks_;
+    std::vector<Shard> shards_ = std::vector<Shard>(3);
+    std::size_t next_row_ = 0;
+    std::size_t peak_overrides_ = 0;
+    std::uint64_t moved_events_ = 0;
+};
+
+/** Under `least_loaded` the windowed driver routes sessions off their
+ *  hash shards and forgets every one once it retires — at every window
+ *  and on a pinned stride that admits ahead — so the router ends the run
+ *  holding no overrides. It also creates the run's one outcome table: a
+ *  row per cell, handed out with its cell, in (submit, session, seq)
+ *  order. */
+TEST(WindowDriverTest, RetiresEverySessionOnceAfterItsLastEvent)
+{
+    const workload::Trace trace = window_trace();
     const sim::Time window = 15 * kMinute;
     for (const sim::Time stride : {window, 4 * window}) {
         SCOPED_TRACE("stride " + std::to_string(stride / kMinute) + " min");
         workload::TraceSessionSource source(trace);
         SessionFeed feed(source, window);
+        sched::SessionRouter router(sched::RoutingPolicyKind::kLeastLoaded,
+                                    3);
         std::vector<TaskOutcome> tasks;
-        RecordingEngine engine(trace, tasks);
-        drive_windows(feed, stride, engine, tasks);
-        engine.expect_each_retired_once();
+        RecordingEngine engine(router, tasks);
+        drive_windows(feed, stride, router, engine, tasks);
         EXPECT_GT(engine.peak_overrides(), 0u);
-        EXPECT_EQ(engine.router().table().overrides(), 0u);
+        EXPECT_EQ(router.overrides(), 0u);
         EXPECT_EQ(tasks.size(), trace.task_count());
         EXPECT_TRUE(test::in_submit_order(tasks));
     }
+}
+
+/** Under `rebalance` the driver moves sessions between windows, and every
+ *  event still goes to the shard that holds its session at that moment,
+ *  events of moved sessions included; each moved session's override goes
+ *  when it retires. */
+TEST(WindowDriverTest, RoutesEveryEventToTheShardHoldingItsSession)
+{
+    const workload::Trace trace = window_trace();
+    workload::TraceSessionSource source(trace);
+    const sim::Time window = 15 * kMinute;
+    SessionFeed feed(source, window);
+    sched::SessionRouter router(sched::RoutingPolicyKind::kRebalance, 3);
+    std::vector<TaskOutcome> tasks;
+    RecordingEngine engine(router, tasks);
+    drive_windows(feed, window, router, engine, tasks);
+    EXPECT_GT(router.sessions_rebalanced(), 0u);
+    EXPECT_GT(engine.moved_events(), 0u);
+    EXPECT_GT(engine.peak_overrides(), 0u);
+    EXPECT_EQ(router.overrides(), 0u);
+    EXPECT_EQ(tasks.size(), trace.task_count());
 }
 
 /** One shard's part for the merge tests: two events (the second, of

@@ -155,6 +155,66 @@ TEST(RunRequestValidationTest, RejectsSchedulerValuesTheEnginesCannotRun)
     }
 }
 
+/** A source that yields the sessions it is given, in the given order. */
+class ListSource final : public workload::SessionSource
+{
+  public:
+    ListSource(std::vector<workload::SessionSpec> sessions,
+               sim::Time makespan)
+        : sessions_(std::move(sessions)), makespan_(makespan)
+    {
+    }
+
+    const std::string& trace_name() const override { return name_; }
+    sim::Time makespan() const override { return makespan_; }
+
+    bool next(workload::SessionSpec& out) override
+    {
+        if (next_ == sessions_.size()) {
+            return false;
+        }
+        out = sessions_[next_++];
+        return true;
+    }
+
+  private:
+    std::vector<workload::SessionSpec> sessions_;
+    sim::Time makespan_;
+    std::string name_ = "list";
+    std::size_t next_ = 0;
+};
+
+/** Under least_loaded the admission order decides the route, so a source
+ *  must yield sessions in increasing (start_time, id) order: ids 9 then 3
+ *  at one start time are rejected on both engines. */
+TEST(RunRequestValidationTest, RejectsASourceOutOfIdOrderAtOneStartTime)
+{
+    const auto trace = test::tiny_trace(2);
+    for (const char* engine : {kEnginePrototype, kEngineFast}) {
+        SCOPED_TRACE(engine);
+        std::vector<workload::SessionSpec> sessions = trace.sessions;
+        const sim::Time start =
+            std::min(sessions[0].start_time, sessions[1].start_time);
+        sessions[0].id = 9;
+        sessions[1].id = 3;
+        for (workload::SessionSpec& session : sessions) {
+            session.start_time = start;
+            for (workload::CellTask& task : session.tasks) {
+                task.session = session.id;
+            }
+        }
+        ListSource source(std::move(sessions), trace.makespan);
+        RunRequest request;
+        request.engine = engine;
+        request.source = &source;
+        request.routing = sched::RoutingPolicyKind::kLeastLoaded;
+        request.shards = 2;
+        EXPECT_EQ(run_error(request),
+                  "streamed session source is not sorted by "
+                  "(start_time, id)");
+    }
+}
+
 TEST(RunApiEquivalenceTest, DerivedEngineMatchesTheNamedEngine)
 {
     const auto trace = test::tiny_trace();

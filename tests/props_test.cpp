@@ -27,7 +27,7 @@
 #include "raft/raft.hpp"
 #include "sched/placement.hpp"
 #include "sched/shard.hpp"
-#include "sched/shard_router.hpp"
+#include "sched/routing.hpp"
 #include "workload/profiles.hpp"
 
 namespace nbos {
@@ -480,7 +480,6 @@ TEST(ShardSessionProperty, RandomLifecyclesSettleAndReleaseEverything)
         // Sessions 1..N and the shard that owns each.
         std::map<std::int64_t, std::size_t> owner;
         std::set<std::int64_t> ended;
-        const sched::ShardRouter router(2);
         const auto any_session = [&]() {
             return rng.uniform_int(1, static_cast<std::int64_t>(owner.size()));
         };
@@ -489,7 +488,7 @@ TEST(ShardSessionProperty, RandomLifecyclesSettleAndReleaseEverything)
             if (op == 0) {
                 const std::int64_t session =
                     static_cast<std::int64_t>(owner.size()) + 1;
-                owner[session] = router.shard_of(session);
+                owner[session] = sched::hash_shard(session, 2);
                 shards[owner[session]]->begin_session(
                     session,
                     gpu_request(static_cast<std::int32_t>(

@@ -19,7 +19,6 @@
 #include "sched/placement.hpp"
 #include "sched/routing.hpp"
 #include "sched/shard.hpp"
-#include "sched/shard_router.hpp"
 #include "sim/lockstep.hpp"
 #include "sim/simulation.hpp"
 
@@ -195,7 +194,7 @@ TEST(AutoScalerTest, MinServersFloorRespected)
     EXPECT_EQ(decision.remove_servers, 0);
 }
 
-/** Scale-down hysteresis: releases are gradual (max_release_per_step per
+/** Scale-down hysteresis: releases are gradual (kMaxReleasePerStep per
  *  evaluation), so repeated evaluations walk the fleet down to the
  *  desired size step by step and then go quiet — no oscillation. */
 TEST(AutoScalerTest, ScaleDownHysteresisConvergesWithoutOscillation)
@@ -1017,52 +1016,47 @@ TEST(GlobalSchedulerTest, SettledOnlyWhenNoCellIsOwedAnOutcome)
     }
 }
 
-/** The route is a pure function of (session id, shard count): identical
- *  across router instances, repeated calls, and — because it never touches
- *  an RNG — across runs and seeds. */
-TEST(ShardRouterTest, StableAcrossInstancesAndRepeatedCalls)
+/** The hash route is a pure function of (session id, shard count):
+ *  identical across repeated calls and — because it never touches an RNG
+ *  — across runs and seeds. */
+TEST(HashShardTest, StableAcrossRepeatedCalls)
 {
-    const ShardRouter a(4);
-    const ShardRouter b(4);
     for (std::int64_t id = 0; id <= 5000; id += 13) {
-        const std::size_t shard = a.shard_of(id);
+        const std::size_t shard = hash_shard(id, 4);
         ASSERT_LT(shard, 4u) << "id=" << id;
-        ASSERT_EQ(shard, a.shard_of(id)) << "id=" << id;
-        ASSERT_EQ(shard, b.shard_of(id)) << "id=" << id;
+        ASSERT_EQ(shard, hash_shard(id, 4)) << "id=" << id;
     }
 }
 
 /** Negative ids used to sign-cast silently into the hash; they are caller
  *  bugs (e.g. routing a -1 sentinel) and must be rejected loudly — on
  *  every shard count, including the shards == 1 fast path. */
-TEST(ShardRouterTest, RejectsNegativeSessionIds)
+TEST(HashShardTest, RejectsNegativeSessionIds)
 {
-    EXPECT_THROW(ShardRouter(4).shard_of(-1), std::invalid_argument);
-    EXPECT_THROW(ShardRouter(4).shard_of(-500), std::invalid_argument);
-    EXPECT_THROW(ShardRouter(1).shard_of(-1), std::invalid_argument);
-    EXPECT_NO_THROW(ShardRouter(4).shard_of(0));
+    EXPECT_THROW(hash_shard(-1, 4), std::invalid_argument);
+    EXPECT_THROW(hash_shard(-500, 4), std::invalid_argument);
+    EXPECT_THROW(hash_shard(-1, 1), std::invalid_argument);
+    EXPECT_NO_THROW(hash_shard(0, 4));
 }
 
-TEST(ShardRouterTest, SingleShardRoutesEverythingToZero)
+TEST(HashShardTest, SingleShardRoutesEverythingToZero)
 {
-    const ShardRouter router(1);
     for (std::int64_t id = 0; id < 100; ++id) {
-        EXPECT_EQ(router.shard_of(id), 0u);
+        EXPECT_EQ(hash_shard(id, 1), 0u);
     }
     // Degenerate counts used to clamp to one shard, hiding config bugs
     // behind a quietly monolithic run; now they are rejected loudly.
-    EXPECT_THROW(ShardRouter(0), std::invalid_argument);
-    EXPECT_THROW(ShardRouter(-3), std::invalid_argument);
+    EXPECT_THROW(hash_shard(1, 0), std::invalid_argument);
+    EXPECT_THROW(hash_shard(1, -3), std::invalid_argument);
 }
 
 /** splitmix64 spreads consecutive ids: no shard should be starved or
  *  hot-spotted on a dense session-id range. */
-TEST(ShardRouterTest, SpreadsDenseIdsRoughlyEvenly)
+TEST(HashShardTest, SpreadsDenseIdsRoughlyEvenly)
 {
-    const ShardRouter router(8);
     std::vector<int> counts(8, 0);
     for (std::int64_t id = 1; id <= 4000; ++id) {
-        ++counts[router.shard_of(id)];
+        ++counts[hash_shard(id, 8)];
     }
     for (std::size_t shard = 0; shard < counts.size(); ++shard) {
         // Expected 500 per shard; +/-30% is far looser than splitmix64
@@ -1127,21 +1121,20 @@ TEST(ShardedSchedulerTest, RoutesSessionsAndMergesAcrossShards)
     EXPECT_EQ(pair.shard(1).cluster().size(), 4u);
 
     // Sessions alternating between the two hash shards.
-    const ShardRouter router(2);
     std::vector<std::int64_t> sessions;
     for (std::int64_t id = 1; sessions.size() < 4; ++id) {
-        if (router.shard_of(id) == sessions.size() % 2) {
+        if (hash_shard(id, 2) == sessions.size() % 2) {
             sessions.push_back(id);
         }
     }
     for (const std::int64_t session : sessions) {
-        pair.shard(router.shard_of(session))
+        pair.shard(hash_shard(session, 2))
             .begin_session(session, kernel_request(2));
     }
     pair.run_until(240 * sim::kSecond);
     // Shard 0 allocates 1, 3, ... and shard 1 allocates 2, 4, ...
     for (std::size_t i = 0; i < sessions.size(); ++i) {
-        SchedulerShard& owner = pair.shard(router.shard_of(sessions[i]));
+        SchedulerShard& owner = pair.shard(hash_shard(sessions[i], 2));
         EXPECT_TRUE(owner.session_movable(sessions[i]));
         EXPECT_EQ(owner.kernel_of(sessions[i]),
                   static_cast<cluster::KernelId>(i + 1));
@@ -1151,7 +1144,7 @@ TEST(ShardedSchedulerTest, RoutesSessionsAndMergesAcrossShards)
 
     int completed = 0;
     for (const std::int64_t session : sessions) {
-        pair.shard(router.shard_of(session))
+        pair.shard(hash_shard(session, 2))
             .submit_session(session, "gpu_compute(2)", true, pair.now,
                             [&completed](const kernel::ExecutionResult& r,
                                          const RequestTrace&) {
@@ -1184,61 +1177,112 @@ TEST(ShardedSchedulerTest, RoutesSessionsAndMergesAcrossShards)
 }
 
 /** `static_hash` and `rebalance` admission through the router must be the
- *  ShardRouter hash, bit for bit, at every shard count — this is the
+ *  hash route, bit for bit, at every shard count — this is the
  *  equivalence that keeps every pre-routing golden (and all 21 bench
  *  hashes) unchanged. */
-TEST(SessionRouterTest, StaticHashMatchesShardRouterAtEveryShardCount)
+TEST(SessionRouterTest, StaticHashMatchesHashShardAtEveryShardCount)
 {
     for (const RoutingPolicyKind kind :
          {RoutingPolicyKind::kStaticHash, RoutingPolicyKind::kRebalance}) {
         for (const std::int32_t shards : {1, 2, 3, 4, 8, 16}) {
             SessionRouter router(kind, shards);
-            const ShardRouter hash(shards);
             for (std::int64_t id = 0; id <= 4000; id += 7) {
-                ASSERT_EQ(router.admit(id, id % 5), hash.shard_of(id))
+                ASSERT_EQ(router.admit(id, id % 5), hash_shard(id, shards))
                     << to_string(kind) << " shards=" << shards
                     << " id=" << id;
-                ASSERT_EQ(router.shard_of(id), hash.shard_of(id))
+                ASSERT_EQ(router.shard_of(id), hash_shard(id, shards))
                     << to_string(kind) << " shards=" << shards
                     << " id=" << id;
             }
-            EXPECT_EQ(router.table().overrides(), 0u);
+            EXPECT_EQ(router.overrides(), 0u);
         }
     }
 }
 
-TEST(RoutingTableTest, RejectsDegenerateShardCounts)
+TEST(SessionRouterTest, RejectsFewerThanOneShard)
 {
-    EXPECT_THROW(RoutingTable(0), std::invalid_argument);
-    EXPECT_THROW(RoutingTable(-2), std::invalid_argument);
-    EXPECT_NO_THROW(RoutingTable(1));
+    for (const RoutingPolicyKind kind :
+         {RoutingPolicyKind::kStaticHash, RoutingPolicyKind::kLeastLoaded,
+          RoutingPolicyKind::kRebalance}) {
+        EXPECT_THROW(SessionRouter(kind, 0), std::invalid_argument);
+        EXPECT_THROW(SessionRouter(kind, -2), std::invalid_argument);
+        EXPECT_NO_THROW(SessionRouter(kind, 1));
+    }
 }
 
-TEST(RoutingTableTest, AssignOverridesHashAndForgetRestoresIt)
+/** Shards for SessionRouter::rebalance that report the window loads a
+ *  test sets and accept every move. */
+struct ScriptedShards
 {
-    RoutingTable table(4);
+    struct Shard
+    {
+        struct SessionExtract
+        {
+        };
+
+        void
+        harvest_window_load(ShardLoad& load,
+                            std::vector<SessionLoad>& sessions)
+        {
+            for (const SessionLoad& session : report) {
+                load.weight += session.weight;
+            }
+            sessions = std::exchange(report, {});
+        }
+
+        bool extract_session(std::int64_t, SessionExtract&) { return true; }
+        void adopt_session(SessionExtract) {}
+
+        std::vector<SessionLoad> report;
+    };
+
+    Shard& shard(std::size_t i) { return shards.at(i); }
+
+    std::vector<Shard> shards = std::vector<Shard>(2);
+};
+
+/** The router holds a session's route only while it differs from the
+ *  hash shard: admitting a session to its hash shard or moving it back
+ *  there leaves no override, and forgetting a moved session restores its
+ *  hash route. */
+TEST(SessionRouterTest, RouteToTheHashShardLeavesNoOverrideAndForgetRestoresIt)
+{
+    // least_loaded's first pick is shard 0 (a full tie).
+    std::int64_t first = 1;
+    while (hash_shard(first, 2) != 0) {
+        ++first;
+    }
+    SessionRouter least(RoutingPolicyKind::kLeastLoaded, 2);
+    EXPECT_EQ(least.admit(first, 0), 0u);
+    EXPECT_EQ(least.overrides(), 0u);
+
+    SessionRouter router(RoutingPolicyKind::kRebalance, 2);
+    ScriptedShards shards;
     const std::int64_t session = 17;
-    const auto home = table.router().shard_of(session);
-    const auto away =
-        static_cast<std::int32_t>((home + 1) % 4);
+    const std::size_t home = hash_shard(session, 2);
+    const std::size_t away = 1 - home;
+    EXPECT_EQ(router.admit(session, 0), home);
+    // A window where @p from is heavier by 3: the planner moves @p
+    // session, the largest that does not overshoot the midpoint.
+    const auto move = [&](std::size_t from) {
+        shards.shard(from).report = {SessionLoad{1000, 2, true},
+                                     SessionLoad{session, 1, true}};
+        return router.rebalance(shards);
+    };
 
-    table.assign(session, away);
-    EXPECT_EQ(table.shard_of(session), static_cast<std::size_t>(away));
-    EXPECT_EQ(table.overrides(), 1u);
+    ASSERT_EQ(move(home), 1u);
+    EXPECT_EQ(router.shard_of(session), away);
+    EXPECT_EQ(router.overrides(), 1u);
 
-    // Re-assigning the hash route is not a deviation: the map stays
-    // bounded by the number of sessions actually routed away.
-    table.assign(session, static_cast<std::int32_t>(home));
-    EXPECT_EQ(table.shard_of(session), home);
-    EXPECT_EQ(table.overrides(), 0u);
+    ASSERT_EQ(move(away), 1u);
+    EXPECT_EQ(router.shard_of(session), home);
+    EXPECT_EQ(router.overrides(), 0u);
 
-    table.assign(session, away);
-    table.forget(session);
-    EXPECT_EQ(table.shard_of(session), home);
-    EXPECT_EQ(table.overrides(), 0u);
-
-    EXPECT_THROW(table.assign(session, 4), std::out_of_range);
-    EXPECT_THROW(table.assign(session, -1), std::out_of_range);
+    ASSERT_EQ(move(home), 1u);
+    router.forget(session);
+    EXPECT_EQ(router.shard_of(session), home);
+    EXPECT_EQ(router.overrides(), 0u);
+    EXPECT_EQ(router.sessions_rebalanced(), 3u);
 }
 
 TEST(SessionRouterTest, NamesRoundTrip)
@@ -1276,12 +1320,12 @@ TEST(SessionRouterTest, LeastLoadedTieRulesOnCumulativeWeight)
 
     // Every session routed off its hash shard is an override until the
     // driver forgets it; forgetting leaves the cumulative weights alone.
-    EXPECT_GT(router.table().overrides(), 0u);
+    EXPECT_GT(router.overrides(), 0u);
     for (std::int64_t id = 1; id <= 7; ++id) {
         router.forget(id);
-        EXPECT_EQ(router.shard_of(id), router.table().router().shard_of(id));
+        EXPECT_EQ(router.shard_of(id), hash_shard(id, 2));
     }
-    EXPECT_EQ(router.table().overrides(), 0u);
+    EXPECT_EQ(router.overrides(), 0u);
     EXPECT_EQ(router.admit(8, 0), 0u);  // least weight:           6/5 6/3
     EXPECT_EQ(router.admit(9, 0), 1u);  // weight tie, fewer adm.: 6/5 7/4
 }
@@ -1377,7 +1421,7 @@ struct RoutedShards
         // Two sessions that hash to the same shard: a guaranteed
         // imbalance for the planner to fix.
         for (std::int64_t id = 1; sessions.size() < 2; ++id) {
-            if (router.table().router().shard_of(id) == 0) {
+            if (hash_shard(id, 2) == 0) {
                 sessions.push_back(id);
             }
         }
@@ -1409,9 +1453,7 @@ struct RoutedShards
     std::size_t
     rebalance()
     {
-        return router.rebalance([this](std::size_t i) -> SchedulerShard& {
-            return sched.shard(i);
-        });
+        return router.rebalance(sched);
     }
 
     /** The session the last rebalance moved off shard 0. */
@@ -1455,7 +1497,7 @@ TEST(ShardedSchedulerTest, RebalanceMigratesSessionKeepingState)
     EXPECT_EQ(f.router.sessions_rebalanced(), 1u);
     EXPECT_EQ(f.sched.shard(0).session_count(), 1u);
     EXPECT_EQ(f.sched.shard(1).session_count(), 1u);
-    EXPECT_EQ(f.router.table().overrides(), 1u);
+    EXPECT_EQ(f.router.overrides(), 1u);
     const std::int64_t moved = f.moved();
     EXPECT_EQ(f.router.shard_of(moved), 1u);
     f.sched.run_until(f.sched.now + 300 * sim::kSecond);
@@ -1481,7 +1523,7 @@ TEST(ShardedSchedulerTest, RebalanceMigratesSessionKeepingState)
     f.sched.shard(1).end_session(moved);
     f.sched.run_until(f.sched.now + 60 * sim::kSecond);
     f.router.forget(moved);
-    EXPECT_EQ(f.router.table().overrides(), 0u);
+    EXPECT_EQ(f.router.overrides(), 0u);
     EXPECT_EQ(f.sched.shard(1).session_count(), 0u);
 
     // Merged totals stay policy-invariant: 2 kernels, 3 completions.
